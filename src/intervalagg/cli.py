@@ -97,7 +97,10 @@ def _bound_from_json(raw) -> float:
         raise CommandError(f"unrecognised bound string: {raw!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise CommandError(f"bound must be a number or 'inf'/'-inf': {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as error:
+        raise CommandError(f"bound is too large for a float: {error}") from error
 
 
 def _bound_to_json(value: float):
@@ -142,7 +145,7 @@ def load_profile_document(path: str) -> Profile:
                 )
         try:
             entries.append(Interval(float(lo), float(hi)))
-        except ValueError as error:
+        except (ValueError, OverflowError) as error:
             raise CommandError(f"{path}: agent {pos}: {error}") from error
     labels = data.get("labels")
     if labels is not None:

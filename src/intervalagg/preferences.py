@@ -25,8 +25,11 @@ comparison, so a ``found`` result is always a genuine witness.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Optional, Union
 
@@ -48,6 +51,8 @@ __all__ = [
 
 # A misreport only counts as profitable when the cost drop clears this.
 STRICT_IMPROVEMENT_EPS = 1e-12
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -158,31 +163,49 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
     a box twice the profile span, plus any ``extra_candidates``.  The
     returned list is sorted and duplicate-free, which fixes the search
     order and hence the tie-break.
+
+    Near float max, midpoints are taken as half-sums, margins that
+    overflow are dropped and the random box is clipped to the finite
+    floats, so every candidate stays finite.
     """
     values = sorted({v for entry in profile for v in (entry.lo, entry.hi)})
     lowest, highest = values[0], values[-1]
     grid = set(values)
     for a, b in zip(values, values[1:]):
-        grid.add((a + b) / 2.0)
+        mid = (a + b) / 2.0
+        grid.add(mid if math.isfinite(mid) else a / 2.0 + b / 2.0)
     for delta in config.margin_deltas:
-        grid.add(lowest - delta)
-        grid.add(highest + delta)
+        grid.update(
+            point
+            for point in (lowest - delta, highest + delta)
+            if math.isfinite(point)
+        )
     points = sorted(grid)
     candidates = {Interval(a, b) for a, b in combinations(points, 2)}
     span = max(highest - lowest, 1.0)
-    box_lo = lowest - 2.0 * span
-    box_hi = highest + 2.0 * span
+    box_lo = max(lowest - 2.0 * span, -_FLOAT_MAX)
+    box_hi = min(highest + 2.0 * span, _FLOAT_MAX)
     rng = random.Random(config.seed)
+    if math.isfinite(box_hi - box_lo):
+        uniform = rng.uniform
+    else:
+        uniform = partial(_wide_uniform, rng)
     made = 0
     while made < config.random_candidates:
-        a = rng.uniform(box_lo, box_hi)
-        b = rng.uniform(box_lo, box_hi)
+        a = uniform(box_lo, box_hi)
+        b = uniform(box_lo, box_hi)
         if a == b:
             continue
         candidates.add(Interval(min(a, b), max(a, b)))
         made += 1
     candidates.update(config.extra_candidates)
     return sorted(candidates)
+
+
+def _wide_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` for a box whose width overflows: drawn at
+    half scale, doubled and clipped back into the box."""
+    return min(max(2.0 * rng.uniform(lo / 2.0, hi / 2.0), lo), hi)
 
 
 def find_manipulation(
@@ -200,6 +223,10 @@ def find_manipulation(
     ``STRICT_IMPROVEMENT_EPS`` the largest drop wins, ties going to the
     lexicographically smallest misreport.  Complete for order-statistic
     rules; sound (never a false positive) for any rule.
+
+    Outcomes come from ``rule.vary_agent``, so handles with a one-agent
+    fast path skip the profile rebuild per candidate, and the cost of an
+    outcome already seen is reused.
     """
     if not 0 <= agent_index < len(profile):
         raise IndexError(
@@ -215,9 +242,14 @@ def find_manipulation(
     best_drop = 0.0
     best_misreport: Optional[Interval] = None
     best_outcome: Optional[Interval] = None
+    outcome_of = rule.vary_agent(profile, agent_index)
+    costs: dict[Interval, float] = {}
     for candidate in candidate_misreports(profile, config):
-        outcome = rule(profile.replace_agent(agent_index, candidate))
-        drop = truthful_cost - preference.cost(outcome)
+        outcome = outcome_of(candidate)
+        cost = costs.get(outcome)
+        if cost is None:
+            cost = costs[outcome] = preference.cost(outcome)
+        drop = truthful_cost - cost
         # Strictly-greater keeps the first (smallest) candidate on ties.
         if drop > STRICT_IMPROVEMENT_EPS and drop > best_drop:
             best_drop = drop

@@ -107,6 +107,73 @@ class EndpointRuleParams:
         return self.lower_quota == self.upper_quota
 
 
+def _kth_smallest(values: list[float], k: int) -> float:
+    """The ``k``-th smallest (1-based) of ``values``.
+
+    The one sort-and-pick kernel: every order-statistic rule, generalized
+    medians included, selects its endpoints through it.
+    """
+    return sorted(values)[k - 1]
+
+
+def _select(
+    profile: Sequence[Interval],
+    lo_rank: int,
+    hi_rank: int,
+    pool_lows: Sequence[float] = (),
+    pool_highs: Sequence[float] = (),
+) -> Interval:
+    """Interval of the ``lo_rank``-th smallest lower and the ``hi_rank``-th
+    smallest upper endpoint, over the judgments pooled with extra
+    (phantom) bounds.  An upper quota ``q`` is the rank ``n + 1 - q``."""
+    lows = [entry.lo for entry in profile]
+    lows += pool_lows
+    highs = [entry.hi for entry in profile]
+    highs += pool_highs
+    return Interval(_kth_smallest(lows, lo_rank), _kth_smallest(highs, hi_rank))
+
+
+def _rank_bounds(values: list[float], k: int) -> tuple[float, float]:
+    # The k-th smallest of values plus one more x is x clamped between the
+    # (k-1)-th and the k-th smallest of values; a bound whose rank is 0 or
+    # past the end does not constrain x.
+    floor = _kth_smallest(values, k - 1) if k > 1 else NEG_INF
+    ceiling = _kth_smallest(values, k) if k <= len(values) else POS_INF
+    return floor, ceiling
+
+
+def _vary_select(
+    profile: Profile,
+    index: int,
+    lo_rank: int,
+    hi_rank: int,
+    pool_lows: Sequence[float] = (),
+    pool_highs: Sequence[float] = (),
+) -> Callable[[Interval], Interval]:
+    """``report -> _select(profile.replace_agent(index, report), ...)``,
+    with the other agents' endpoints ranked once instead of per report."""
+    others = profile[:index] + profile[index + 1 :]
+    lo_floor, lo_ceiling = _rank_bounds(
+        [entry.lo for entry in others] + list(pool_lows), lo_rank
+    )
+    hi_floor, hi_ceiling = _rank_bounds(
+        [entry.hi for entry in others] + list(pool_highs), hi_rank
+    )
+
+    def outcome(report: Interval) -> Interval:
+        return Interval(
+            min(max(report.lo, lo_floor), lo_ceiling),
+            min(max(report.hi, hi_floor), hi_ceiling),
+        )
+
+    return outcome
+
+
+def _median_ranks(n_agents: int) -> tuple[int, int]:
+    mid = (n_agents + 1) // 2
+    return mid, n_agents + 1 - mid
+
+
 def endpoint_rule(params: EndpointRuleParams, profile: Sequence[Interval]) -> Interval:
     """Order-statistic aggregate under ``params``.
 
@@ -119,11 +186,8 @@ def endpoint_rule(params: EndpointRuleParams, profile: Sequence[Interval]) -> In
         raise ValueError(
             f"profile has {len(profile)} agents, params expect {params.n_agents}"
         )
-    lows = sorted(entry.lo for entry in profile)
-    highs = sorted(entry.hi for entry in profile)
-    return Interval(
-        lows[params.lower_quota - 1],
-        highs[params.n_agents - params.upper_quota],
+    return _select(
+        profile, params.lower_quota, params.n_agents + 1 - params.upper_quota
     )
 
 
@@ -134,11 +198,7 @@ def median_rule(profile: Sequence[Interval]) -> Interval:
     of the individual endpoints; for even ``n`` they are the lower of the
     two middle lower endpoints and the upper of the two middle uppers.
     """
-    n = len(profile)
-    mid = (n + 1) // 2
-    lows = sorted(entry.lo for entry in profile)
-    highs = sorted(entry.hi for entry in profile)
-    return Interval(lows[mid - 1], highs[n - mid])
+    return _select(profile, *_median_ranks(len(profile)))
 
 
 def maximal_rule(profile: Sequence[Interval]) -> Interval:
@@ -168,6 +228,33 @@ def averaging_rule(profile: Sequence[Interval]) -> Interval:
         _exact_mean([entry.lo for entry in profile]),
         _exact_mean([entry.hi for entry in profile]),
     )
+
+
+def _mean_with(rest: Fraction, value: float, n_agents: int) -> float:
+    # float((rest + Fraction(value)) / n_agents) without building Fractions.
+    # Both divide integers with Python's correctly rounded true division, so
+    # any representation of the same rational gives the same float.
+    num, den = value.as_integer_ratio()
+    return (rest.numerator * den + num * rest.denominator) / (
+        rest.denominator * den * n_agents
+    )
+
+
+def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interval]:
+    # The exact sums of the other agents' endpoints are kept, so each report
+    # costs one rational addition and one correctly rounded division and
+    # reproduces averaging_rule bit for bit.
+    n = len(profile)
+    others = profile[:index] + profile[index + 1 :]
+    lo_rest = sum(Fraction(entry.lo) for entry in others)
+    hi_rest = sum(Fraction(entry.hi) for entry in others)
+
+    def outcome(report: Interval) -> Interval:
+        return Interval(
+            _mean_with(lo_rest, report.lo, n), _mean_with(hi_rest, report.hi, n)
+        )
+
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -291,18 +378,22 @@ def generalized_median(vector: PhantomVector, profile: Sequence[Interval]) -> In
     size, so the result is always a bounded nonempty interval.
     """
     n = len(profile)
-    reason = validate_phantoms(vector, n)
+    _require_valid_phantoms(vector, n)
+    # 2n + 1 pooled values: the (n+1)-th smallest is also the (n+1)-th largest.
+    return _select(profile, n + 1, n + 1, *_phantom_pools(vector))
+
+
+def _require_valid_phantoms(vector: PhantomVector, n_agents: int) -> None:
+    reason = validate_phantoms(vector, n_agents)
     if reason is not None:
         raise ValueError(f"invalid phantom vector: {reason}")
-    lows = sorted(
-        [entry.lo for entry in profile] + [ph.lo for ph in vector.phantoms]
+
+
+def _phantom_pools(vector: PhantomVector) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return (
+        tuple(ph.lo for ph in vector.phantoms),
+        tuple(ph.hi for ph in vector.phantoms),
     )
-    highs = sorted(
-        [entry.hi for entry in profile] + [ph.hi for ph in vector.phantoms]
-    )
-    # 2n + 1 values: index n is simultaneously the (n+1)-th smallest and
-    # the (n+1)-th largest position.
-    return Interval(lows[n], highs[n])
 
 
 @dataclass(frozen=True)
@@ -311,13 +402,38 @@ class RuleHandle:
 
     ``evaluate`` maps a :class:`Profile` to an :class:`Interval`; the
     handle itself is callable.  Audit reports and CLI output use ``name``.
+    ``incremental``, when given, backs :meth:`vary_agent` with a faster
+    path that must agree with ``evaluate`` bit for bit; handles built
+    without it fall back to full evaluation.
     """
 
     name: str
     evaluate: Callable[[Profile], Interval]
+    incremental: Optional[
+        Callable[[Profile, int], Callable[[Interval], Interval]]
+    ] = None
 
     def __call__(self, profile: Profile) -> Interval:
         return self.evaluate(profile)
+
+    def vary_agent(
+        self, profile: Profile, index: int
+    ) -> Callable[[Interval], Interval]:
+        """The rule's outcome as a function of agent ``index``'s report.
+
+        ``handle.vary_agent(profile, i)(report)`` equals
+        ``handle(profile.replace_agent(i, report))``.  Order-statistic and
+        averaging handles precompute what the other agents contribute, so
+        each report costs a clamp or one exact addition instead of a
+        profile rebuild and a full evaluation.
+        """
+        if not 0 <= index < len(profile):
+            raise IndexError(
+                f"agent index {index} out of range for {len(profile)} agents"
+            )
+        if self.incremental is not None:
+            return self.incremental(profile, index)
+        return lambda report: self(profile.replace_agent(index, report))
 
 
 def endpoint_rule_handle(lower_quota: int, upper_quota: int) -> RuleHandle:
@@ -328,41 +444,72 @@ def endpoint_rule_handle(lower_quota: int, upper_quota: int) -> RuleHandle:
     """
     _check_quotas(lower_quota, upper_quota, lower_quota + upper_quota)
 
-    def evaluate(profile: Sequence[Interval]) -> Interval:
-        n = len(profile)
+    def ranks(n: int) -> tuple[int, int]:
         if lower_quota + upper_quota > n + 1:
             raise ValueError(
                 f"quotas ({lower_quota}, {upper_quota}) invalid for "
                 f"{n} agents"
             )
-        lows = sorted(entry.lo for entry in profile)
-        highs = sorted(entry.hi for entry in profile)
-        return Interval(lows[lower_quota - 1], highs[n - upper_quota])
+        return lower_quota, n + 1 - upper_quota
 
-    return RuleHandle(f"endpoint:{lower_quota},{upper_quota}", evaluate)
+    return _order_statistic_handle(
+        f"endpoint:{lower_quota},{upper_quota}", ranks
+    )
+
+
+def _order_statistic_handle(
+    name: str,
+    ranks: Callable[[int], tuple[int, int]],
+    pool_lows: Sequence[float] = (),
+    pool_highs: Sequence[float] = (),
+) -> RuleHandle:
+    """Handle selecting the endpoint ranks ``ranks(n)`` from the judgments
+    pooled with fixed extra bounds, with the one-agent fast path."""
+
+    def evaluate(profile: Sequence[Interval]) -> Interval:
+        return _select(profile, *ranks(len(profile)), pool_lows, pool_highs)
+
+    def incremental(profile: Profile, index: int) -> Callable[[Interval], Interval]:
+        return _vary_select(
+            profile, index, *ranks(len(profile)), pool_lows, pool_highs
+        )
+
+    return RuleHandle(name, evaluate, incremental)
 
 
 def median_rule_handle() -> RuleHandle:
-    return RuleHandle("median", median_rule)
+    return _order_statistic_handle("median", _median_ranks)
 
 
 def maximal_rule_handle() -> RuleHandle:
-    return RuleHandle("maximal", maximal_rule)
+    # maximal_rule keeps its O(n) min/max; reports vary as rule (1, 1).
+    return RuleHandle(
+        "maximal",
+        maximal_rule,
+        lambda profile, index: _vary_select(profile, index, 1, len(profile)),
+    )
 
 
 def averaging_rule_handle() -> RuleHandle:
-    return RuleHandle("averaging", averaging_rule)
+    return RuleHandle("averaging", averaging_rule, _vary_averaging)
 
 
 def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> RuleHandle:
-    """Handle for the generalized median over a fixed phantom vector."""
+    """Handle for the generalized median over a fixed phantom vector.
+
+    The vector is validated once per profile size rather than per call.
+    """
     if name is None:
         name = f"phantoms[{len(vector)}]"
+    valid_sizes: set[int] = set()
 
-    def evaluate(profile: Sequence[Interval]) -> Interval:
-        return generalized_median(vector, profile)
+    def ranks(n: int) -> tuple[int, int]:
+        if n not in valid_sizes:
+            _require_valid_phantoms(vector, n)
+            valid_sizes.add(n)
+        return n + 1, n + 1
 
-    return RuleHandle(name, evaluate)
+    return _order_statistic_handle(name, ranks, *_phantom_pools(vector))
 
 
 def valid_quota_pairs(n_agents: int) -> list[tuple[int, int]]:

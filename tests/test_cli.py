@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,31 @@ def committee_file(tmp_path):
     path = tmp_path / "committee.json"
     path.write_text(json.dumps(COMMITTEE_DOC))
     return str(path)
+
+
+def console_script(name):
+    """Command prefix that runs the console script ``name``.
+
+    The installed script is used when it is on PATH.  In a plain checkout
+    the entry point that ``[project.scripts]`` in pyproject.toml declares
+    is resolved and called through the current interpreter, the way the
+    installed wrapper calls it.
+    """
+    installed = shutil.which(name)
+    if installed is not None:
+        return [installed], None
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"][name]
+    module, _, function = target.partition(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    return [sys.executable, "-c", code], env
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +130,22 @@ class TestDocuments:
         entries = list(vector)
         assert entries[0].lo == float("inf")
         assert entries[1].lo == float("-inf") and entries[1].hi == 5.0
+
+    def test_oversized_integer_in_profile_exits_2(self, capsys, tmp_path):
+        # 10**400 is valid JSON but too large for a float.
+        path = tmp_path / "huge.json"
+        path.write_text('{"agents": [{"lo": 0, "hi": 1%s}]}' % ("0" * 400))
+        code, out, err = run_cli(
+            capsys, "aggregate", "--rule", "median", "--profile", str(path)
+        )
+        assert code == 2
+        assert "agent 0" in err and "Traceback" not in err
+
+    def test_oversized_integer_in_phantom_file(self, tmp_path):
+        path = tmp_path / "ph.json"
+        path.write_text('{"phantoms": [{"lo": 0, "hi": 1%s}]}' % ("0" * 400))
+        with pytest.raises(CommandError, match="too large"):
+            load_phantom_file(str(path))
 
     def test_phantom_bad_bound_string(self, tmp_path):
         path = tmp_path / "ph.json"
@@ -496,6 +540,27 @@ class TestManipulateCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("rule", ["median", "averaging"])
+    def test_near_float_max_profile(self, capsys, tmp_path, rule):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "agents": [
+                        {"lo": -1e308, "hi": 1e308},
+                        {"lo": -1.5e308, "hi": 1.2e308},
+                        {"lo": 0, "hi": 1},
+                    ]
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "manipulate", "--rule", rule, "--profile", str(path),
+            "--agent", "1",
+        )
+        assert code in (0, 1), err
+        assert "truthful outcome" in out
+
     def test_agent_out_of_range_exits_2(self, capsys, committee_file):
         code, _, err = run_cli(
             capsys,
@@ -623,9 +688,10 @@ class TestInstalledEntryPoints:
     def test_console_script(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(COMMITTEE_DOC))
+        command, env = console_script("intervalagg")
         proc = subprocess.run(
             [
-                "intervalagg",
+                *command,
                 "aggregate",
                 "--rule",
                 "endpoint:2,2",
@@ -635,6 +701,7 @@ class TestInstalledEntryPoints:
             capture_output=True,
             text=True,
             timeout=60,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == '{"lo": 2, "hi": 5}'

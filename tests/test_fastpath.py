@@ -1,0 +1,195 @@
+"""Differential tests: ``RuleHandle.vary_agent`` against full re-evaluation.
+
+Endpoints sit on a half-integer lattice so that ties between agents, and
+between a report and the other agents, occur often.
+"""
+
+import random
+from typing import Optional
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import assume, given
+
+from intervalagg import (
+    NEG_INF,
+    POS_INF,
+    ExtendedInterval,
+    GridConfig,
+    Interval,
+    ManipulationResult,
+    PenaltyPreference,
+    PhantomVector,
+    Profile,
+    RuleHandle,
+    STRICT_IMPROVEMENT_EPS,
+    WeightedL1Preference,
+    averaging_rule_handle,
+    candidate_misreports,
+    endpoint_rule_handle,
+    endpoint_rule_phantoms,
+    find_manipulation,
+    maximal_rule_handle,
+    median_rule_handle,
+    phantom_rule_handle,
+    valid_quota_pairs,
+    validate_phantoms,
+)
+
+lattice = st.integers(-6, 6).map(lambda k: k / 2.0)
+
+
+@st.composite
+def lattice_intervals(draw):
+    lo = draw(lattice)
+    hi = draw(lattice.filter(lambda v: v != lo))
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+@st.composite
+def varied_profiles(draw, max_agents=9):
+    """A profile, one agent index and a batch of replacement reports."""
+    n = draw(st.integers(1, max_agents))
+    profile = Profile(draw(lattice_intervals()) for _ in range(n))
+    index = draw(st.integers(0, n - 1))
+    reports = draw(st.lists(lattice_intervals(), min_size=1, max_size=8))
+    return profile, index, reports
+
+
+def assert_agrees(handle: RuleHandle, profile, index, reports):
+    outcome_of = handle.vary_agent(profile, index)
+    for report in reports:
+        assert outcome_of(report) == handle(profile.replace_agent(index, report))
+
+
+@given(varied_profiles(), st.data())
+def test_endpoint_handles(case, data):
+    profile, index, reports = case
+    quotas = data.draw(st.sampled_from(valid_quota_pairs(len(profile))))
+    assert_agrees(endpoint_rule_handle(*quotas), profile, index, reports)
+    phantoms = endpoint_rule_phantoms(*quotas, len(profile))
+    assert_agrees(phantom_rule_handle(phantoms), profile, index, reports)
+
+
+@given(varied_profiles())
+def test_extreme_quotas(case):
+    # Lower quota 1 and n are the ranks where one clamp bound falls away.
+    profile, index, reports = case
+    n = len(profile)
+    for quotas in {(1, 1), (1, n), (n, 1)}:
+        assert_agrees(endpoint_rule_handle(*quotas), profile, index, reports)
+
+
+@given(varied_profiles())
+def test_median_maximal_averaging_handles(case):
+    profile, index, reports = case
+    for handle in (median_rule_handle(), maximal_rule_handle(), averaging_rule_handle()):
+        assert_agrees(handle, profile, index, reports)
+
+
+def extended_bounds():
+    return st.one_of(lattice, st.sampled_from([NEG_INF, POS_INF]))
+
+
+@st.composite
+def phantom_vectors(draw, n):
+    entries = []
+    for _ in range(n + 1):
+        lo, hi = draw(extended_bounds()), draw(extended_bounds())
+        if lo == NEG_INF or hi == POS_INF or lo < hi:
+            entries.append(ExtendedInterval(lo, hi))
+        elif hi < lo:
+            entries.append(ExtendedInterval(hi, lo))
+        else:
+            entries.append(ExtendedInterval(NEG_INF, POS_INF))
+    return PhantomVector(tuple(entries))
+
+
+@given(varied_profiles(), st.data())
+def test_custom_phantom_vectors(case, data):
+    profile, index, reports = case
+    vector = data.draw(phantom_vectors(len(profile)))
+    assume(validate_phantoms(vector, len(profile)) is None)
+    assert_agrees(phantom_rule_handle(vector), profile, index, reports)
+
+
+@given(varied_profiles())
+def test_opaque_handle_falls_back(case):
+    profile, index, reports = case
+    seen = []
+
+    def widest_pair(candidate_profile):
+        seen.append(candidate_profile)
+        return Interval(candidate_profile[0].lo, max(iv.hi for iv in candidate_profile))
+
+    handle = RuleHandle("opaque", widest_pair)
+    assert handle.incremental is None
+    assert_agrees(handle, profile, index, reports)
+    assert profile.replace_agent(index, reports[-1]) in seen
+
+
+def test_rebuilt_handle_does_not_inherit_fast_path():
+    # Wrappers rebuild a handle from its name and evaluate; the result must
+    # reflect the wrapper, never the wrapped rule's fast path.
+    median = median_rule_handle()
+    shifted = type(median)(median.name, lambda profile: median(profile).shift(1.0))
+    profile = Profile((Interval(0, 2), Interval(1, 3), Interval(2, 4)))
+    report = Interval(-1, 5)
+    assert shifted.vary_agent(profile, 0)(report) == median.vary_agent(profile, 0)(report).shift(1.0)
+
+
+@pytest.mark.parametrize(
+    "handle", [median_rule_handle(), RuleHandle("opaque", lambda profile: profile[0])]
+)
+@pytest.mark.parametrize("index", [-1, 3])
+def test_agent_index_validated(handle, index):
+    profile = Profile((Interval(0, 2), Interval(1, 3), Interval(2, 4)))
+    with pytest.raises(IndexError):
+        handle.vary_agent(profile, index)
+
+
+def reference_search(rule, profile, agent_index, preference, config) -> ManipulationResult:
+    """The search as a plain loop that rebuilds the profile per candidate."""
+    truthful = rule(profile)
+    truthful_cost = preference.cost(truthful)
+    best_drop = 0.0
+    best: Optional[tuple] = None
+    for candidate in candidate_misreports(profile, config):
+        outcome = rule(profile.replace_agent(agent_index, candidate))
+        drop = truthful_cost - preference.cost(outcome)
+        if drop > STRICT_IMPROVEMENT_EPS and drop > best_drop:
+            best_drop = drop
+            best = (candidate, outcome)
+    if best is None:
+        return ManipulationResult(found=False, truthful_outcome=truthful)
+    return ManipulationResult(True, truthful, best[0], best[1], best_drop)
+
+
+def test_find_manipulation_matches_reference_loop():
+    rng = random.Random(20240611)
+    found = 0
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        raw = []
+        while len(raw) < n:
+            a, b = rng.randint(-8, 8) / 2.0, rng.uniform(-4.0, 4.0)
+            if a != b:
+                raw.append(Interval(min(a, b), max(a, b)))
+        profile = Profile(raw)
+        agent = rng.randrange(n)
+        quotas = rng.choice(valid_quota_pairs(n))
+        rule = [
+            endpoint_rule_handle(*quotas),
+            phantom_rule_handle(endpoint_rule_phantoms(*quotas, n)),
+            averaging_rule_handle(),
+        ][trial % 3]
+        if trial % 2:
+            preference = WeightedL1Preference(profile[agent], rng.uniform(0.1, 10), rng.uniform(0.1, 10))
+        else:
+            preference = PenaltyPreference(profile[agent], Interval(-3.0, rng.uniform(-2.0, 5.0)))
+        config = GridConfig(random_candidates=40, seed=trial)
+        result = find_manipulation(rule, profile, agent, preference, config)
+        assert result == reference_search(rule, profile, agent, preference, config)
+        found += result.found
+    # The averaging searches must exercise the found branch too.
+    assert found > 0

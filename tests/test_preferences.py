@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -23,7 +25,40 @@ from intervalagg import (
 )
 
 from .conftest import BENCHMARK_PROFILE
-from .strategies import intervals
+from .strategies import intervals, profiles
+
+
+def reference_candidates(profile, config):
+    """The candidate grid as first written, valid while its span, margins
+    and box stay finite."""
+    values = sorted({v for entry in profile for v in (entry.lo, entry.hi)})
+    lowest, highest = values[0], values[-1]
+    grid = set(values)
+    for a, b in zip(values, values[1:]):
+        grid.add((a + b) / 2.0)
+    for delta in config.margin_deltas:
+        grid.add(lowest - delta)
+        grid.add(highest + delta)
+    candidates = {Interval(a, b) for a, b in combinations(sorted(grid), 2)}
+    span = max(highest - lowest, 1.0)
+    rng = random.Random(config.seed)
+    made = 0
+    while made < config.random_candidates:
+        a = rng.uniform(lowest - 2.0 * span, highest + 2.0 * span)
+        b = rng.uniform(lowest - 2.0 * span, highest + 2.0 * span)
+        if a == b:
+            continue
+        candidates.add(Interval(min(a, b), max(a, b)))
+        made += 1
+    candidates.update(config.extra_candidates)
+    return sorted(candidates)
+
+
+@st.composite
+def wide_intervals(draw):
+    a = draw(st.floats(-1e307, 1e307))
+    b = draw(st.floats(-1e307, 1e307).filter(lambda v: v != a))
+    return Interval(min(a, b), max(a, b))
 
 
 def sample_interval(rng):
@@ -165,6 +200,31 @@ class TestCandidateGrid:
         assert first == second
         different = candidate_misreports(profile, GridConfig(seed=6))
         assert first != different
+
+    @given(
+        st.one_of(
+            profiles(),
+            st.lists(wide_intervals(), min_size=1, max_size=4).map(Profile),
+        ),
+        st.integers(0, 2**31),
+    )
+    def test_finite_profiles_keep_the_grid(self, profile, seed):
+        config = GridConfig(random_candidates=20, seed=seed)
+        assert candidate_misreports(profile, config) == reference_candidates(
+            profile, config
+        )
+
+    @pytest.mark.parametrize("deltas", [(1.0, 10.0, 100.0), (1e308,)])
+    def test_near_float_max_profile_stays_finite(self, deltas):
+        profile = Profile(
+            (Interval(-1e308, 1e308), Interval(-1.5e308, 1.2e308), Interval(0, 1))
+        )
+        grid = candidate_misreports(profile, GridConfig(margin_deltas=deltas))
+        assert all(math.isfinite(v) for iv in grid for v in iv)
+        assert Interval(-1.25e308, 0.0) in grid  # half-sum midpoint
+        for index in range(len(profile)):
+            preference = WeightedL1Preference(profile[index])
+            find_manipulation(averaging_rule_handle(), profile, index, preference)
 
     def test_extra_candidates_included(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
