@@ -80,7 +80,6 @@ __all__ = [
     "check_out_betweenness",
     "check_lower_property",
     "check_upper_property",
-    "check_endpoint_property",
     "check_unanimity",
     "check_manipulation",
     "audit",
@@ -290,16 +289,27 @@ def check_translation_equivariance(
     )
 
 
-def _lipschitz_instance(
-    rule: RuleHandle,
-    profile: Profile,
-    perturbed: Profile,
-    epsilon: float,
-) -> tuple[bool, float, Interval, Interval]:
+def _check_lipschitz_pair(
+    rule: RuleHandle, profile: Profile, perturbed: Profile, epsilon: float
+) -> AxiomCheck:
     output = rule(profile)
     moved = rule(perturbed)
     movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
-    return movement <= epsilon + TRANSFORM_TOL, movement, output, moved
+    if movement <= epsilon + TRANSFORM_TOL:
+        return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
+    return AxiomCheck(
+        CONTINUITY_LIPSCHITZ,
+        False,
+        {
+            "axiom": CONTINUITY_LIPSCHITZ,
+            "profile": _profile_data(profile),
+            "perturbed": _profile_data(perturbed),
+            "epsilon": epsilon,
+            "output": _interval_data(output),
+            "perturbed_output": _interval_data(moved),
+            "movement": movement,
+        },
+    )
 
 
 def check_continuity_lipschitz(
@@ -335,24 +345,9 @@ def check_continuity_lipschitz(
                     entry.hi + rng.uniform(-delta, delta),
                 )
             )
-        perturbed = Profile(jittered)
-        ok, movement, output, moved = _lipschitz_instance(
-            rule, profile, perturbed, epsilon
-        )
-        if not ok:
-            return AxiomCheck(
-                CONTINUITY_LIPSCHITZ,
-                False,
-                {
-                    "axiom": CONTINUITY_LIPSCHITZ,
-                    "profile": _profile_data(profile),
-                    "perturbed": _profile_data(perturbed),
-                    "epsilon": epsilon,
-                    "output": _interval_data(output),
-                    "perturbed_output": _interval_data(moved),
-                    "movement": movement,
-                },
-            )
+        check = _check_lipschitz_pair(rule, profile, Profile(jittered), epsilon)
+        if not check.passed:
+            return check
     return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
 
 
@@ -506,16 +501,6 @@ def check_upper_property(
     """Mirror image of :func:`check_lower_property` on upper endpoints."""
     return _side_property_check(
         UPPER_PROPERTY, rule, profile, other, agent_index, "upper"
-    )
-
-
-def check_endpoint_property(
-    rule: RuleHandle, profile: Profile, other: Profile, agent_index: int
-) -> tuple[AxiomCheck, AxiomCheck]:
-    """Both side properties for one pair; returns (lower, upper) checks."""
-    return (
-        check_lower_property(rule, profile, other, agent_index),
-        check_upper_property(rule, profile, other, agent_index),
     )
 
 
@@ -947,6 +932,53 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     return report
 
 
+def _replay_manipulation(
+    rule: RuleHandle,
+    profile: Profile,
+    agent_index: int,
+    preference: Preference,
+    grid_seed: int,
+    misreport: Interval,
+) -> AxiomCheck:
+    # The stored misreport joins the seeded grid, so replay tries it even
+    # if candidate generation changed after the witness was written.
+    grid = GridConfig(seed=grid_seed, extra_candidates=(misreport,))
+    return check_manipulation(rule, profile, agent_index, preference, grid)
+
+
+# How a witness field is read back; a field not listed is plain JSON.
+_WITNESS_DECODERS = {
+    "profile": _profile_from,
+    "wider_profile": _profile_from,
+    "other": _profile_from,
+    "perturbed": _profile_from,
+    "misreport": _interval_from,
+    "judgment": _interval_from,
+    "map": map_from_data,
+    "preference": _pref_from,
+}
+
+# Per axiom: the function that decides one stored instance, and the
+# witness fields it takes after the rule, in argument order.
+_WITNESS_REPLAY = {
+    RESPONSIVENESS: (check_responsiveness, ("profile", "wider_profile")),
+    ANONYMITY: (check_anonymity, ("profile", "permutation")),
+    WEAK_NEUTRALITY: (check_weak_neutrality, ("profile", "map")),
+    STRONG_NEUTRALITY: (check_strong_neutrality, ("profile", "map")),
+    TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset")),
+    CONTINUITY_LIPSCHITZ: (_check_lipschitz_pair, ("profile", "perturbed", "epsilon")),
+    INDEPENDENT_ENDPOINTS: (check_independent_endpoints, ("profile", "other")),
+    OUT_BETWEENNESS: (check_out_betweenness, ("profile", "agent", "misreport")),
+    LOWER_PROPERTY: (check_lower_property, ("profile", "other", "agent")),
+    UPPER_PROPERTY: (check_upper_property, ("profile", "other", "agent")),
+    UNANIMITY: (check_unanimity, ("judgment", "n_agents")),
+    MANIPULATION: (
+        _replay_manipulation,
+        ("profile", "agent", "preference", "grid_seed", "misreport"),
+    ),
+}
+
+
 def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     """Re-run the exact instance stored in a witness dict.
 
@@ -954,91 +986,14 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     the same rule; this is the soundness guarantee audits rest on.
     """
     axiom = witness["axiom"]
-    if axiom == RESPONSIVENESS:
-        return check_responsiveness(
-            rule,
-            _profile_from(witness["profile"]),
-            _profile_from(witness["wider_profile"]),
-        )
-    if axiom == ANONYMITY:
-        return check_anonymity(
-            rule, _profile_from(witness["profile"]), witness["permutation"]
-        )
-    if axiom == WEAK_NEUTRALITY:
-        return check_weak_neutrality(
-            rule, _profile_from(witness["profile"]), map_from_data(witness["map"])
-        )
-    if axiom == STRONG_NEUTRALITY:
-        return check_strong_neutrality(
-            rule, _profile_from(witness["profile"]), map_from_data(witness["map"])
-        )
-    if axiom == TRANSLATION_EQUIVARIANCE:
-        return check_translation_equivariance(
-            rule, _profile_from(witness["profile"]), witness["offset"]
-        )
-    if axiom == CONTINUITY_LIPSCHITZ:
-        profile = _profile_from(witness["profile"])
-        perturbed = _profile_from(witness["perturbed"])
-        epsilon = witness["epsilon"]
-        ok, movement, output, moved = _lipschitz_instance(
-            rule, profile, perturbed, epsilon
-        )
-        if ok:
-            return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
-        return AxiomCheck(
-            CONTINUITY_LIPSCHITZ,
-            False,
-            {
-                "axiom": CONTINUITY_LIPSCHITZ,
-                "profile": witness["profile"],
-                "perturbed": witness["perturbed"],
-                "epsilon": epsilon,
-                "output": _interval_data(output),
-                "perturbed_output": _interval_data(moved),
-                "movement": movement,
-            },
-        )
-    if axiom == INDEPENDENT_ENDPOINTS:
-        return check_independent_endpoints(
-            rule, _profile_from(witness["profile"]), _profile_from(witness["other"])
-        )
-    if axiom == OUT_BETWEENNESS:
-        return check_out_betweenness(
-            rule,
-            _profile_from(witness["profile"]),
-            witness["agent"],
-            _interval_from(witness["misreport"]),
-        )
-    if axiom == LOWER_PROPERTY:
-        return check_lower_property(
-            rule,
-            _profile_from(witness["profile"]),
-            _profile_from(witness["other"]),
-            witness["agent"],
-        )
-    if axiom == UPPER_PROPERTY:
-        return check_upper_property(
-            rule,
-            _profile_from(witness["profile"]),
-            _profile_from(witness["other"]),
-            witness["agent"],
-        )
-    if axiom == UNANIMITY:
-        return check_unanimity(
-            rule, _interval_from(witness["judgment"]), witness["n_agents"]
-        )
-    if axiom == MANIPULATION:
-        return check_manipulation(
-            rule,
-            _profile_from(witness["profile"]),
-            witness["agent"],
-            _pref_from(witness["preference"]),
-            GridConfig(
-                seed=witness["grid_seed"],
-                extra_candidates=(_interval_from(witness["misreport"]),),
-            ),
-        )
-    raise ValueError(f"unknown axiom id in witness: {axiom!r}")
+    if axiom not in _WITNESS_REPLAY:
+        raise ValueError(f"unknown axiom id in witness: {axiom!r}")
+    check, fields = _WITNESS_REPLAY[axiom]
+    args = []
+    for name in fields:
+        decode = _WITNESS_DECODERS.get(name)
+        args.append(witness[name] if decode is None else decode(witness[name]))
+    return check(rule, *args)
 
 
 # --------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
         text = proc.stdout.decode("utf-8", "replace")
         try:
             reply = json.loads(text)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # also an integer past the digit limit
             raise RuleEvaluationError(
                 f"rule process wrote invalid JSON: {text.strip()[:200]!r}"
             ) from error
@@ -256,7 +256,7 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
         try:
             lo = float(reply["lo"])
             hi = float(reply["hi"])
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise RuleEvaluationError(
                 f"rule reply bounds are not numbers: {reply!r}"
             ) from error

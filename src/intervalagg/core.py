@@ -28,7 +28,6 @@ __all__ = [
     "Interval",
     "ExtendedInterval",
     "Profile",
-    "make_interval",
     "ext_precedes",
     "meets_lower_ray",
     "meets_upper_ray",
@@ -100,11 +99,6 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
 
-def make_interval(lo: float, hi: float) -> Interval:
-    """Factory form of :class:`Interval`; validates and normalises."""
-    return Interval(lo, hi)
-
-
 class ExtendedInterval(namedtuple("ExtendedInterval", ["lo", "hi"])):
     """Interval with possibly infinite bounds, valid iff ``ext_precedes(lo, hi)``.
 
@@ -127,10 +121,6 @@ class ExtendedInterval(namedtuple("ExtendedInterval", ["lo", "hi"])):
                 "needs lo < hi for finite bounds, lo == -inf, or hi == +inf"
             )
         return super().__new__(cls, lo + 0.0, hi + 0.0)
-
-    @property
-    def is_finite(self) -> bool:
-        return not math.isinf(self.lo) and not math.isinf(self.hi)
 
     def __repr__(self) -> str:
         return f"ExtendedInterval({self.lo!r}, {self.hi!r})"

@@ -40,8 +40,6 @@ __all__ = [
     "WeightedL1Preference",
     "PenaltyPreference",
     "Preference",
-    "pref_cost",
-    "prefers",
     "GridConfig",
     "ManipulationResult",
     "candidate_misreports",
@@ -109,16 +107,6 @@ class PenaltyPreference:
 
 
 Preference = Union[WeightedL1Preference, PenaltyPreference]
-
-
-def pref_cost(preference: Preference, candidate: Interval) -> float:
-    """Cost of ``candidate`` under ``preference``; lower is better."""
-    return preference.cost(candidate)
-
-
-def prefers(preference: Preference, first: Interval, second: Interval) -> bool:
-    """Weak preference: ``first`` is at least as good as ``second``."""
-    return preference.cost(first) <= preference.cost(second)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .core import Interval, Profile
 
 __all__ = [
     "MonotoneMap",
-    "apply_map",
     "apply_map_interval",
     "apply_map_profile",
     "invert_map",
@@ -174,10 +173,6 @@ class MonotoneMap:
 
     def __call__(self, x: float) -> float:
         return self.value_at(x)
-
-
-def apply_map(mapping: MonotoneMap, x: float) -> float:
-    return mapping.value_at(x)
 
 
 def apply_map_interval(mapping: MonotoneMap, interval: Interval) -> Interval:

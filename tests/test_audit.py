@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,6 @@ from intervalagg import (
     averaging_rule_handle,
     check_anonymity,
     check_continuity_lipschitz,
-    check_endpoint_property,
     check_independent_endpoints,
     check_lower_property,
     check_manipulation,
@@ -38,6 +38,8 @@ from intervalagg import (
 )
 
 from .conftest import BENCHMARK_PROFILE
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def narrowest_rule():
@@ -79,6 +81,18 @@ def jump_rule():
         "jump",
         lambda profile: Interval(0, 1) if profile[0].lo < 0 else Interval(5, 6),
     )
+
+
+# A rule failing each axiom at n=3; axioms not listed use averaging.
+REPLAY_FOILS = {
+    "Responsiveness": narrowest_rule,
+    "Anonymity": dictatorial_rule,
+    "StrongNeutrality": lambda: endpoint_rule_handle(1, 2),
+    "TranslationEquivariance": clamped_rule,
+    "ContinuityLipschitz": jump_rule,
+    "IndependentEndpoints": widest_rule,
+    "Unanimity": constant_rule,
+}
 
 
 class TestResponsiveness:
@@ -296,9 +310,9 @@ class TestEndpointProperties:
     def test_order_statistic_pair_passes_both_sides(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
         other = profile.replace_agent(0, Interval(-5, 1))
-        lower, upper = check_endpoint_property(
-            endpoint_rule_handle(1, 1), profile, other, 0
-        )
+        rule = endpoint_rule_handle(1, 1)
+        lower = check_lower_property(rule, profile, other, 0)
+        upper = check_upper_property(rule, profile, other, 0)
         assert lower.passed and upper.passed
 
     def test_identical_profiles_pass_via_equality_branch(self):
@@ -421,6 +435,27 @@ class TestAuditCampaigns:
             assert not again.passed
             replayed += 1
         assert replayed >= 2
+
+    @pytest.mark.parametrize("axiom", ALL_AXIOM_IDS)
+    def test_every_axiom_witness_replays_exactly(self, axiom):
+        rule = REPLAY_FOILS.get(axiom, averaging_rule_handle)()
+        report = audit(
+            rule, AuditConfig(n_agents=3, samples=200, seed=0, axioms=(axiom,))
+        )
+        stored = report.tallies[axiom].first_witness
+        assert stored is not None
+        witness = json.loads(json.dumps(stored))
+        again = replay_witness(rule, witness)
+        assert not again.passed
+        assert again.witness == witness
+
+    def test_report_matches_golden_bytes(self):
+        report = audit(
+            averaging_rule_handle(),
+            AuditConfig(n_agents=3, samples=40, seed=7, axioms=ALL_AXIOM_IDS),
+        )
+        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert text == (GOLDEN_DIR / "audit_averaging_n3.json").read_text()
 
     def test_witnesses_survive_json_serialization(self):
         report = audit(

@@ -309,6 +309,27 @@ class TestExternAdapter:
         assert code == 2
         assert "rule evaluation failed" in err
 
+    # 401 digits overflow float(); 5000 pass the int digit limit of json.
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_oversized_integer_reply_is_evaluation_error(
+        self, capsys, tmp_path, committee_file, digits
+    ):
+        script = tmp_path / "huge_reply.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stdin.read()\n"
+            f"print('{{\"lo\": 1' + '0' * {digits - 1} + ', \"hi\": 2}}')\n"
+        )
+        command = f"{sys.executable} {script}"
+        with pytest.raises(RuleEvaluationError):
+            extern_rule_adapter(command)(BENCHMARK_PROFILE)
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{command}",
+            "--profile", committee_file,
+        )
+        assert code == 2
+        assert "rule evaluation failed" in err and "Traceback" not in err
+
     def test_timeout_is_evaluation_error(self):
         adapter = extern_rule_adapter(extern_command("hang.py"), timeout=0.5)
         with pytest.raises(RuleEvaluationError, match="timed out"):

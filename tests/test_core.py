@@ -12,7 +12,6 @@ from intervalagg import (
     between,
     endpoint_distance,
     ext_precedes,
-    make_interval,
     meets_lower_ray,
     meets_upper_ray,
     scalar_between,
@@ -26,7 +25,7 @@ class TestInterval:
     def test_plain_construction(self):
         iv = Interval(2, 4)
         assert iv.lo == 2.0 and iv.hi == 4.0
-        assert make_interval(2, 4) == iv
+        assert Interval(2, 4) == iv
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):

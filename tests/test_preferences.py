@@ -20,8 +20,6 @@ from intervalagg import (
     endpoint_rule_handle,
     find_manipulation,
     median_rule_handle,
-    pref_cost,
-    prefers,
 )
 
 from .conftest import BENCHMARK_PROFILE
@@ -83,40 +81,40 @@ def sample_between(rng, peak, far):
 class TestCosts:
     def test_weighted_cost_examples(self):
         pref = WeightedL1Preference(Interval(0, 1))
-        assert pref_cost(pref, Interval(0, 1)) == 0.0
-        assert pref_cost(pref, Interval(1, 3)) == 3.0
+        assert pref.cost(Interval(0, 1)) == 0.0
+        assert pref.cost(Interval(1, 3)) == 3.0
 
     def test_weighted_cost_equals_distance_at_unit_weights(self):
         pref = WeightedL1Preference(Interval(0, 1))
         candidate = Interval(-4, 2.5)
-        assert pref_cost(pref, candidate) == endpoint_distance(
+        assert pref.cost(candidate) == endpoint_distance(
             Interval(0, 1), candidate
         )
 
     def test_weighted_cost_uses_weights(self):
         pref = WeightedL1Preference(Interval(0, 1), lower_weight=2.0, upper_weight=0.5)
-        assert pref_cost(pref, Interval(1, 3)) == 2.0 * 1 + 0.5 * 2
+        assert pref.cost(Interval(1, 3)) == 2.0 * 1 + 0.5 * 2
 
     def test_penalty_cost_example(self):
         pref = PenaltyPreference(peak=Interval(0, 1), reference=Interval(2, 3))
-        assert pref_cost(pref, Interval(5, 6)) == 14.0
+        assert pref.cost(Interval(5, 6)) == 14.0
 
     def test_penalty_cost_between_skips_penalty(self):
         pref = PenaltyPreference(peak=Interval(0, 1), reference=Interval(4, 5))
         candidate = Interval(2, 3)
         assert between(pref.peak, candidate, pref.reference)
-        assert pref_cost(pref, candidate) == endpoint_distance(
+        assert pref.cost(candidate) == endpoint_distance(
             pref.peak, candidate
         )
 
     def test_zero_exactly_at_peak(self):
         weighted = WeightedL1Preference(Interval(0, 1))
         penalty = PenaltyPreference(peak=Interval(0, 1), reference=Interval(9, 10))
-        assert pref_cost(weighted, Interval(0, 1)) == 0.0
-        assert pref_cost(penalty, Interval(0, 1)) == 0.0
+        assert weighted.cost(Interval(0, 1)) == 0.0
+        assert penalty.cost(Interval(0, 1)) == 0.0
         for other in (Interval(0, 1.25), Interval(-1, 1), Interval(3, 4)):
-            assert pref_cost(weighted, other) > 0.0
-            assert pref_cost(penalty, other) > 0.0
+            assert weighted.cost(other) > 0.0
+            assert penalty.cost(other) > 0.0
 
     def test_weight_validation(self):
         for bad in (0.0, -1.0, float("inf"), float("nan")):
@@ -136,12 +134,12 @@ class TestPrefers:
     def test_peak_weakly_beats_everything(self):
         pref = WeightedL1Preference(Interval(0, 1))
         for other in (Interval(0, 1), Interval(5, 6), Interval(-3, -1)):
-            assert prefers(pref, Interval(0, 1), other)
+            assert pref.cost(Interval(0, 1)) <= pref.cost(other)
 
     def test_cost_comparison_example(self):
         pref = WeightedL1Preference(Interval(0, 1))
-        assert prefers(pref, Interval(1, 2), Interval(3, 4))
-        assert not prefers(pref, Interval(3, 4), Interval(1, 2))
+        assert pref.cost(Interval(1, 2)) <= pref.cost(Interval(3, 4))
+        assert pref.cost(Interval(3, 4)) > pref.cost(Interval(1, 2))
 
     def test_single_peaked_membership_campaign(self):
         """Both preference kinds belong to the single-peaked class: an
@@ -159,9 +157,9 @@ class TestPrefers:
                 PenaltyPreference(peak=peak, reference=sample_interval(rng)),
             ):
                 assert between(peak, middle, far)
-                assert prefers(pref, middle, far)
+                assert pref.cost(middle) <= pref.cost(far)
                 if far != peak:
-                    assert pref_cost(pref, far) > 0.0
+                    assert pref.cost(far) > 0.0
 
     @given(intervals(), intervals(), st.floats(0.0, 1.0))
     def test_between_implies_weak_preference(self, peak, far, t):
@@ -172,10 +170,11 @@ class TestPrefers:
         middle = Interval(lo, hi)
         if not between(peak, middle, far):
             return
-        assert prefers(WeightedL1Preference(peak), middle, far)
-        assert prefers(
-            PenaltyPreference(peak=peak, reference=far), middle, far
-        )
+        for pref in (
+            WeightedL1Preference(peak),
+            PenaltyPreference(peak=peak, reference=far),
+        ):
+            assert pref.cost(middle) <= pref.cost(far)
 
 
 class TestCandidateGrid:
@@ -257,8 +256,8 @@ class TestFindManipulation:
         result = find_manipulation(averaging_rule_handle(), profile, 0, pref)
         assert result.found
         assert result.cost_drop > STRICT_IMPROVEMENT_EPS
-        outcome_cost = pref_cost(pref, result.manipulated_outcome)
-        truthful_cost = pref_cost(pref, result.truthful_outcome)
+        outcome_cost = pref.cost(result.manipulated_outcome)
+        truthful_cost = pref.cost(result.truthful_outcome)
         assert outcome_cost < truthful_cost
 
     def test_median_on_benchmark_profile_is_safe(self):

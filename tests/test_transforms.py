@@ -8,7 +8,6 @@ from intervalagg import (
     Interval,
     MonotoneMap,
     Profile,
-    apply_map,
     apply_map_interval,
     apply_map_profile,
     identity_map,
@@ -30,15 +29,15 @@ def doubling_map():
 
 class TestEvaluation:
     def test_identity(self):
-        assert apply_map(identity_map(), 3.7) == 3.7
+        assert identity_map()(3.7) == 3.7
 
     def test_doubling_beyond_breakpoints(self):
         # x=3 sits past the last breakpoint; the tail slope defaults to
         # the final segment slope, so the map stays x -> 2x everywhere.
-        assert apply_map(doubling_map(), 3.0) == 6.0
+        assert doubling_map()(3.0) == 6.0
 
     def test_reflection(self):
-        assert apply_map(reflection_map(), 2.0) == -2.0
+        assert reflection_map()(2.0) == -2.0
 
     def test_exact_at_breakpoints(self):
         mapping = MonotoneMap.through([(0.0, 0.3), (7.0, 0.9), (8.0, 2.0)])
