@@ -289,27 +289,28 @@ def check_translation_equivariance(
     )
 
 
-def _check_lipschitz_pair(
-    rule: RuleHandle, profile: Profile, perturbed: Profile, epsilon: float
+def _check_lipschitz(
+    rule: RuleHandle, profile: Profile, epsilon: float, *perturbations: Profile
 ) -> AxiomCheck:
     output = rule(profile)
-    moved = rule(perturbed)
-    movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
-    if movement <= epsilon + TRANSFORM_TOL:
-        return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
-    return AxiomCheck(
-        CONTINUITY_LIPSCHITZ,
-        False,
-        {
-            "axiom": CONTINUITY_LIPSCHITZ,
-            "profile": _profile_data(profile),
-            "perturbed": _profile_data(perturbed),
-            "epsilon": epsilon,
-            "output": _interval_data(output),
-            "perturbed_output": _interval_data(moved),
-            "movement": movement,
-        },
-    )
+    for perturbed in perturbations:
+        moved = rule(perturbed)
+        movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
+        if movement > epsilon + TRANSFORM_TOL:
+            return AxiomCheck(
+                CONTINUITY_LIPSCHITZ,
+                False,
+                {
+                    "axiom": CONTINUITY_LIPSCHITZ,
+                    "profile": _profile_data(profile),
+                    "perturbed": _profile_data(perturbed),
+                    "epsilon": epsilon,
+                    "output": _interval_data(output),
+                    "perturbed_output": _interval_data(moved),
+                    "movement": movement,
+                },
+            )
+    return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
 
 
 def check_continuity_lipschitz(
@@ -335,6 +336,7 @@ def check_continuity_lipschitz(
     if epsilon == 0:
         return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
     rng = random.Random(seed)
+    perturbations = []
     for _ in range(samples):
         jittered = []
         for entry in profile:
@@ -345,10 +347,8 @@ def check_continuity_lipschitz(
                     entry.hi + rng.uniform(-delta, delta),
                 )
             )
-        check = _check_lipschitz_pair(rule, profile, Profile(jittered), epsilon)
-        if not check.passed:
-            return check
-    return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
+        perturbations.append(Profile(jittered))
+    return _check_lipschitz(rule, profile, epsilon, *perturbations)
 
 
 def check_independent_endpoints(
@@ -966,7 +966,7 @@ _WITNESS_REPLAY = {
     WEAK_NEUTRALITY: (check_weak_neutrality, ("profile", "map")),
     STRONG_NEUTRALITY: (check_strong_neutrality, ("profile", "map")),
     TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset")),
-    CONTINUITY_LIPSCHITZ: (_check_lipschitz_pair, ("profile", "perturbed", "epsilon")),
+    CONTINUITY_LIPSCHITZ: (_check_lipschitz, ("profile", "epsilon", "perturbed")),
     INDEPENDENT_ENDPOINTS: (check_independent_endpoints, ("profile", "other")),
     OUT_BETWEENNESS: (check_out_betweenness, ("profile", "agent", "misreport")),
     LOWER_PROPERTY: (check_lower_property, ("profile", "other", "agent")),

@@ -18,9 +18,10 @@ schema produced by AuditReport.to_json_dict (documented in the README).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
+import reprlib
 import shlex
 import subprocess
 import sys
@@ -79,12 +80,34 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
+@contextlib.contextmanager
+def _rule_errors():
+    """Map what building or evaluating a rule raises to an exit code.
+
+    A ``ValueError`` means the rule's parameters do not fit (quotas or
+    phantoms against the profile size): code 3.  A
+    :class:`RuleEvaluationError` means an external rule failed: code 2.
+    """
+    try:
+        yield
+    except ValueError as error:
+        raise CommandError(str(error), EXIT_RULE_PARAMS) from error
+    except RuleEvaluationError as error:
+        raise CommandError(f"rule evaluation failed: {error}") from error
+
+
 def _json_number(value: float):
     # Integral floats print as JSON integers; round trips only promise
     # identity up to number formatting.
     if float(value).is_integer():
         return int(value)
     return value
+
+
+def _number_from_json(raw) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"bound must be a number: {reprlib.repr(raw)}")
+    return float(raw)
 
 
 def _bound_from_json(raw) -> float:
@@ -94,21 +117,8 @@ def _bound_from_json(raw) -> float:
             return float("-inf")
         if text in ("inf", "+inf", "infinity", "+infinity"):
             return float("inf")
-        raise CommandError(f"unrecognised bound string: {raw!r}")
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise CommandError(f"bound must be a number or 'inf'/'-inf': {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError as error:
-        raise CommandError(f"bound is too large for a float: {error}") from error
-
-
-def _bound_to_json(value: float):
-    if value == float("-inf"):
-        return "-inf"
-    if value == float("inf"):
-        return "inf"
-    return _json_number(value)
+        raise ValueError(f"unrecognised bound string: {reprlib.repr(raw)}")
+    return _number_from_json(raw)
 
 
 def _load_json_file(path: str) -> dict:
@@ -117,36 +127,39 @@ def _load_json_file(path: str) -> dict:
             data = json.load(handle)
     except OSError as error:
         raise CommandError(f"cannot read {path}: {error}") from error
-    except json.JSONDecodeError as error:
+    # ValueError also covers bad UTF-8 and integers past the digit limit.
+    except (ValueError, RecursionError) as error:
         raise CommandError(f"{path} is not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise CommandError(f"{path}: top-level JSON value must be an object")
     return data
 
 
-def load_profile_document(path: str) -> Profile:
-    """Read a profile document; labels, when present, must be unique."""
+def _load_intervals(path: str, key: str, noun: str, kind, bound) -> tuple:
+    """``(data, entries)`` of a ``{key: [{"lo": .., "hi": ..}, ...]}`` file,
+    each entry ``kind(bound(lo), bound(hi))``."""
     data = _load_json_file(path)
-    agents = data.get("agents")
-    if not isinstance(agents, list) or not agents:
-        raise CommandError(f"{path}: 'agents' must be a nonempty list")
+    items = data.get(key)
+    if not isinstance(items, list) or not items:
+        raise CommandError(f"{path}: '{key}' must be a nonempty list")
     entries = []
-    for pos, item in enumerate(agents):
+    for pos, item in enumerate(items):
         if not isinstance(item, dict) or "lo" not in item or "hi" not in item:
             raise CommandError(
-                f"{path}: agent {pos} must be an object with 'lo' and 'hi'"
+                f"{path}: {noun} {pos} must be an object with 'lo' and 'hi'"
             )
-        lo = item["lo"]
-        hi = item["hi"]
-        for name, value in (("lo", lo), ("hi", hi)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CommandError(
-                    f"{path}: agent {pos} field '{name}' must be a number"
-                )
         try:
-            entries.append(Interval(float(lo), float(hi)))
+            entries.append(kind(bound(item["lo"]), bound(item["hi"])))
         except (ValueError, OverflowError) as error:
-            raise CommandError(f"{path}: agent {pos}: {error}") from error
+            raise CommandError(f"{path}: {noun} {pos}: {error}") from error
+    return data, entries
+
+
+def load_profile_document(path: str) -> Profile:
+    """Read a profile document; labels, when present, must be unique."""
+    data, entries = _load_intervals(
+        path, "agents", "agent", Interval, _number_from_json
+    )
     labels = data.get("labels")
     if labels is not None:
         if (
@@ -179,23 +192,15 @@ def profile_to_document(
 
 def load_phantom_file(path: str) -> PhantomVector:
     """Read a phantom vector; bounds may be numbers or "-inf"/"inf"."""
-    data = _load_json_file(path)
-    phantoms = data.get("phantoms")
-    if not isinstance(phantoms, list) or not phantoms:
-        raise CommandError(f"{path}: 'phantoms' must be a nonempty list")
-    entries = []
-    for pos, item in enumerate(phantoms):
-        if not isinstance(item, dict) or "lo" not in item or "hi" not in item:
-            raise CommandError(
-                f"{path}: phantom {pos} must be an object with 'lo' and 'hi'"
-            )
-        lo = _bound_from_json(item["lo"])
-        hi = _bound_from_json(item["hi"])
-        try:
-            entries.append(ExtendedInterval(lo, hi))
-        except ValueError as error:
-            raise CommandError(f"{path}: phantom {pos}: {error}") from error
+    _, entries = _load_intervals(
+        path, "phantoms", "phantom", ExtendedInterval, _bound_from_json
+    )
     return PhantomVector(tuple(entries))
+
+
+# subprocess waits in whole milliseconds held in a C int (about 24.8 days)
+# and raises OverflowError past that; a day is far beyond any rule call.
+_MAX_TIMEOUT_S = 86400.0
 
 
 def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
@@ -205,11 +210,19 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
     input.  Spawn failures, nonzero exits, timeouts and malformed output
     all surface as :class:`RuleEvaluationError`, which audits tally
     separately from axiom failures.  Extra keys in the reply are
-    ignored.
+    ignored.  ``timeout`` is in seconds, positive and at most a day.
     """
-    argv = shlex.split(command)
+    try:
+        argv = shlex.split(command)
+    except ValueError as error:
+        raise CommandError(f"cannot parse extern rule command: {error}") from error
     if not argv:
         raise CommandError("extern rule command is empty")
+    if not 0 < timeout <= _MAX_TIMEOUT_S:
+        raise CommandError(
+            f"--timeout must be positive and at most {_MAX_TIMEOUT_S:g} s, "
+            f"got {timeout}"
+        )
 
     def evaluate(profile: Profile) -> Interval:
         payload = json.dumps(profile_to_document(profile))
@@ -221,10 +234,6 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
                 stderr=subprocess.PIPE,
                 timeout=timeout,
             )
-        except FileNotFoundError as error:
-            raise RuleEvaluationError(
-                f"cannot launch {argv[0]!r}: {error}"
-            ) from error
         except subprocess.TimeoutExpired as error:
             raise RuleEvaluationError(
                 f"rule process timed out after {timeout} s"
@@ -241,7 +250,8 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
         text = proc.stdout.decode("utf-8", "replace")
         try:
             reply = json.loads(text)
-        except ValueError as error:  # also an integer past the digit limit
+        # ValueError also covers integers past the digit limit.
+        except (ValueError, RecursionError) as error:
             raise RuleEvaluationError(
                 f"rule process wrote invalid JSON: {text.strip()[:200]!r}"
             ) from error
@@ -251,23 +261,15 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
             or "hi" not in reply
         ):
             raise RuleEvaluationError(
-                f"rule reply must be an object with 'lo' and 'hi': {reply!r}"
+                "rule reply must be an object with 'lo' and 'hi': "
+                f"{reprlib.repr(reply)}"
             )
         try:
-            lo = float(reply["lo"])
-            hi = float(reply["hi"])
+            return Interval(float(reply["lo"]), float(reply["hi"]))
         except (TypeError, ValueError, OverflowError) as error:
             raise RuleEvaluationError(
-                f"rule reply bounds are not numbers: {reply!r}"
+                f"rule reply is not an interval: {reprlib.repr(reply)}: {error}"
             ) from error
-        if math.isnan(lo) or math.isnan(hi) or math.isinf(lo) or math.isinf(hi):
-            raise RuleEvaluationError(
-                f"rule reply bounds must be finite: {reply!r}"
-            )
-        try:
-            return Interval(lo, hi)
-        except ValueError as error:
-            raise RuleEvaluationError(str(error)) from error
 
     return RuleHandle(f"extern:{command}", evaluate)
 
@@ -276,9 +278,9 @@ def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
     """Parse a rule selector string into a handle.
 
     Forms: ``endpoint:p,q``, ``median``, ``maximal``, ``averaging``,
-    ``phantoms:<file>``, ``extern:<command>``.  Quota and phantom
-    constraints that depend on the profile size are enforced when the
-    rule is evaluated, at which point violations exit with code 3.
+    ``phantoms:<file>``, ``extern:<command>``.  Quotas below 1 exit with
+    code 3 here; quota and phantom constraints that depend on the profile
+    size are enforced when the rule is evaluated, also with code 3.
     """
     text = text.strip()
     if text == "median":
@@ -301,28 +303,13 @@ def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
             raise CommandError(
                 f"endpoint quotas must be integers, got {text!r}"
             ) from error
-        if lower_quota < 1 or upper_quota < 1:
-            raise CommandError(
-                f"endpoint quotas must be >= 1, got ({lower_quota}, {upper_quota})",
-                EXIT_RULE_PARAMS,
-            )
-        return endpoint_rule_handle(lower_quota, upper_quota)
+        with _rule_errors():
+            return endpoint_rule_handle(lower_quota, upper_quota)
     if text.startswith("phantoms:"):
         return phantom_rule_handle(load_phantom_file(text[len("phantoms:"):]))
     if text.startswith("extern:"):
         return extern_rule_adapter(text[len("extern:"):], timeout=timeout)
     raise CommandError(f"unrecognised rule spec: {text!r}")
-
-
-def _evaluate_or_exit(rule: RuleHandle, profile: Profile) -> Interval:
-    # Size-dependent validation (quotas vs n, phantom counts) surfaces
-    # here as ValueError; that is an invalid-rule-parameters exit.
-    try:
-        return rule(profile)
-    except ValueError as error:
-        raise CommandError(str(error), EXIT_RULE_PARAMS) from error
-    except RuleEvaluationError as error:
-        raise CommandError(f"rule evaluation failed: {error}") from error
 
 
 def _print_interval(interval: Interval) -> None:
@@ -336,7 +323,9 @@ def _print_interval(interval: Interval) -> None:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     profile = load_profile_document(args.profile)
     rule = parse_rule_spec(args.rule, timeout=args.timeout)
-    _print_interval(_evaluate_or_exit(rule, profile))
+    with _rule_errors():
+        outcome = rule(profile)
+    _print_interval(outcome)
     return EXIT_OK
 
 
@@ -361,7 +350,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise CommandError(str(error)) from error
-    report = audit(rule, config)
+    with _rule_errors():
+        report = audit(rule, config)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report.to_json_dict(), handle, indent=2)
@@ -384,18 +374,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     rule = parse_rule_spec(args.rule, timeout=args.timeout)
-    if args.samples < 1:
-        raise CommandError("--samples must be >= 1 for identify")
+    if args.n < 1 or args.samples < 1:
+        raise CommandError("--n and --samples must be >= 1 for identify")
     probe = staircase_profile(args.n)
     print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
-    try:
+    with _rule_errors():
         quotas = identify_endpoint_rule(
             rule, args.n, confirmations=args.samples, seed=args.seed
         )
-    except RuleEvaluationError as error:
-        raise CommandError(f"rule evaluation failed: {error}") from error
-    except ValueError as error:
-        raise CommandError(str(error), EXIT_RULE_PARAMS) from error
     if quotas is None:
         print("not an endpoint rule")
     else:
@@ -454,12 +440,8 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
     agent_index = args.agent - 1
     preference = _parse_pref(args.pref, profile[agent_index])
     grid = GridConfig(seed=args.seed)
-    try:
+    with _rule_errors():
         result = find_manipulation(rule, profile, agent_index, preference, grid)
-    except ValueError as error:
-        raise CommandError(str(error), EXIT_RULE_PARAMS) from error
-    except RuleEvaluationError as error:
-        raise CommandError(f"rule evaluation failed: {error}") from error
     print(f"truthful outcome: {json.dumps(_plain_interval(result.truthful_outcome))}")
     if not result.found:
         print("no manipulation found")

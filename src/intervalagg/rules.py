@@ -70,12 +70,12 @@ def _check_quotas(lower_quota: int, upper_quota: int, n_agents: int) -> None:
     ):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     if lower_quota < 1 or upper_quota < 1:
         raise ValueError(
             f"quotas must be >= 1, got ({lower_quota}, {upper_quota})"
         )
+    if n_agents < 1:
+        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     if lower_quota + upper_quota > n_agents + 1:
         raise ValueError(
             f"quotas ({lower_quota}, {upper_quota}) violate "
@@ -137,8 +137,9 @@ def _rank_bounds(values: list[float], k: int) -> tuple[float, float]:
     # The k-th smallest of values plus one more x is x clamped between the
     # (k-1)-th and the k-th smallest of values; a bound whose rank is 0 or
     # past the end does not constrain x.
-    floor = _kth_smallest(values, k - 1) if k > 1 else NEG_INF
-    ceiling = _kth_smallest(values, k) if k <= len(values) else POS_INF
+    ordered = sorted(values)
+    floor = ordered[k - 2] if k > 1 else NEG_INF
+    ceiling = ordered[k - 1] if k <= len(ordered) else POS_INF
     return floor, ceiling
 
 

@@ -238,6 +238,21 @@ class TestContinuitySurrogate:
         assert not check.passed
         assert check.witness["movement"] > 0.01
 
+    @pytest.mark.parametrize("samples", [4, 7])
+    def test_unperturbed_profile_evaluated_once(self, samples):
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return median_rule(profile)
+
+        check = check_continuity_lipschitz(
+            RuleHandle("counted", counted), BENCHMARK_PROFILE, 0.01, samples=samples
+        )
+        assert check.passed
+        assert len(calls) == 1 + samples
+        assert calls.count(BENCHMARK_PROFILE) == 1
+
     def test_zero_epsilon_is_vacuous(self):
         check = check_continuity_lipschitz(jump_rule(), BENCHMARK_PROFILE, 0.0)
         assert check.passed

@@ -147,6 +147,31 @@ class TestDocuments:
         with pytest.raises(CommandError, match="too large"):
             load_phantom_file(str(path))
 
+    # Each is unreadable JSON: past the int digit limit, not UTF-8, and
+    # nested deeper than the decoder's recursion limit.
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"agents": [{"lo": 0, "hi": 1' + b"0" * 4999 + b"}]}",
+            b'{"agents": [{"lo": 0, "hi": 1}], "labels": ["\xff"]}',
+            b"[" * 200000 + b"]" * 200000,
+        ],
+        ids=["5000_digits", "not_utf8", "nested_200000"],
+    )
+    @pytest.mark.parametrize("kind", ["profile", "phantoms"])
+    def test_unreadable_json_exits_2(
+        self, capsys, tmp_path, committee_file, content, kind
+    ):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        if kind == "profile":
+            argv = ["--rule", "median", "--profile", str(path)]
+        else:
+            argv = ["--rule", f"phantoms:{path}", "--profile", committee_file]
+        code, _, err = run_cli(capsys, "aggregate", *argv)
+        assert code == 2
+        assert "not valid JSON" in err
+
     def test_phantom_bad_bound_string(self, tmp_path):
         path = tmp_path / "ph.json"
         path.write_text(json.dumps({"phantoms": [{"lo": "wide", "hi": 1}]}))
@@ -175,6 +200,21 @@ class TestRuleSpecs:
         with pytest.raises(CommandError) as info:
             parse_rule_spec("endpoint:0,1")
         assert info.value.exit_code == 3
+
+    def test_unparsable_extern_command(self):
+        with pytest.raises(CommandError, match="cannot parse extern"):
+            parse_rule_spec('extern:"unclosed')
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0", "1e9"])
+    def test_timeout_must_be_positive_and_bounded(
+        self, capsys, committee_file, timeout
+    ):
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{extern_command('hang.py')}",
+            "--timeout", timeout, "--profile", committee_file,
+        )
+        assert code == 2
+        assert "--timeout must be positive" in err
 
     def test_empty_extern_command(self):
         with pytest.raises(CommandError, match="command is empty"):
@@ -330,6 +370,32 @@ class TestExternAdapter:
         assert code == 2
         assert "rule evaluation failed" in err and "Traceback" not in err
 
+    def test_deeply_nested_reply_is_evaluation_error(
+        self, capsys, tmp_path, committee_file
+    ):
+        script = tmp_path / "deep_reply.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stdin.read()\n"
+            "print('[' * 200000 + ']' * 200000)\n"
+        )
+        command = f"{sys.executable} {script}"
+        with pytest.raises(RuleEvaluationError, match="invalid JSON"):
+            extern_rule_adapter(command)(BENCHMARK_PROFILE)
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{command}",
+            "--profile", committee_file,
+        )
+        assert code == 2
+        assert "rule evaluation failed" in err
+        code, _, err = run_cli(
+            capsys, "audit", "--rule", f"extern:{command}", "--n", "2",
+            "--samples", "10", "--axioms", "Unanimity",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "audit aborted" in err
+
     def test_timeout_is_evaluation_error(self):
         adapter = extern_rule_adapter(extern_command("hang.py"), timeout=0.5)
         with pytest.raises(RuleEvaluationError, match="timed out"):
@@ -437,6 +503,21 @@ class TestAuditCommand:
         assert code == 2
         assert "NoSuchAxiom" in err
 
+    @pytest.mark.parametrize("rule", ["endpoint:3,3", "phantoms"])
+    def test_rule_parameters_invalid_for_n_exit_3(self, capsys, tmp_path, rule):
+        if rule == "phantoms":
+            path = tmp_path / "three.json"
+            path.write_text(json.dumps({"phantoms": [{"lo": 0, "hi": 1}] * 3}))
+            rule, n = f"phantoms:{path}", "4"
+        else:
+            n = "2"
+        code, _, err = run_cli(
+            capsys, "audit", "--rule", rule, "--n", n, "--samples", "5",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert "Traceback" not in err
+
     def test_broken_extern_rule_aborts_with_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
@@ -513,6 +594,11 @@ class TestIdentifyCommand:
         )
         assert code == 2
         assert "--samples" in err
+
+    def test_zero_agents_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "identify", "--rule", "median", "--n", "0")
+        assert code == 2
+        assert "--n" in err
 
 
 class TestManipulateCommand:
