@@ -123,6 +123,13 @@ _AXIOM_CODES = {axiom: code for code, axiom in enumerate(ALL_AXIOM_IDS, start=1)
 # Endpoint slack after a map or translation has been applied.
 TRANSFORM_TOL = 1e-9
 
+# Fixed campaign settings: the continuity surrogate's perturbation size
+# and perturbations per sample, and the run of consecutive evaluation
+# errors after which an audit aborts.
+_CONTINUITY_EPSILON = 0.01
+_CONTINUITY_PERTURBATIONS = 4
+_MAX_CONSECUTIVE_ERRORS = 10
+
 
 @dataclass(frozen=True)
 class AxiomCheck:
@@ -137,14 +144,6 @@ class AxiomCheck:
     witness: Optional[dict] = None
 
 
-def _interval_data(interval: Interval) -> list:
-    return [interval.lo, interval.hi]
-
-
-def _profile_data(profile: Sequence[Interval]) -> list:
-    return [[entry.lo, entry.hi] for entry in profile]
-
-
 def _interval_from(data: Sequence[float]) -> Interval:
     return Interval(data[0], data[1])
 
@@ -153,8 +152,8 @@ def _profile_from(data: Sequence[Sequence[float]]) -> Profile:
     return Profile(Interval(lo, hi) for lo, hi in data)
 
 
-def _close(a: Interval, b: Interval, tol: float) -> bool:
-    return abs(a.lo - b.lo) <= tol and abs(a.hi - b.hi) <= tol
+def _close(a: Sequence[float], b: Sequence[float]) -> bool:
+    return abs(a[0] - b[0]) <= TRANSFORM_TOL and abs(a[1] - b[1]) <= TRANSFORM_TOL
 
 
 def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> AxiomCheck:
@@ -175,16 +174,12 @@ def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> 
     wider_output = rule(wider)
     if subset(output, wider_output):
         return AxiomCheck(RESPONSIVENESS, True)
-    return AxiomCheck(
+    return _failure(
         RESPONSIVENESS,
-        False,
-        {
-            "axiom": RESPONSIVENESS,
-            "profile": _profile_data(profile),
-            "wider_profile": _profile_data(wider),
-            "output": _interval_data(output),
-            "wider_output": _interval_data(wider_output),
-        },
+        profile=profile,
+        wider_profile=wider,
+        output=output,
+        wider_output=wider_output,
     )
 
 
@@ -202,16 +197,12 @@ def check_anonymity(
     permuted_output = rule(permuted)
     if output == permuted_output:
         return AxiomCheck(ANONYMITY, True)
-    return AxiomCheck(
+    return _failure(
         ANONYMITY,
-        False,
-        {
-            "axiom": ANONYMITY,
-            "profile": _profile_data(profile),
-            "permutation": list(permutation),
-            "output": _interval_data(output),
-            "permuted_output": _interval_data(permuted_output),
-        },
+        profile=profile,
+        permutation=list(permutation),
+        output=output,
+        permuted_output=permuted_output,
     )
 
 
@@ -221,19 +212,15 @@ def _neutrality_check(
     expected = apply_map_interval(mapping, rule(profile))
     mapped_profile = apply_map_profile(mapping, profile)
     actual = rule(mapped_profile)
-    if _close(expected, actual, TRANSFORM_TOL):
+    if _close(expected, actual):
         return AxiomCheck(axiom, True)
-    return AxiomCheck(
+    return _failure(
         axiom,
-        False,
-        {
-            "axiom": axiom,
-            "profile": _profile_data(profile),
-            "map": map_to_data(mapping),
-            "mapped_profile": _profile_data(mapped_profile),
-            "expected": _interval_data(expected),
-            "mapped_output": _interval_data(actual),
-        },
+        profile=profile,
+        map=mapping,
+        mapped_profile=mapped_profile,
+        expected=expected,
+        mapped_output=actual,
     )
 
 
@@ -270,22 +257,26 @@ def check_translation_equivariance(
     offset = float(offset)
     if offset != offset or offset in (float("inf"), float("-inf")):
         raise ValueError(f"offset must be finite, got {offset!r}")
+    try:
+        shifted = profile.shift(offset)
+    except ValueError as error:
+        raise ValueError(
+            f"shifting the profile by {offset!r} leaves no valid profile: {error}"
+        ) from error
     output = rule(profile)
-    shifted_output = rule(profile.shift(offset))
-    expected = Interval(output.lo + offset, output.hi + offset)
-    if _close(expected, shifted_output, TRANSFORM_TOL):
+    shifted_output = rule(shifted)
+    # Plain floats: a rule's output may be narrower than the float
+    # spacing at the shifted scale, so its shift need not be an Interval.
+    expected = [output.lo + offset, output.hi + offset]
+    if _close(expected, shifted_output):
         return AxiomCheck(TRANSLATION_EQUIVARIANCE, True)
-    return AxiomCheck(
+    return _failure(
         TRANSLATION_EQUIVARIANCE,
-        False,
-        {
-            "axiom": TRANSLATION_EQUIVARIANCE,
-            "profile": _profile_data(profile),
-            "offset": offset,
-            "output": _interval_data(output),
-            "expected": _interval_data(expected),
-            "shifted_output": _interval_data(shifted_output),
-        },
+        profile=profile,
+        offset=offset,
+        output=output,
+        expected=expected,
+        shifted_output=shifted_output,
     )
 
 
@@ -297,18 +288,14 @@ def _check_lipschitz(
         moved = rule(perturbed)
         movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
         if movement > epsilon + TRANSFORM_TOL:
-            return AxiomCheck(
+            return _failure(
                 CONTINUITY_LIPSCHITZ,
-                False,
-                {
-                    "axiom": CONTINUITY_LIPSCHITZ,
-                    "profile": _profile_data(profile),
-                    "perturbed": _profile_data(perturbed),
-                    "epsilon": epsilon,
-                    "output": _interval_data(output),
-                    "perturbed_output": _interval_data(moved),
-                    "movement": movement,
-                },
+                profile=profile,
+                perturbed=perturbed,
+                epsilon=epsilon,
+                output=output,
+                perturbed_output=moved,
+                movement=movement,
             )
     return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
 
@@ -317,7 +304,7 @@ def check_continuity_lipschitz(
     rule: RuleHandle,
     profile: Profile,
     epsilon: float,
-    samples: int = 4,
+    samples: int = _CONTINUITY_PERTURBATIONS,
     seed: int = 0,
 ) -> AxiomCheck:
     """Sampled 1-Lipschitz surrogate for continuity.
@@ -380,17 +367,13 @@ def check_independent_endpoints(
         ok = ok and output.hi == other_output.hi
     if ok:
         return AxiomCheck(INDEPENDENT_ENDPOINTS, True)
-    return AxiomCheck(
+    return _failure(
         INDEPENDENT_ENDPOINTS,
-        False,
-        {
-            "axiom": INDEPENDENT_ENDPOINTS,
-            "profile": _profile_data(profile),
-            "other": _profile_data(other),
-            "agreeing_sides": sides,
-            "output": _interval_data(output),
-            "other_output": _interval_data(other_output),
-        },
+        profile=profile,
+        other=other,
+        agreeing_sides=sides,
+        output=output,
+        other_output=other_output,
     )
 
 
@@ -404,27 +387,18 @@ def check_out_betweenness(
     the outcome around, but never *past* the truthful outcome from the
     deviator's point of view.
     """
-    if not 0 <= agent_index < len(profile):
-        raise IndexError(
-            f"agent index {agent_index} out of range for {len(profile)} agents"
-        )
-    if not isinstance(misreport, Interval):
-        raise TypeError(f"misreport must be an Interval, got {misreport!r}")
+    deviated = profile.replace_agent(agent_index, misreport)
     output = rule(profile)
-    deviated_output = rule(profile.replace_agent(agent_index, misreport))
+    deviated_output = rule(deviated)
     if between(profile[agent_index], output, deviated_output):
         return AxiomCheck(OUT_BETWEENNESS, True)
-    return AxiomCheck(
+    return _failure(
         OUT_BETWEENNESS,
-        False,
-        {
-            "axiom": OUT_BETWEENNESS,
-            "profile": _profile_data(profile),
-            "agent": agent_index,
-            "misreport": _interval_data(misreport),
-            "output": _interval_data(output),
-            "deviated_output": _interval_data(deviated_output),
-        },
+        profile=profile,
+        agent=agent_index,
+        misreport=misreport,
+        output=output,
+        deviated_output=deviated_output,
     )
 
 
@@ -465,17 +439,13 @@ def _side_property_check(
     )
     if ok:
         return AxiomCheck(axiom, True)
-    return AxiomCheck(
+    return _failure(
         axiom,
-        False,
-        {
-            "axiom": axiom,
-            "profile": _profile_data(profile),
-            "other": _profile_data(other),
-            "agent": agent_index,
-            "output": _interval_data(output),
-            "other_output": _interval_data(other_output),
-        },
+        profile=profile,
+        other=other,
+        agent=agent_index,
+        output=output,
+        other_output=other_output,
     )
 
 
@@ -512,45 +482,9 @@ def check_unanimity(rule: RuleHandle, judgment: Interval, n_agents: int) -> Axio
     output = rule(profile)
     if output == judgment:
         return AxiomCheck(UNANIMITY, True)
-    return AxiomCheck(
-        UNANIMITY,
-        False,
-        {
-            "axiom": UNANIMITY,
-            "judgment": _interval_data(judgment),
-            "n_agents": n_agents,
-            "output": _interval_data(output),
-        },
+    return _failure(
+        UNANIMITY, judgment=judgment, n_agents=n_agents, output=output
     )
-
-
-def _pref_data(preference: Preference) -> dict:
-    if isinstance(preference, WeightedL1Preference):
-        return {
-            "kind": "weighted_l1",
-            "peak": _interval_data(preference.peak),
-            "lower_weight": preference.lower_weight,
-            "upper_weight": preference.upper_weight,
-        }
-    return {
-        "kind": "penalty",
-        "peak": _interval_data(preference.peak),
-        "reference": _interval_data(preference.reference),
-    }
-
-
-def _pref_from(data: Mapping) -> Preference:
-    if data["kind"] == "weighted_l1":
-        return WeightedL1Preference(
-            _interval_from(data["peak"]),
-            data["lower_weight"],
-            data["upper_weight"],
-        )
-    if data["kind"] == "penalty":
-        return PenaltyPreference(
-            _interval_from(data["peak"]), _interval_from(data["reference"])
-        )
-    raise ValueError(f"unknown preference kind: {data['kind']!r}")
 
 
 def check_manipulation(
@@ -564,20 +498,16 @@ def check_manipulation(
     result = find_manipulation(rule, profile, agent_index, preference, grid)
     if not result.found:
         return AxiomCheck(MANIPULATION, True)
-    return AxiomCheck(
+    return _failure(
         MANIPULATION,
-        False,
-        {
-            "axiom": MANIPULATION,
-            "profile": _profile_data(profile),
-            "agent": agent_index,
-            "preference": _pref_data(preference),
-            "grid_seed": grid.seed,
-            "misreport": _interval_data(result.misreport),
-            "truthful_outcome": _interval_data(result.truthful_outcome),
-            "manipulated_outcome": _interval_data(result.manipulated_outcome),
-            "cost_drop": result.cost_drop,
-        },
+        profile=profile,
+        agent=agent_index,
+        preference=preference,
+        grid_seed=grid.seed,
+        misreport=result.misreport,
+        truthful_outcome=result.truthful_outcome,
+        manipulated_outcome=result.manipulated_outcome,
+        cost_drop=result.cost_drop,
     )
 
 
@@ -684,9 +614,8 @@ def _run_axiom_sample(
     rule: RuleHandle,
     rng: random.Random,
     sample_index: int,
-    config: "AuditConfig",
+    n: int,
 ) -> AxiomCheck:
-    n = config.n_agents
     if axiom == RESPONSIVENESS:
         profile = sample_profile(rng, n)
         return check_responsiveness(rule, profile, _widened_profile(rng, profile))
@@ -723,11 +652,7 @@ def _run_axiom_sample(
     if axiom == CONTINUITY_LIPSCHITZ:
         profile = sample_profile(rng, n)
         return check_continuity_lipschitz(
-            rule,
-            profile,
-            config.continuity_epsilon,
-            samples=config.continuity_samples,
-            seed=rng.randrange(2**60),
+            rule, profile, _CONTINUITY_EPSILON, seed=rng.randrange(2**60)
         )
     if axiom == INDEPENDENT_ENDPOINTS:
         profile = sample_profile(rng, n)
@@ -778,9 +703,6 @@ class AuditConfig:
     samples: int = 1000
     seed: int = 0
     axioms: tuple[str, ...] = DEFAULT_AUDIT_AXIOMS
-    continuity_epsilon: float = 0.01
-    continuity_samples: int = 4
-    max_consecutive_errors: int = 10
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
@@ -804,16 +726,11 @@ class AuditReport:
     """Outcome of a sampled campaign over one rule."""
 
     rule_name: str
-    n_agents: int
-    samples: int
-    master_seed: int
-    axioms: tuple[str, ...]
+    config: AuditConfig
     tallies: dict[str, AxiomTally]
     aborted: bool = False
     abort_axiom: Optional[str] = None
     abort_reason: Optional[str] = None
-    continuity_epsilon: float = 0.01
-    continuity_samples: int = 4
 
     @property
     def total_failures(self) -> int:
@@ -824,11 +741,12 @@ class AuditReport:
         return sum(tally.eval_errors for tally in self.tallies.values())
 
     def failing_axioms(self) -> list[str]:
-        return [a for a in self.axioms if self.tallies[a].failures > 0]
+        return [a for a in self.config.axioms if self.tallies[a].failures > 0]
 
     def to_json_dict(self) -> dict:
+        config = self.config
         results = {}
-        for axiom in self.axioms:
+        for axiom in config.axioms:
             tally = self.tallies[axiom]
             entry = {
                 "samples": tally.samples,
@@ -841,16 +759,16 @@ class AuditReport:
             results[axiom] = entry
         return {
             "rule": self.rule_name,
-            "n_agents": self.n_agents,
-            "samples": self.samples,
-            "master_seed": self.master_seed,
-            "axioms": list(self.axioms),
+            "n_agents": config.n_agents,
+            "samples": config.samples,
+            "master_seed": config.seed,
+            "axioms": list(config.axioms),
             "aborted": self.aborted,
             "abort_axiom": self.abort_axiom,
             "abort_reason": self.abort_reason,
             "config": {
-                "continuity_epsilon": self.continuity_epsilon,
-                "continuity_samples": self.continuity_samples,
+                "continuity_epsilon": _CONTINUITY_EPSILON,
+                "continuity_samples": _CONTINUITY_PERTURBATIONS,
                 "note": (
                     "ContinuityLipschitz is a sampled 1-Lipschitz surrogate, "
                     "not the topological continuity axiom"
@@ -860,12 +778,13 @@ class AuditReport:
         }
 
     def summary_lines(self) -> list[str]:
-        width = max(len(a) for a in self.axioms) if self.axioms else 8
+        config = self.config
+        width = max(len(a) for a in config.axioms) if config.axioms else 8
         lines = [
-            f"rule {self.rule_name}: n={self.n_agents} samples={self.samples} "
-            f"seed={self.master_seed}"
+            f"rule {self.rule_name}: n={config.n_agents} samples={config.samples} "
+            f"seed={config.seed}"
         ]
-        for axiom in self.axioms:
+        for axiom in config.axioms:
             tally = self.tallies[axiom]
             verdict = "pass" if tally.failures == 0 else "FAIL"
             note = " (surrogate)" if axiom == CONTINUITY_LIPSCHITZ else ""
@@ -891,33 +810,26 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     Per-sample randomness is seeded from (master seed, axiom, sample
     index), so the report does not depend on execution order and any
     single sample can be regenerated in isolation.  Rule evaluation
-    errors are tallied separately from failures; after
-    ``max_consecutive_errors`` consecutive errors the campaign aborts
-    (the rule binary is considered broken, not non-compliant).
+    errors are tallied separately from failures; after ten consecutive
+    errors the campaign aborts (the rule binary is considered broken,
+    not non-compliant).
     """
     tallies = {axiom: AxiomTally() for axiom in config.axioms}
-    report = AuditReport(
-        rule_name=rule.name,
-        n_agents=config.n_agents,
-        samples=config.samples,
-        master_seed=config.seed,
-        axioms=config.axioms,
-        tallies=tallies,
-        continuity_epsilon=config.continuity_epsilon,
-        continuity_samples=config.continuity_samples,
-    )
+    report = AuditReport(rule.name, config, tallies)
     consecutive_errors = 0
     for axiom in config.axioms:
         tally = tallies[axiom]
         for sample_index in range(config.samples):
             rng = random.Random(_derive_seed(config.seed, axiom, sample_index))
             try:
-                check = _run_axiom_sample(axiom, rule, rng, sample_index, config)
+                check = _run_axiom_sample(
+                    axiom, rule, rng, sample_index, config.n_agents
+                )
             except RuleEvaluationError as error:
                 tally.samples += 1
                 tally.eval_errors += 1
                 consecutive_errors += 1
-                if consecutive_errors >= config.max_consecutive_errors:
+                if consecutive_errors >= _MAX_CONSECUTIVE_ERRORS:
                     report.aborted = True
                     report.abort_axiom = axiom
                     report.abort_reason = str(error)
@@ -944,6 +856,56 @@ def _replay_manipulation(
     # if candidate generation changed after the witness was written.
     grid = GridConfig(seed=grid_seed, extra_candidates=(misreport,))
     return check_manipulation(rule, profile, agent_index, preference, grid)
+
+
+def _pref_data(preference: Preference) -> dict:
+    if isinstance(preference, WeightedL1Preference):
+        return {
+            "kind": "weighted_l1",
+            "peak": list(preference.peak),
+            "lower_weight": preference.lower_weight,
+            "upper_weight": preference.upper_weight,
+        }
+    return {
+        "kind": "penalty",
+        "peak": list(preference.peak),
+        "reference": list(preference.reference),
+    }
+
+
+def _pref_from(data: Mapping) -> Preference:
+    if data["kind"] == "weighted_l1":
+        return WeightedL1Preference(
+            _interval_from(data["peak"]),
+            data["lower_weight"],
+            data["upper_weight"],
+        )
+    if data["kind"] == "penalty":
+        return PenaltyPreference(
+            _interval_from(data["peak"]), _interval_from(data["reference"])
+        )
+    raise ValueError(f"unknown preference kind: {data['kind']!r}")
+
+
+def _failure(axiom: str, **fields) -> AxiomCheck:
+    """Failing verdict whose witness holds ``fields`` as plain JSON, in order.
+
+    The one witness encoder: intervals become ``[lo, hi]``, profiles
+    lists of such pairs, maps and preferences the dicts the decoders
+    below read back; any other value is stored as it is.
+    """
+    witness = {"axiom": axiom}
+    for name, value in fields.items():
+        if isinstance(value, Interval):
+            value = [value.lo, value.hi]
+        elif isinstance(value, Profile):
+            value = [[entry.lo, entry.hi] for entry in value]
+        elif isinstance(value, MonotoneMap):
+            value = map_to_data(value)
+        elif isinstance(value, (WeightedL1Preference, PenaltyPreference)):
+            value = _pref_data(value)
+        witness[name] = value
+    return AxiomCheck(axiom, False, witness)
 
 
 # How a witness field is read back; a field not listed is plain JSON.

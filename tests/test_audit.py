@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ from intervalagg import (
     staircase_profile,
     translation_map,
 )
+from intervalagg.audit import _WITNESS_REPLAY
 
 from .conftest import BENCHMARK_PROFILE
 
@@ -80,6 +83,15 @@ def jump_rule():
     return RuleHandle(
         "jump",
         lambda profile: Interval(0, 1) if profile[0].lo < 0 else Interval(5, 6),
+    )
+
+
+def one_ulp_rule():
+    return RuleHandle(
+        "one-ulp",
+        lambda profile: Interval(
+            profile[0].lo, math.nextafter(profile[0].lo, math.inf)
+        ),
     )
 
 
@@ -215,6 +227,28 @@ class TestTranslation:
         )
         assert not check.passed
         assert check.witness["offset"] == 500.0
+
+    def test_output_one_ulp_wide_gets_a_verdict(self):
+        # Shifted by 1000, the output's endpoints round to the same float.
+        rule = one_ulp_rule()
+        check = check_translation_equivariance(rule, BENCHMARK_PROFILE, 1000.0)
+        assert check.passed
+        report = audit(
+            rule,
+            AuditConfig(n_agents=3, samples=50, seed=0,
+                        axioms=("TranslationEquivariance",)),
+        )
+        assert report.tallies["TranslationEquivariance"].samples == 50
+        assert report.total_failures == 0
+
+    @pytest.mark.parametrize(
+        "judgment, offset",
+        [((-1e308, 1e308), 1e308), ((1.7e308, 1.79e308), 1e308), ((0.0, 1e-15), 100.0)],
+    )
+    def test_invalid_shift_names_the_offset(self, judgment, offset):
+        profile = Profile((Interval(*judgment),))
+        with pytest.raises(ValueError, match=re.escape(f"by {offset!r}")):
+            check_translation_equivariance(median_rule_handle(), profile, offset)
 
     def test_nonfinite_offset_rejected(self):
         with pytest.raises(ValueError):
@@ -472,6 +506,19 @@ class TestAuditCampaigns:
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
         assert text == (GOLDEN_DIR / "audit_averaging_n3.json").read_text()
 
+    def test_every_axiom_witness_matches_golden_bytes(self):
+        # The first witness of each axiom from the campaigns above, so the
+        # layout of every witness is pinned across commits.
+        witnesses = {}
+        for axiom in ALL_AXIOM_IDS:
+            rule = REPLAY_FOILS.get(axiom, averaging_rule_handle)()
+            report = audit(
+                rule, AuditConfig(n_agents=3, samples=200, seed=0, axioms=(axiom,))
+            )
+            witnesses[axiom] = report.tallies[axiom].first_witness
+        text = json.dumps(witnesses, indent=2) + "\n"
+        assert text == (GOLDEN_DIR / "witnesses_n3.json").read_text()
+
     def test_witnesses_survive_json_serialization(self):
         report = audit(
             averaging_rule_handle(),
@@ -552,6 +599,21 @@ class TestAuditCampaigns:
         assert "surrogate" in data["config"]["note"]
         assert any("(surrogate)" in line for line in report.summary_lines())
         json.dumps(data)
+
+
+def test_readme_lists_the_fields_replay_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| axiom | fields replay reads |")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        axioms, fields = row.strip("|").split("|")
+        # Parenthesised notes may quote other names; only the fields count.
+        fields = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", fields))
+        for axiom in re.findall(r"`(\w+)`", axioms):
+            documented[axiom] = tuple(fields)
+    assert documented == {
+        axiom: fields for axiom, (_, fields) in _WITNESS_REPLAY.items()
+    }
 
 
 class TestEvaluationErrors:

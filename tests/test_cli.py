@@ -518,6 +518,18 @@ class TestAuditCommand:
         assert code == 3
         assert "Traceback" not in err
 
+    def test_output_one_ulp_wide_gets_a_report(self, capsys, tmp_path):
+        report_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "audit", "--rule", f"extern:{extern_command('one_ulp.py')}",
+            "--n", "3", "--samples", "3", "--seed", "0",
+            "--axioms", "TranslationEquivariance", "--out", str(report_path),
+        )
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        data = json.loads(report_path.read_text())
+        assert data["results"]["TranslationEquivariance"]["samples"] == 3
+
     def test_broken_extern_rule_aborts_with_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
