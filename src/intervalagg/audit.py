@@ -47,22 +47,9 @@ from .transforms import (
     apply_map_profile,
     map_from_data,
     map_to_data,
-    reflection_map,
 )
 
 __all__ = [
-    "RESPONSIVENESS",
-    "ANONYMITY",
-    "WEAK_NEUTRALITY",
-    "STRONG_NEUTRALITY",
-    "TRANSLATION_EQUIVARIANCE",
-    "CONTINUITY_LIPSCHITZ",
-    "INDEPENDENT_ENDPOINTS",
-    "OUT_BETWEENNESS",
-    "LOWER_PROPERTY",
-    "UPPER_PROPERTY",
-    "UNANIMITY",
-    "MANIPULATION",
     "DEFAULT_AUDIT_AXIOMS",
     "ALL_AXIOM_IDS",
     "TRANSFORM_TOL",
@@ -207,9 +194,19 @@ def check_anonymity(
 
 
 def _neutrality_check(
-    axiom: str, rule: RuleHandle, profile: Profile, mapping: MonotoneMap
+    axiom: str,
+    rule: RuleHandle,
+    profile: Profile,
+    mapping: MonotoneMap,
+    output: Optional[Interval] = None,
 ) -> AxiomCheck:
-    expected = apply_map_interval(mapping, rule(profile))
+    """Decide neutrality; ``output``, the rule's value on ``profile``, is
+    evaluated here unless the caller already has it."""
+    if axiom == WEAK_NEUTRALITY and not mapping.increasing:
+        raise ValueError("weak neutrality quantifies over increasing maps only")
+    if output is None:
+        output = rule(profile)
+    expected = apply_map_interval(mapping, output)
     mapped_profile = apply_map_profile(mapping, profile)
     actual = rule(mapped_profile)
     if _close(expected, actual):
@@ -233,8 +230,6 @@ def check_weak_neutrality(
     within 1e-9 per endpoint.  Decreasing maps are rejected; use
     :func:`check_strong_neutrality` for those.
     """
-    if not mapping.increasing:
-        raise ValueError("weak neutrality quantifies over increasing maps only")
     return _neutrality_check(WEAK_NEUTRALITY, rule, profile, mapping)
 
 
@@ -624,21 +619,18 @@ def _run_axiom_sample(
         perm = list(range(n))
         rng.shuffle(perm)
         return check_anonymity(rule, profile, perm)
-    if axiom == WEAK_NEUTRALITY:
+    if axiom == WEAK_NEUTRALITY or axiom == STRONG_NEUTRALITY:
         profile = sample_profile(rng, n)
-        anchors = _profile_anchors(profile, rule(profile))
-        mapping = _random_increasing_from_rng(rng, anchors)
-        return check_weak_neutrality(rule, profile, mapping)
-    if axiom == STRONG_NEUTRALITY:
-        profile = sample_profile(rng, n)
-        anchors = _profile_anchors(profile, rule(profile))
-        if sample_index % 2 == 0:
+        # The anchoring evaluation is also the check's own output.
+        output = rule(profile)
+        anchors = _profile_anchors(profile, output)
+        if axiom == WEAK_NEUTRALITY or sample_index % 2 == 0:
             mapping = _random_increasing_from_rng(rng, anchors)
         elif rng.random() < 0.5:
-            mapping = reflection_map()
+            mapping = MonotoneMap.affine_map(-1.0)
         else:
             mapping = _negate_map(_random_increasing_from_rng(rng, anchors))
-        return check_strong_neutrality(rule, profile, mapping)
+        return _neutrality_check(axiom, rule, profile, mapping, output)
     if axiom == TRANSLATION_EQUIVARIANCE:
         profile = sample_profile(rng, n)
         roll = rng.random()

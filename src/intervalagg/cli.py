@@ -209,8 +209,9 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
     One subprocess per evaluation, fed the profile document on standard
     input.  Spawn failures, nonzero exits, timeouts and malformed output
     all surface as :class:`RuleEvaluationError`, which audits tally
-    separately from axiom failures.  Extra keys in the reply are
-    ignored.  ``timeout`` is in seconds, positive and at most a day.
+    separately from axiom failures.  The reply's bounds must be JSON
+    numbers, as in a profile document; extra keys are ignored.
+    ``timeout`` is in seconds, positive and at most a day.
     """
     try:
         argv = shlex.split(command)
@@ -265,8 +266,10 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
                 f"{reprlib.repr(reply)}"
             )
         try:
-            return Interval(float(reply["lo"]), float(reply["hi"]))
-        except (TypeError, ValueError, OverflowError) as error:
+            return Interval(
+                _number_from_json(reply["lo"]), _number_from_json(reply["hi"])
+            )
+        except (ValueError, OverflowError) as error:
             raise RuleEvaluationError(
                 f"rule reply is not an interval: {reprlib.repr(reply)}: {error}"
             ) from error

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Union
+from typing import Iterable
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -29,8 +29,6 @@ __all__ = [
     "ExtendedInterval",
     "Profile",
     "ext_precedes",
-    "meets_lower_ray",
-    "meets_upper_ray",
     "scalar_between",
     "between",
     "subset",
@@ -87,10 +85,6 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
     def shift(self, offset: float) -> "Interval":
         """Translate both endpoints by ``offset``."""
         return Interval(self.lo + offset, self.hi + offset)
@@ -126,30 +120,6 @@ class ExtendedInterval(namedtuple("ExtendedInterval", ["lo", "hi"])):
         return f"ExtendedInterval({self.lo!r}, {self.hi!r})"
 
 
-IntervalLike = Union[Interval, ExtendedInterval]
-
-
-def meets_lower_ray(interval: IntervalLike, x: float) -> bool:
-    """Whether the closed lower ray ``(-inf, x]`` meets the open interval.
-
-    For finite intervals this is just ``interval.lo < x``.  The extended
-    cases follow the validity order: an interval with ``lo == -inf``
-    meets every lower ray (the degenerate ``(-inf, -inf)`` included, by
-    convention, since its lower bound precedes everything), while
-    ``(+inf, +inf)`` meets none.
-    """
-    return ext_precedes(interval.lo, x)
-
-
-def meets_upper_ray(interval: IntervalLike, x: float) -> bool:
-    """Whether the closed upper ray ``[x, +inf)`` meets the open interval.
-
-    Mirror image of :func:`meets_lower_ray`: finite case ``x < interval.hi``,
-    ``hi == +inf`` meets every upper ray, ``(-inf, -inf)`` meets none.
-    """
-    return ext_precedes(x, interval.hi)
-
-
 class Profile(tuple):
     """Ordered tuple of individual :class:`Interval` judgments, length >= 1.
 
@@ -170,10 +140,6 @@ class Profile(tuple):
                     f"profile entry {pos} is not an Interval: {entry!r}"
                 )
         return super().__new__(cls, entries)
-
-    @property
-    def n_agents(self) -> int:
-        return len(self)
 
     def replace_agent(self, index: int, interval: Interval) -> "Profile":
         """Copy of the profile with one agent's judgment swapped out.

@@ -102,10 +102,6 @@ class EndpointRuleParams:
     def __post_init__(self) -> None:
         _check_quotas(self.lower_quota, self.upper_quota, self.n_agents)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.lower_quota == self.upper_quota
-
 
 def _kth_smallest(values: list[float], k: int) -> float:
     """The ``k``-th smallest (1-based) of ``values``.

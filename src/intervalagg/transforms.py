@@ -1,11 +1,10 @@
 """Strictly monotone piecewise-linear maps of the real line.
 
 Neutrality checks need strictly monotone continuous bijections that can be
-applied to interval endpoints, inverted, serialised into audit witnesses
-and replayed bit-for-bit.  Piecewise-linear maps with finitely many
-breakpoints and positive tail slopes are closed under inversion and dense
-enough in the monotone maps to expose every neutrality failure a sampled
-audit can expose.
+applied to interval endpoints, serialised into audit witnesses and
+replayed bit-for-bit.  Piecewise-linear maps with finitely many
+breakpoints and positive tail slopes are dense enough in the monotone
+maps to expose every neutrality failure a sampled audit can expose.
 
 Evaluation returns the stored ``y`` exactly when ``x`` hits a breakpoint,
 so a map anchored at a profile's endpoints transforms that profile with no
@@ -27,11 +26,6 @@ __all__ = [
     "MonotoneMap",
     "apply_map_interval",
     "apply_map_profile",
-    "invert_map",
-    "identity_map",
-    "translation_map",
-    "scaling_map",
-    "reflection_map",
     "random_increasing_map",
     "map_to_data",
     "map_from_data",
@@ -135,7 +129,7 @@ class MonotoneMap:
         """The map x -> slope * x + intercept, one rounding per call.
 
         Unlike a map built from breakpoints, the slope here is stored
-        verbatim, so translation_map(b) adds b bit-for-bit the way a
+        verbatim, so affine_map(1.0, b) adds b bit-for-bit the way a
         direct endpoint shift would.
         """
         slope = float(slope)
@@ -147,7 +141,7 @@ class MonotoneMap:
         points = ((0.0, intercept), (1.0, intercept + slope))
         return cls(points, slope > 0, abs(slope), abs(slope), affine=True)
 
-    def value_at(self, x: float) -> float:
+    def __call__(self, x: float) -> float:
         """Evaluate the map; exact at breakpoints."""
         if self.affine:
             slope = self.left_slope if self.increasing else -self.left_slope
@@ -171,14 +165,11 @@ class MonotoneMap:
         t = (x - x0) / (x1 - x0)
         return y0 + t * (y1 - y0)
 
-    def __call__(self, x: float) -> float:
-        return self.value_at(x)
-
 
 def apply_map_interval(mapping: MonotoneMap, interval: Interval) -> Interval:
     """Image of an open interval; endpoints swap under a decreasing map."""
-    a = mapping.value_at(interval.lo)
-    b = mapping.value_at(interval.hi)
+    a = mapping(interval.lo)
+    b = mapping(interval.hi)
     if mapping.increasing:
         return Interval(a, b)
     return Interval(b, a)
@@ -187,55 +178,6 @@ def apply_map_interval(mapping: MonotoneMap, interval: Interval) -> Interval:
 def apply_map_profile(mapping: MonotoneMap, profile: Profile) -> Profile:
     """Apply the map to every judgment in a profile."""
     return Profile(apply_map_interval(mapping, entry) for entry in profile)
-
-
-def invert_map(mapping: MonotoneMap) -> MonotoneMap:
-    """Inverse bijection, again piecewise-linear.
-
-    Breakpoints are the swapped pairs sorted by the new x (the old y);
-    tail slopes are reciprocals, crossing over for decreasing maps
-    because the left tail of the inverse corresponds to the right tail of
-    the original.
-    """
-    if mapping.affine:
-        slope = (
-            mapping.left_slope if mapping.increasing else -mapping.left_slope
-        )
-        x0, y0 = mapping.breakpoints[0]
-        intercept = y0 - x0 * slope
-        return MonotoneMap.affine_map(1.0 / slope, -intercept / slope)
-    swapped = [(y, x) for x, y in mapping.breakpoints]
-    if mapping.increasing:
-        points = tuple(swapped)
-        left = 1.0 / mapping.left_slope
-        right = 1.0 / mapping.right_slope
-    else:
-        points = tuple(reversed(swapped))
-        left = 1.0 / mapping.right_slope
-        right = 1.0 / mapping.left_slope
-    return MonotoneMap(points, mapping.increasing, left, right)
-
-
-def identity_map() -> MonotoneMap:
-    return MonotoneMap.affine_map(1.0, 0.0)
-
-
-def translation_map(offset: float) -> MonotoneMap:
-    """The map x -> x + offset, bit-exact against a direct shift."""
-    offset = float(offset)
-    if offset != offset or abs(offset) == float("inf"):
-        raise ValueError(f"translation offset must be finite, got {offset!r}")
-    return MonotoneMap.affine_map(1.0, offset)
-
-
-def scaling_map(factor: float) -> MonotoneMap:
-    """The map x -> factor * x, factor nonzero; sign sets the direction."""
-    return MonotoneMap.affine_map(factor, 0.0)
-
-
-def reflection_map() -> MonotoneMap:
-    """The map x -> -x."""
-    return scaling_map(-1.0)
 
 
 def _random_increasing_from_rng(

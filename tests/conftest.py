@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from intervalagg import Interval, Profile
 
+ROOT = Path(__file__).resolve().parents[1]
 EXTERN_DIR = Path(__file__).parent / "extern_rules"
 
 BENCHMARK_PROFILE = Profile((Interval(2, 4), Interval(3, 6), Interval(1, 5)))
@@ -15,6 +17,16 @@ INTERLEAVED_PROFILE = Profile((Interval(1, 6), Interval(2, 3), Interval(4, 5)))
 def extern_command(script_name: str) -> str:
     """Command string launching one of the fixture rule scripts."""
     return f"{sys.executable} {EXTERN_DIR / script_name}"
+
+
+def src_env() -> dict:
+    """Environment for a child Python process that imports the package
+    from this checkout's ``src/``, whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture

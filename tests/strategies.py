@@ -37,7 +37,7 @@ def profiles(draw, min_agents=1, max_agents=6):
 def profiles_with_quotas(draw, min_agents=1, max_agents=6):
     """A profile together with a valid (lower, upper) quota pair for it."""
     profile = draw(profiles(min_agents=min_agents, max_agents=max_agents))
-    n = profile.n_agents
+    n = len(profile)
     p = draw(st.integers(min_value=1, max_value=n))
     q = draw(st.integers(min_value=1, max_value=n + 1 - p))
     return profile, p, q
@@ -47,6 +47,6 @@ def profiles_with_quotas(draw, min_agents=1, max_agents=6):
 def profile_pairs_one_agent_apart(draw, min_agents=1, max_agents=6):
     """Two profiles differing in at most one agent's judgment."""
     profile = draw(profiles(min_agents=min_agents, max_agents=max_agents))
-    agent = draw(st.integers(min_value=0, max_value=profile.n_agents - 1))
+    agent = draw(st.integers(min_value=0, max_value=len(profile) - 1))
     other = profile.replace_agent(agent, draw(intervals()))
     return profile, other, agent

@@ -33,10 +33,8 @@ from intervalagg import (
     maximal_rule_handle,
     median_rule,
     median_rule_handle,
-    reflection_map,
     replay_witness,
     staircase_profile,
-    translation_map,
 )
 from intervalagg.audit import _WITNESS_REPLAY
 
@@ -173,7 +171,7 @@ class TestNeutrality:
 
     def test_identity_passes_everything(self):
         check = check_weak_neutrality(
-            averaging_rule_handle(), BENCHMARK_PROFILE, translation_map(0.0)
+            averaging_rule_handle(), BENCHMARK_PROFILE, MonotoneMap.affine_map(1.0, 0.0)
         )
         assert check.passed
 
@@ -190,18 +188,18 @@ class TestNeutrality:
     def test_weak_check_rejects_decreasing_maps(self):
         with pytest.raises(ValueError):
             check_weak_neutrality(
-                median_rule_handle(), BENCHMARK_PROFILE, reflection_map()
+                median_rule_handle(), BENCHMARK_PROFILE, MonotoneMap.affine_map(-1.0)
             )
 
     def test_symmetric_rule_survives_reflection(self):
         check = check_strong_neutrality(
-            endpoint_rule_handle(2, 2), BENCHMARK_PROFILE, reflection_map()
+            endpoint_rule_handle(2, 2), BENCHMARK_PROFILE, MonotoneMap.affine_map(-1.0)
         )
         assert check.passed
 
     def test_asymmetric_rule_fails_reflection(self):
         check = check_strong_neutrality(
-            endpoint_rule_handle(1, 3), BENCHMARK_PROFILE, reflection_map()
+            endpoint_rule_handle(1, 3), BENCHMARK_PROFILE, MonotoneMap.affine_map(-1.0)
         )
         assert not check.passed
         assert check.witness["expected"] == [-4.0, -1.0]
@@ -465,6 +463,37 @@ class TestAuditCampaigns:
         assert all(t.samples == 0 for t in report.tallies.values())
         assert report.failing_axioms() == []
 
+    # Rule evaluations one sample makes: the neutralities reuse the
+    # evaluation that anchors their map, and continuity evaluates the
+    # unperturbed profile once for its 4 perturbations.
+    @pytest.mark.parametrize("axiom,evaluations", [
+        ("Responsiveness", 2),
+        ("Anonymity", 2),
+        ("WeakNeutrality", 2),
+        ("StrongNeutrality", 2),
+        ("TranslationEquivariance", 2),
+        ("ContinuityLipschitz", 5),
+        ("IndependentEndpoints", 2),
+        ("OutBetweenness", 2),
+        ("LowerProperty", 2),
+        ("UpperProperty", 2),
+        ("Unanimity", 1),
+    ])
+    def test_evaluations_per_sample(self, axiom, evaluations):
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return median_rule(profile)
+
+        samples = 30
+        report = audit(
+            RuleHandle("counting", counting),
+            AuditConfig(n_agents=3, samples=samples, seed=5, axioms=(axiom,)),
+        )
+        assert report.tallies[axiom].samples == samples
+        assert len(calls) == evaluations * samples
+
     def test_reports_reproduce_bit_exactly(self):
         config = AuditConfig(n_agents=3, samples=60, seed=9)
         first = audit(averaging_rule_handle(), config)
@@ -680,7 +709,7 @@ class TestIdentification:
 
     def test_non_integral_read_off_rejected(self):
         def window(profile):
-            center = sum(iv.midpoint for iv in profile) / len(profile)
+            center = sum((iv.lo + iv.hi) / 2.0 for iv in profile) / len(profile)
             return Interval(center - 1.0, center + 1.0)
 
         assert identify_endpoint_rule(RuleHandle("window", window), 3) is None

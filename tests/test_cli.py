@@ -1,10 +1,8 @@
 import csv
 import json
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,7 @@ from intervalagg.cli import (
     profile_to_document,
 )
 
-from .conftest import BENCHMARK_PROFILE, extern_command
+from .conftest import BENCHMARK_PROFILE, ROOT, extern_command, src_env
 
 COMMITTEE_DOC = {"agents": [{"lo": 2, "hi": 4}, {"lo": 3, "hi": 6}, {"lo": 1, "hi": 5}]}
 
@@ -44,16 +42,11 @@ def console_script(name):
         return [installed], None
     import tomllib
 
-    root = Path(__file__).resolve().parents[1]
-    with open(root / "pyproject.toml", "rb") as handle:
+    with open(ROOT / "pyproject.toml", "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"][name]
     module, _, function = target.partition(":")
     code = f"import sys; from {module} import {function}; sys.exit({function}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
-    return [sys.executable, "-c", code], env
+    return [sys.executable, "-c", code], src_env()
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +355,29 @@ class TestExternAdapter:
         )
         command = f"{sys.executable} {script}"
         with pytest.raises(RuleEvaluationError):
+            extern_rule_adapter(command)(BENCHMARK_PROFILE)
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{command}",
+            "--profile", committee_file,
+        )
+        assert code == 2
+        assert "rule evaluation failed" in err and "Traceback" not in err
+
+    # A reply's bounds follow the number rule of profile files.
+    @pytest.mark.parametrize("reply", [
+        '{"lo": "1", "hi": 2}',
+        '{"lo": " 1e0 ", "hi": 2}',
+        '{"lo": true, "hi": 2}',
+        '{"lo": 1, "hi": "2"}',
+        '{"lo": null, "hi": 2}',
+    ])
+    def test_non_number_bound_is_evaluation_error(
+        self, capsys, tmp_path, committee_file, reply
+    ):
+        script = tmp_path / "non_number_reply.py"
+        script.write_text(f"import sys\nsys.stdin.read()\nprint({reply!r})\n")
+        command = f"{sys.executable} {script}"
+        with pytest.raises(RuleEvaluationError, match="not an interval"):
             extern_rule_adapter(command)(BENCHMARK_PROFILE)
         code, _, err = run_cli(
             capsys, "aggregate", "--rule", f"extern:{command}",
@@ -800,6 +816,7 @@ class TestInstalledEntryPoints:
             capture_output=True,
             text=True,
             timeout=60,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == '{"lo": 2, "hi": 5}'

@@ -12,8 +12,6 @@ from intervalagg import (
     between,
     endpoint_distance,
     ext_precedes,
-    meets_lower_ray,
-    meets_upper_ray,
     scalar_between,
     subset,
 )
@@ -49,10 +47,9 @@ class TestInterval:
         iv = Interval(-0.0, 1.0)
         assert math.copysign(1.0, iv.lo) == 1.0
 
-    def test_width_midpoint_shift(self):
+    def test_width_and_shift(self):
         iv = Interval(1, 5)
         assert iv.width == 4.0
-        assert iv.midpoint == 3.0
         assert iv.shift(2.5) == Interval(3.5, 7.5)
 
     def test_equality_is_exact(self):
@@ -100,27 +97,30 @@ class TestExtendedOrder:
         with pytest.raises(ValueError):
             ExtendedInterval(lo, hi)
 
+    # The open interval meets the closed lower ray (-inf, x] iff
+    # ext_precedes(lo, x), and the closed upper ray [x, +inf) iff
+    # ext_precedes(x, hi).
     def test_ray_membership_finite(self):
         iv = Interval(1, 4)
-        assert meets_lower_ray(iv, 2.0)
-        assert not meets_lower_ray(iv, 1.0)
-        assert meets_upper_ray(iv, 2.0)
-        assert not meets_upper_ray(iv, 4.0)
+        assert ext_precedes(iv.lo, 2.0)
+        assert not ext_precedes(iv.lo, 1.0)
+        assert ext_precedes(2.0, iv.hi)
+        assert not ext_precedes(4.0, iv.hi)
 
     def test_ray_membership_degenerate(self):
         bottom = ExtendedInterval(NEG_INF, NEG_INF)
         top = ExtendedInterval(POS_INF, POS_INF)
         whole = ExtendedInterval(NEG_INF, POS_INF)
         for x in (-7.0, 0.0, 7.0):
-            assert meets_lower_ray(bottom, x) and not meets_upper_ray(bottom, x)
-            assert meets_upper_ray(top, x) and not meets_lower_ray(top, x)
-            assert meets_lower_ray(whole, x) and meets_upper_ray(whole, x)
+            assert ext_precedes(bottom.lo, x) and not ext_precedes(x, bottom.hi)
+            assert ext_precedes(x, top.hi) and not ext_precedes(top.lo, x)
+            assert ext_precedes(whole.lo, x) and ext_precedes(x, whole.hi)
 
 
 class TestProfile:
     def test_basic(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
-        assert profile.n_agents == 2
+        assert len(profile) == 2
         assert profile[1] == Interval(2, 3)
 
     def test_empty_rejected(self):

@@ -18,13 +18,12 @@ from intervalagg import (
     endpoint_rule,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
+    ext_precedes,
     generalized_median,
     maximal_rule,
     maximal_rule_handle,
     median_rule,
     median_rule_handle,
-    meets_lower_ray,
-    meets_upper_ray,
     phantom_rule_handle,
     valid_quota_pairs,
     validate_phantoms,
@@ -95,14 +94,10 @@ class TestEndpointRule:
         with pytest.raises(ValueError):
             endpoint_rule(EndpointRuleParams(1, 1, 2), BENCHMARK_PROFILE)
 
-    def test_symmetry_flag(self):
-        assert EndpointRuleParams(2, 2, 3).is_symmetric
-        assert not EndpointRuleParams(1, 3, 3).is_symmetric
-
     @given(profiles_with_quotas())
     def test_output_copies_input_endpoints(self, case):
         profile, p, q = case
-        out = endpoint_rule(EndpointRuleParams(p, q, profile.n_agents), profile)
+        out = endpoint_rule(EndpointRuleParams(p, q, len(profile)), profile)
         assert out.lo in {iv.lo for iv in profile}
         assert out.hi in {iv.hi for iv in profile}
         assert out.lo < out.hi
@@ -113,18 +108,18 @@ class TestEndpointRule:
         definition: x clears the aggregate lower endpoint exactly when at
         least p agents' intervals meet the lower ray at x, and dually."""
         profile, p, q = case
-        out = endpoint_rule(EndpointRuleParams(p, q, profile.n_agents), profile)
+        out = endpoint_rule(EndpointRuleParams(p, q, len(profile)), profile)
         for x in count_oracle_probes(
             [iv.lo for iv in profile] + [iv.hi for iv in profile]
         ):
-            lower_count = sum(meets_lower_ray(iv, x) for iv in profile)
-            upper_count = sum(meets_upper_ray(iv, x) for iv in profile)
+            lower_count = sum(ext_precedes(iv.lo, x) for iv in profile)
+            upper_count = sum(ext_precedes(x, iv.hi) for iv in profile)
             assert (lower_count >= p) == (x > out.lo)
             assert (upper_count >= q) == (x < out.hi)
 
     @given(profiles())
     def test_median_is_symmetric_quota_rule(self, profile):
-        n = profile.n_agents
+        n = len(profile)
         m = (n + 1) // 2
         assert median_rule(profile) == endpoint_rule(
             EndpointRuleParams(m, m, n), profile
@@ -133,16 +128,16 @@ class TestEndpointRule:
     @given(profiles())
     def test_maximal_is_one_one(self, profile):
         assert maximal_rule(profile) == endpoint_rule(
-            EndpointRuleParams(1, 1, profile.n_agents), profile
+            EndpointRuleParams(1, 1, len(profile)), profile
         )
 
     @given(profiles_with_quotas(), st.data())
     def test_order_statistic_lipschitz_bound(self, case, data):
         profile, p, q = case
-        params = EndpointRuleParams(p, q, profile.n_agents)
+        params = EndpointRuleParams(p, q, len(profile))
         other = Profile(
             data.draw(intervals(), label=f"agent {i}")
-            for i in range(profile.n_agents)
+            for i in range(len(profile))
         )
         bound_lo = max(
             abs(a.lo - b.lo) for a, b in zip(profile, other)
@@ -184,7 +179,7 @@ class TestAveraging:
     @given(profiles())
     def test_permutation_invariant(self, profile):
         rng = random.Random(0)
-        order = list(range(profile.n_agents))
+        order = list(range(len(profile)))
         rng.shuffle(order)
         shuffled = Profile(profile[i] for i in order)
         assert averaging_rule(shuffled) == averaging_rule(profile)
@@ -264,7 +259,7 @@ class TestPhantoms:
     @settings(max_examples=60)
     def test_phantom_equivalence_sampled(self, case, seed):
         profile, p, q = case
-        n = profile.n_agents
+        n = len(profile)
         vector = endpoint_rule_phantoms(p, q, n)
         assert generalized_median(vector, profile) == endpoint_rule(
             EndpointRuleParams(p, q, n), profile
@@ -275,7 +270,7 @@ class TestPhantoms:
     def test_accepted_vectors_stay_finite(self, profile, data):
         """Fuzz arbitrary phantom vectors; whenever validation accepts
         one, the pooled median must be a valid finite interval."""
-        n = profile.n_agents
+        n = len(profile)
         choices = st.sampled_from(["finite", "low", "high", "bottom", "top", "whole"])
         entries = []
         for i in range(n + 1):
@@ -313,7 +308,7 @@ class TestPhantoms:
         """The pooled median endpoint must match the ray-counting reading
         with threshold n+1 over the 2n+1 pooled intervals."""
         profile = data_profile
-        n = profile.n_agents
+        n = len(profile)
         p = data.draw(st.integers(1, n), label="p")
         q = data.draw(st.integers(1, n + 1 - p), label="q")
         vector = endpoint_rule_phantoms(p, q, n)
@@ -321,8 +316,8 @@ class TestPhantoms:
         pooled = list(profile) + list(vector)
         finite = [iv.lo for iv in profile] + [iv.hi for iv in profile]
         for x in count_oracle_probes(finite):
-            low_count = sum(meets_lower_ray(iv, x) for iv in pooled)
-            high_count = sum(meets_upper_ray(iv, x) for iv in pooled)
+            low_count = sum(ext_precedes(iv.lo, x) for iv in pooled)
+            high_count = sum(ext_precedes(x, iv.hi) for iv in pooled)
             assert (low_count >= n + 1) == (x > out.lo)
             assert (high_count >= n + 1) == (x < out.hi)
 
@@ -365,7 +360,7 @@ class TestExhaustiveSmallCases:
     def test_all_quota_pairs_on_permutations(self):
         """Order statistics are permutation invariant; check every quota
         pair against every permutation of the benchmark profile."""
-        n = BENCHMARK_PROFILE.n_agents
+        n = len(BENCHMARK_PROFILE)
         for p, q in valid_quota_pairs(n):
             params = EndpointRuleParams(p, q, n)
             reference = endpoint_rule(params, BENCHMARK_PROFILE)
