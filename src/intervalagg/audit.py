@@ -515,7 +515,7 @@ def _sample_interval(rng: random.Random, low: float = -10.0, high: float = 10.0)
         a = rng.uniform(low, high)
         b = rng.uniform(low, high)
         if a != b:
-            return Interval(min(a, b), max(a, b))
+            return Interval(a, b) if a < b else Interval(b, a)
 
 
 def sample_profile(rng: random.Random, n_agents: int) -> Profile:
@@ -529,7 +529,7 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
     """
     roll = rng.random()
     if roll < 0.4:
-        return Profile(_sample_interval(rng) for _ in range(n_agents))
+        return Profile([_sample_interval(rng) for _ in range(n_agents)])
     if roll < 0.7:
         pool_size = rng.randint(2, max(2, min(4, n_agents + 1)))
         pool = set()
@@ -549,7 +549,7 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
     for _ in range(n_agents):
         lo = rng.randint(-10, 9)
         hi = rng.randint(lo + 1, 10)
-        agents.append(Interval(float(lo), float(hi)))
+        agents.append(Interval(lo, hi))
     return Profile(agents)
 
 
@@ -809,10 +809,11 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     tallies = {axiom: AxiomTally() for axiom in config.axioms}
     report = AuditReport(rule.name, config, tallies)
     consecutive_errors = 0
+    rng = random.Random()
     for axiom in config.axioms:
         tally = tallies[axiom]
         for sample_index in range(config.samples):
-            rng = random.Random(_derive_seed(config.seed, axiom, sample_index))
+            rng.seed(_derive_seed(config.seed, axiom, sample_index))
             try:
                 check = _run_axiom_sample(
                     axiom, rule, rng, sample_index, config.n_agents

@@ -70,16 +70,17 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
     def __new__(cls, lo: float, hi: float) -> "Interval":
         lo = float(lo)
         hi = float(hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval bounds must not be NaN")
-        if math.isinf(lo) or math.isinf(hi):
-            raise ValueError(
-                f"interval bounds must be finite, got ({lo!r}, {hi!r})"
-            )
-        if not lo < hi:
+        # False exactly when a bound is NaN or infinite, or lo >= hi.
+        if not NEG_INF < lo < hi < POS_INF:
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("interval bounds must not be NaN")
+            if math.isinf(lo) or math.isinf(hi):
+                raise ValueError(
+                    f"interval bounds must be finite, got ({lo!r}, {hi!r})"
+                )
             raise ValueError(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
         # +0.0 forces -0.0 to +0.0; exact equality then matches bit equality.
-        return super().__new__(cls, lo + 0.0, hi + 0.0)
+        return tuple.__new__(cls, (lo + 0.0, hi + 0.0))
 
     @property
     def width(self) -> float:
@@ -134,12 +135,14 @@ class Profile(tuple):
         entries = tuple(agents)
         if not entries:
             raise ValueError("profile needs at least one agent")
-        for pos, entry in enumerate(entries):
-            if not isinstance(entry, Interval):
-                raise TypeError(
-                    f"profile entry {pos} is not an Interval: {entry!r}"
-                )
-        return super().__new__(cls, entries)
+        # Subclasses and bad entries fall through to the isinstance loop.
+        if set(map(type, entries)) != {Interval}:
+            for pos, entry in enumerate(entries):
+                if not isinstance(entry, Interval):
+                    raise TypeError(
+                        f"profile entry {pos} is not an Interval: {entry!r}"
+                    )
+        return tuple.__new__(cls, entries)
 
     def replace_agent(self, index: int, interval: Interval) -> "Profile":
         """Copy of the profile with one agent's judgment swapped out.
@@ -153,10 +156,7 @@ class Profile(tuple):
             )
         if not isinstance(interval, Interval):
             raise TypeError(f"replacement is not an Interval: {interval!r}")
-        return Profile(
-            interval if pos == index else entry
-            for pos, entry in enumerate(self)
-        )
+        return Profile(self[:index] + (interval,) + self[index + 1 :])
 
     def shift(self, offset: float) -> "Profile":
         """Translate every judgment by ``offset``."""

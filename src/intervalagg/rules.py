@@ -11,17 +11,16 @@ the ``2n + 1`` values.  Every order-statistic rule equals the generalized
 median over a specific phantom vector, and the conversion is provided.
 
 The averaging rule, included as a contrast case, takes the arithmetic mean
-of lower and upper endpoints.  Its means are computed through exact
-rational sums with a single correctly rounded division, so the output is
-invariant under reordering the agents and reproduces unanimous input
-endpoints bit-exactly, which the exact anonymity and unanimity checks
-rely on.
+of lower and upper endpoints.  Each mean is an exact integer sum in units
+of ``2**-1074`` (every finite float is a multiple) with a single correctly
+rounded division, so the output is invariant under reordering the agents
+and reproduces unanimous input endpoints bit-exactly, which the exact
+anonymity and unanimity checks rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -206,11 +205,20 @@ def maximal_rule(profile: Sequence[Interval]) -> Interval:
     )
 
 
-def _exact_mean(values: list[float]) -> float:
-    # Exact rational sum, then one correctly rounded division.  Gives a
-    # mean that is permutation invariant and exactly reproduces constant
-    # inputs, which fsum(values)/n does not (e.g. three copies of 0.1).
-    return float(sum(Fraction(value) for value in values) / len(values))
+_UNIT_BITS = 1074  # 2**-1074, the smallest subnormal, divides every float
+
+
+def _units(value: float) -> int:
+    # value * 2**1074, exact: as_integer_ratio's denominator is 2**k, k <= 1074.
+    num, den = value.as_integer_ratio()
+    return num << (_UNIT_BITS + 1 - den.bit_length())
+
+
+def _exact_mean(units: int, n_agents: int) -> float:
+    # The exact sum in units of 2**-1074, then one correctly rounded integer
+    # division: permutation invariant and exact on constant inputs, which
+    # fsum(values)/n is not (e.g. three copies of 0.1).
+    return units / (n_agents << _UNIT_BITS)
 
 
 def averaging_rule(profile: Sequence[Interval]) -> Interval:
@@ -222,33 +230,24 @@ def averaging_rule(profile: Sequence[Interval]) -> Interval:
     if len(profile) == 0:
         raise ValueError("profile needs at least one agent")
     return Interval(
-        _exact_mean([entry.lo for entry in profile]),
-        _exact_mean([entry.hi for entry in profile]),
-    )
-
-
-def _mean_with(rest: Fraction, value: float, n_agents: int) -> float:
-    # float((rest + Fraction(value)) / n_agents) without building Fractions.
-    # Both divide integers with Python's correctly rounded true division, so
-    # any representation of the same rational gives the same float.
-    num, den = value.as_integer_ratio()
-    return (rest.numerator * den + num * rest.denominator) / (
-        rest.denominator * den * n_agents
+        _exact_mean(sum([_units(entry.lo) for entry in profile]), len(profile)),
+        _exact_mean(sum([_units(entry.hi) for entry in profile]), len(profile)),
     )
 
 
 def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interval]:
     # The exact sums of the other agents' endpoints are kept, so each report
-    # costs one rational addition and one correctly rounded division and
+    # costs one integer addition and one correctly rounded division and
     # reproduces averaging_rule bit for bit.
     n = len(profile)
     others = profile[:index] + profile[index + 1 :]
-    lo_rest = sum(Fraction(entry.lo) for entry in others)
-    hi_rest = sum(Fraction(entry.hi) for entry in others)
+    lo_rest = sum([_units(entry.lo) for entry in others])
+    hi_rest = sum([_units(entry.hi) for entry in others])
 
     def outcome(report: Interval) -> Interval:
         return Interval(
-            _mean_with(lo_rest, report.lo, n), _mean_with(hi_rest, report.hi, n)
+            _exact_mean(lo_rest + _units(report.lo), n),
+            _exact_mean(hi_rest + _units(report.hi), n),
         )
 
     return outcome

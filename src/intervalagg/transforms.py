@@ -130,7 +130,8 @@ class MonotoneMap:
 
         Unlike a map built from breakpoints, the slope here is stored
         verbatim, so affine_map(1.0, b) adds b bit-for-bit the way a
-        direct endpoint shift would.
+        direct endpoint shift would.  The second breakpoint is at x = 1,
+        or at the first power of two x where slope * x + b != b.
         """
         slope = float(slope)
         intercept = float(intercept)
@@ -138,7 +139,16 @@ class MonotoneMap:
             raise ValueError(
                 f"affine slope must be finite and nonzero, got {slope!r}"
             )
-        points = ((0.0, intercept), (1.0, intercept + slope))
+        if not abs(intercept) < float("inf"):
+            raise ValueError(f"affine intercept must be finite, got {intercept!r}")
+        x = 1.0
+        while intercept + slope * x == intercept:
+            x *= 2.0
+        points = ((0.0, intercept), (x, intercept + slope * x))
+        if not abs(points[1][1]) < float("inf"):
+            raise ValueError(
+                f"affine map {slope!r} * x + {intercept!r} is constant on the floats"
+            )
         return cls(points, slope > 0, abs(slope), abs(slope), affine=True)
 
     def __call__(self, x: float) -> float:

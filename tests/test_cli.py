@@ -841,3 +841,20 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == '{"lo": 2, "hi": 5}'
+
+    def test_import_leaves_fractions_and_decimal_unloaded(self):
+        # The exact mean needs no Fraction; importing fractions (and the
+        # decimal module it pulls in) would add a few ms to every CLI start.
+        code = (
+            "import sys, intervalagg.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

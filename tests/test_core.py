@@ -47,6 +47,27 @@ class TestInterval:
         iv = Interval(-0.0, 1.0)
         assert math.copysign(1.0, iv.lo) == 1.0
 
+    def test_negative_zero_upper_bound_normalised(self):
+        iv = Interval(-1.0, -0.0)
+        assert math.copysign(1.0, iv.hi) == 1.0
+        assert math.copysign(1.0, Profile([iv])[0].hi) == 1.0
+
+    # The CLI prints these messages and its benchmark hashes stderr, so the
+    # check that runs first on each bad pair is pinned, not just the type.
+    @pytest.mark.parametrize("lo,hi,message", [
+        (float("nan"), float("inf"), "interval bounds must not be NaN"),
+        (float("inf"), float("nan"), "interval bounds must not be NaN"),
+        (float("inf"), 0, "interval bounds must be finite, got (inf, 0.0)"),
+        (float("-inf"), float("inf"), "interval bounds must be finite, got (-inf, inf)"),
+        (5, 3, "interval needs lo < hi, got (5.0, 3.0)"),
+        (2, 2, "interval needs lo < hi, got (2.0, 2.0)"),
+        (-0.0, 0.0, "interval needs lo < hi, got (-0.0, 0.0)"),
+    ])
+    def test_construction_error_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as error:
+            Interval(lo, hi)
+        assert str(error.value) == message
+
     def test_width_and_shift(self):
         iv = Interval(1, 5)
         assert iv.width == 4.0
@@ -131,11 +152,43 @@ class TestProfile:
         with pytest.raises(TypeError):
             Profile((Interval(0, 1), (2, 3)))
 
+    def test_first_bad_entry_named(self):
+        with pytest.raises(TypeError) as error:
+            Profile((Interval(0, 1), (2, 3), "x"))
+        assert str(error.value) == "profile entry 1 is not an Interval: (2, 3)"
+
+    def test_interval_subclass_accepted(self):
+        class Judgment(Interval):
+            __slots__ = ()
+
+        profile = Profile((Judgment(0, 1), Interval(2, 3)))
+        assert type(profile[0]) is Judgment
+        assert Profile([Judgment(4, 5)]) == Profile([Interval(4, 5)])
+        swapped = profile.replace_agent(1, Judgment(6, 7))
+        assert swapped == Profile((Interval(0, 1), Interval(6, 7)))
+        assert type(swapped[1]) is Judgment
+
+    def test_replace_agent_rejects_non_interval(self):
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        with pytest.raises(TypeError) as error:
+            profile.replace_agent(1, (2, 3))
+        assert str(error.value) == "replacement is not an Interval: (2, 3)"
+
     def test_replace_agent(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
         swapped = profile.replace_agent(0, Interval(-1, 1))
         assert swapped == Profile((Interval(-1, 1), Interval(2, 3)))
         assert profile[0] == Interval(0, 1)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_replace_agent_keeps_the_others_in_order(self, index):
+        profile = Profile((Interval(0, 1), Interval(2, 3), Interval(4, 5)))
+        swapped = profile.replace_agent(index, Interval(8, 9))
+        assert type(swapped) is Profile
+        assert list(swapped) == [
+            Interval(8, 9) if pos == index else entry
+            for pos, entry in enumerate(profile)
+        ]
 
     def test_replace_agent_rejects_bad_index(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))

@@ -1,10 +1,13 @@
 """Differential tests: ``RuleHandle.vary_agent`` against full re-evaluation.
 
 Endpoints sit on a half-integer lattice so that ties between agents, and
-between a report and the other agents, occur often.
+between a report and the other agents, occur often.  The exact-mean tests
+at the end draw from the whole float range instead and compare the
+averaging rule with a ``Fraction`` reference.
 """
 
 import random
+from fractions import Fraction
 from typing import Optional
 
 import hypothesis.strategies as st
@@ -24,6 +27,7 @@ from intervalagg import (
     RuleHandle,
     STRICT_IMPROVEMENT_EPS,
     WeightedL1Preference,
+    averaging_rule,
     averaging_rule_handle,
     candidate_misreports,
     endpoint_rule_handle,
@@ -193,3 +197,79 @@ def test_find_manipulation_matches_reference_loop():
         found += result.found
     # The averaging searches must exercise the found branch too.
     assert found > 0
+
+
+# Exact means over the whole float range: subnormals, values next to the
+# largest float, mixed exponents and -0.0.
+MAX_FLOAT = 1.7976931348623157e308
+edge_values = st.sampled_from([
+    5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, -2.225073858507201e-308,
+    MAX_FLOAT, -MAX_FLOAT, 1.7976931348623155e308, -0.0, 0.0, 0.1, 1.0,
+    2.0 ** 53, 1e300, -1e-300,
+])
+any_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    edge_values,
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@st.composite
+def wide_intervals(draw):
+    a = draw(any_float)
+    b = draw(any_float.filter(lambda v: v != a))
+    return Interval(min(a, b), max(a, b))
+
+
+def reference_mean(values) -> float:
+    return float(sum(map(Fraction, values)) / len(values))
+
+
+def assert_mean_matches(outcome_of, profile):
+    """``outcome_of()`` against the ``Fraction`` means of ``profile``.
+
+    Two means less than one rounding apart may round to the same float;
+    the rule then has no valid interval to return and must say so.
+    """
+    lo = reference_mean([entry.lo for entry in profile])
+    hi = reference_mean([entry.hi for entry in profile])
+    if lo < hi:
+        assert outcome_of() == Interval(lo, hi)
+    else:
+        with pytest.raises(ValueError, match="lo < hi"):
+            outcome_of()
+
+
+@given(st.lists(wide_intervals(), min_size=1, max_size=9), st.data())
+def test_exact_mean_matches_fraction_reference(agents, data):
+    profile = Profile(agents)
+    assert_mean_matches(lambda: averaging_rule(profile), profile)
+    index = data.draw(st.integers(0, len(profile) - 1))
+    report = data.draw(wide_intervals())
+    outcome_of = averaging_rule_handle().vary_agent(profile, index)
+    assert_mean_matches(
+        lambda: outcome_of(report), profile.replace_agent(index, report)
+    )
+
+
+@pytest.mark.parametrize("bounds", [
+    (-MAX_FLOAT, MAX_FLOAT),
+    (1.7976931348623155e308, MAX_FLOAT),
+    (0.0, 5e-324),
+    (-5e-324, 5e-324),
+    (0.1, 0.3),
+])
+def test_exact_mean_reproduces_unanimous_extremes(bounds):
+    judgment = Interval(*bounds)
+    for n in range(1, 10):
+        profile = Profile([judgment] * n)
+        assert averaging_rule(profile) == judgment
+        assert averaging_rule_handle().vary_agent(profile, n - 1)(judgment) == judgment
+
+
+def test_exact_mean_rounds_subnormal_ties_to_even():
+    # Means of 0.5 and 1.5 units of 2**-1074 are ties: 0 and 2 units are even.
+    profile = Profile((Interval(0.0, 5e-324), Interval(5e-324, 1e-323)))
+    assert averaging_rule(profile) == Interval(0.0, 1e-323)
+    assert reference_mean([0.0, 5e-324]) == 0.0
+    assert reference_mean([5e-324, 1e-323]) == 1e-323

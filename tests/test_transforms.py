@@ -125,6 +125,62 @@ class TestTranslationExactness:
             assert inverse(x) == x + (-0.1)
 
 
+class TestAffineMapAtScale:
+    # b + slope rounds back to b once |b| is far past |slope| * 2**53; the
+    # second breakpoint then moves out to a power of two where y changes.
+    @pytest.mark.parametrize("slope,intercept", [
+        (1.0, 1e17),
+        (-1.0, 1e17),
+        (1.0, -1e300),
+        (1e-300, 1.0),
+        (-5e-324, 1.0),
+    ])
+    def test_far_intercept_builds_and_evaluates(self, slope, intercept):
+        mapping = MonotoneMap.affine_map(slope, intercept)
+        for x in (-3.0, 0.0, 2.0, 1e6):
+            assert mapping(x) == intercept + x * slope
+        (x0, y0), (x1, y1) = mapping.breakpoints
+        assert (x0, y0) == (0.0, intercept)
+        assert y1 != y0 and y1 == intercept + slope * x1
+        assert map_from_data(map_to_data(mapping)) == mapping
+
+    def test_translation_by_1e17(self):
+        mapping = MonotoneMap.affine_map(1.0, 1e17)
+        assert mapping(2.0) == 2.0 + 1e17
+        assert mapping.breakpoints == ((0.0, 1e17), (16.0, 1e17 + 16.0))
+        iv = Interval(0, 64)
+        assert apply_map_interval(mapping, iv) == iv.shift(1e17)
+
+    @pytest.mark.parametrize("slope,intercept", [
+        (-1.0, 0.0),
+        (1.0, 0.1),
+        (2.5, -7.0),
+    ])
+    def test_breakpoints_unchanged_when_intercept_plus_slope_moves(
+        self, slope, intercept
+    ):
+        assert MonotoneMap.affine_map(slope, intercept).breakpoints == (
+            (0.0, intercept),
+            (1.0, intercept + slope),
+        )
+
+    @pytest.mark.parametrize("intercept", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_nonfinite_intercept_named(self, intercept):
+        with pytest.raises(ValueError, match="affine intercept must be finite"):
+            MonotoneMap.affine_map(1.0, intercept)
+
+    @pytest.mark.parametrize("slope,intercept", [
+        (5e-324, 1e308),
+        (1.0, 1.7976931348623157e308),
+        (-1.0, -1.7976931348623157e308),
+    ])
+    def test_map_constant_on_the_floats_rejected(self, slope, intercept):
+        with pytest.raises(ValueError, match="constant on the floats"):
+            MonotoneMap.affine_map(slope, intercept)
+
+
 class TestRandomMaps:
     def test_breakpoints_cover_anchors(self):
         mapping = random_increasing_map(1, [0.0, 1.0])
