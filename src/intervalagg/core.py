@@ -16,8 +16,9 @@ structurally equal intervals are bit-identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, Optional
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -127,9 +128,17 @@ class Profile(tuple):
     Agent positions are 0-based in the Python API.  Profiles are plain
     tuples, so slicing, iteration and equality behave as expected; the
     constructor only adds validation.
+
+    A profile also keeps its lower and upper endpoints sorted, built on
+    the first order-statistic evaluation and kept for the profile's life,
+    so every later evaluation reads ranks instead of sorting again.  The
+    ranked lists live in the instance ``__dict__`` (a tuple subclass
+    cannot take non-empty ``__slots__``); they take no part in equality,
+    hashing or pickling, and nothing outside the package sees them.
     """
 
-    __slots__ = ()
+    # Class default for a profile not yet ranked: reading it raises nothing.
+    _ranks: Optional[tuple[list[float], list[float]]] = None
 
     def __new__(cls, agents: Iterable[Interval]) -> "Profile":
         entries = tuple(agents)
@@ -144,11 +153,39 @@ class Profile(tuple):
                     )
         return tuple.__new__(cls, entries)
 
+    def __reduce__(self):
+        # Rebuild through the validating constructor, without the ranks.
+        return Profile, (tuple(self),)
+
+    def _ranked(self) -> tuple[list[float], list[float]]:
+        """The lower and the upper endpoints, each sorted ascending.
+
+        Callers only read the lists; they are shared by every evaluation.
+        """
+        ranks = self._ranks
+        if ranks is None:
+            lows, highs = zip(*self)
+            ranks = self._ranks = (sorted(lows), sorted(highs))
+        return ranks
+
+    def _ranked_without(self, index: int) -> tuple[list[float], list[float]]:
+        """Fresh sorted lower and upper endpoints of every agent but
+        ``index``: the profile's ranks with that agent's slot removed."""
+        lows, highs = self._ranked()
+        own = self[index]
+        lows = lows.copy()
+        del lows[bisect_left(lows, own.lo)]
+        highs = highs.copy()
+        del highs[bisect_left(highs, own.hi)]
+        return lows, highs
+
     def replace_agent(self, index: int, interval: Interval) -> "Profile":
         """Copy of the profile with one agent's judgment swapped out.
 
         Negative indices are rejected rather than wrapped; a silent
-        wraparound in a misreport loop would corrupt search results.
+        wraparound in a misreport loop would corrupt search results.  A
+        ranked profile hands its ranks to the copy with one slot moved,
+        in O(n) instead of a fresh sort.
         """
         if not 0 <= index < len(self):
             raise IndexError(
@@ -156,7 +193,13 @@ class Profile(tuple):
             )
         if not isinstance(interval, Interval):
             raise TypeError(f"replacement is not an Interval: {interval!r}")
-        return Profile(self[:index] + (interval,) + self[index + 1 :])
+        child = Profile(self[:index] + (interval,) + self[index + 1 :])
+        if self._ranks is not None:
+            lows, highs = self._ranked_without(index)
+            insort(lows, interval.lo)
+            insort(highs, interval.hi)
+            child._ranks = (lows, highs)
+        return child
 
     def shift(self, offset: float) -> "Profile":
         """Translate every judgment by ``offset``."""

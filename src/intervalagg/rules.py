@@ -10,6 +10,15 @@ intervals (extended bounds allowed) and take the coordinatewise median of
 the ``2n + 1`` values.  Every order-statistic rule equals the generalized
 median over a specific phantom vector, and the conversion is provided.
 
+Both families read one representation: the profile's lower and upper
+endpoints, each sorted once per :class:`Profile` and shared by every
+evaluation (any other sequence is sorted per call).  One kernel,
+:func:`_kth_of_two`, takes the k-th smallest of a ranked list pooled with
+a second sorted list: empty for quota rules, which makes it an index, and
+the phantom bounds, sorted once per handle, for generalized medians, which
+makes it a binary search.  The one-agent fast path ranks the other agents
+by dropping the agent's own slot from the same lists.
+
 The averaging rule, included as a contrast case, takes the arithmetic mean
 of lower and upper endpoints.  Each mean is an exact integer sum in units
 of ``2**-1074`` (every finite float is a multiple) with a single correctly
@@ -20,6 +29,7 @@ anonymity and unanimity checks rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -102,13 +112,33 @@ class EndpointRuleParams:
         _check_quotas(self.lower_quota, self.upper_quota, self.n_agents)
 
 
-def _kth_smallest(values: list[float], k: int) -> float:
-    """The ``k``-th smallest (1-based) of ``values``.
+def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float:
+    """The ``k``-th smallest (1-based) of two sorted lists pooled.
 
-    The one sort-and-pick kernel: every order-statistic rule, generalized
-    medians included, selects its endpoints through it.
+    The one order-statistic kernel: every order-statistic rule,
+    generalized medians included, selects its endpoints through it.  With
+    an empty ``pool`` it is one index; otherwise a binary search over how
+    many of the first ``k`` pooled values come from ``ranked``, in
+    O(log n).
     """
-    return sorted(values)[k - 1]
+    if not pool:
+        return ranked[k - 1]
+    # The smallest split i with ranked[i] >= pool[k - i - 1]: then the first
+    # k pooled values are ranked[:i] plus pool[:k - i].
+    low = k - len(pool) if k > len(pool) else 0
+    high = k if k < len(ranked) else len(ranked)
+    while low < high:
+        i = (low + high) // 2
+        if ranked[i] < pool[k - i - 1]:
+            low = i + 1
+        else:
+            high = i
+    if low == 0:
+        return pool[k - 1]
+    if low == k:
+        return ranked[k - 1]
+    last_ranked, last_pooled = ranked[low - 1], pool[k - low - 1]
+    return last_ranked if last_ranked > last_pooled else last_pooled
 
 
 def _select(
@@ -120,21 +150,30 @@ def _select(
 ) -> Interval:
     """Interval of the ``lo_rank``-th smallest lower and the ``hi_rank``-th
     smallest upper endpoint, over the judgments pooled with extra
-    (phantom) bounds.  An upper quota ``q`` is the rank ``n + 1 - q``."""
-    lows = [entry.lo for entry in profile]
-    lows += pool_lows
-    highs = [entry.hi for entry in profile]
-    highs += pool_highs
-    return Interval(_kth_smallest(lows, lo_rank), _kth_smallest(highs, hi_rank))
+    (phantom) bounds.  An upper quota ``q`` is the rank ``n + 1 - q``.
+
+    Reads the profile's ranked endpoints, so after a profile's first
+    evaluation each call costs O(1) for quota rules and O(log n) for
+    generalized medians.  The pools must be sorted ascending."""
+    if not isinstance(profile, Profile):
+        profile = Profile(profile)  # a plain sequence is ranked on the spot
+    lows, highs = profile._ranked()
+    return Interval(
+        _kth_of_two(lows, pool_lows, lo_rank),
+        _kth_of_two(highs, pool_highs, hi_rank),
+    )
 
 
-def _rank_bounds(values: list[float], k: int) -> tuple[float, float]:
-    # The k-th smallest of values plus one more x is x clamped between the
-    # (k-1)-th and the k-th smallest of values; a bound whose rank is 0 or
-    # past the end does not constrain x.
-    ordered = sorted(values)
-    floor = ordered[k - 2] if k > 1 else NEG_INF
-    ceiling = ordered[k - 1] if k <= len(ordered) else POS_INF
+def _rank_bounds(
+    others: list[float], pool: Sequence[float], k: int
+) -> tuple[float, float]:
+    # The k-th smallest of others and pool plus one more x is x clamped
+    # between the (k-1)-th and the k-th smallest of them; a bound whose rank
+    # is 0 or past the end does not constrain x.
+    floor = _kth_of_two(others, pool, k - 1) if k > 1 else NEG_INF
+    ceiling = (
+        _kth_of_two(others, pool, k) if k <= len(others) + len(pool) else POS_INF
+    )
     return floor, ceiling
 
 
@@ -148,13 +187,9 @@ def _vary_select(
 ) -> Callable[[Interval], Interval]:
     """``report -> _select(profile.replace_agent(index, report), ...)``,
     with the other agents' endpoints ranked once instead of per report."""
-    others = profile[:index] + profile[index + 1 :]
-    lo_floor, lo_ceiling = _rank_bounds(
-        [entry.lo for entry in others] + list(pool_lows), lo_rank
-    )
-    hi_floor, hi_ceiling = _rank_bounds(
-        [entry.hi for entry in others] + list(pool_highs), hi_rank
-    )
+    lows, highs = profile._ranked_without(index)
+    lo_floor, lo_ceiling = _rank_bounds(lows, pool_lows, lo_rank)
+    hi_floor, hi_ceiling = _rank_bounds(highs, pool_highs, hi_rank)
 
     def outcome(report: Interval) -> Interval:
         return Interval(
@@ -168,6 +203,10 @@ def _vary_select(
 def _median_ranks(n_agents: int) -> tuple[int, int]:
     mid = (n_agents + 1) // 2
     return mid, n_agents + 1 - mid
+
+
+def _maximal_ranks(n_agents: int) -> tuple[int, int]:
+    return 1, n_agents
 
 
 def endpoint_rule(params: EndpointRuleParams, profile: Sequence[Interval]) -> Interval:
@@ -199,10 +238,7 @@ def median_rule(profile: Sequence[Interval]) -> Interval:
 
 def maximal_rule(profile: Sequence[Interval]) -> Interval:
     """Quota pair (1, 1): the smallest interval containing every judgment."""
-    return Interval(
-        min(entry.lo for entry in profile),
-        max(entry.hi for entry in profile),
-    )
+    return _select(profile, *_maximal_ranks(len(profile)))
 
 
 _UNIT_BITS = 1074  # 2**-1074, the smallest subnormal, divides every float
@@ -221,17 +257,30 @@ def _exact_mean(units: int, n_agents: int) -> float:
     return units / (n_agents << _UNIT_BITS)
 
 
+def _mean_interval(lo_units: int, hi_units: int, n_agents: int) -> Interval:
+    lo = _exact_mean(lo_units, n_agents)
+    hi = _exact_mean(hi_units, n_agents)
+    if lo == hi:
+        # The exact means differ by less than one rounding and rounded to
+        # the same float; the next float up keeps the output nonempty.
+        hi = math.nextafter(lo, POS_INF)
+    return Interval(lo, hi)
+
+
 def averaging_rule(profile: Sequence[Interval]) -> Interval:
     """Endpointwise arithmetic mean; the non-strategyproof contrast case.
 
     Means are exactly rounded, so the rule is bit-exactly anonymous and
-    unanimous even though it fails neutrality and out-between-ness.
+    unanimous even though it fails neutrality and out-between-ness.  When
+    both means round to the same float ``m`` the output is ``m`` and the
+    next float above it.
     """
     if len(profile) == 0:
         raise ValueError("profile needs at least one agent")
-    return Interval(
-        _exact_mean(sum([_units(entry.lo) for entry in profile]), len(profile)),
-        _exact_mean(sum([_units(entry.hi) for entry in profile]), len(profile)),
+    return _mean_interval(
+        sum([_units(entry.lo) for entry in profile]),
+        sum([_units(entry.hi) for entry in profile]),
+        len(profile),
     )
 
 
@@ -245,9 +294,8 @@ def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interv
     hi_rest = sum([_units(entry.hi) for entry in others])
 
     def outcome(report: Interval) -> Interval:
-        return Interval(
-            _exact_mean(lo_rest + _units(report.lo), n),
-            _exact_mean(hi_rest + _units(report.hi), n),
+        return _mean_interval(
+            lo_rest + _units(report.lo), hi_rest + _units(report.hi), n
         )
 
     return outcome
@@ -386,9 +434,10 @@ def _require_valid_phantoms(vector: PhantomVector, n_agents: int) -> None:
 
 
 def _phantom_pools(vector: PhantomVector) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # Sorted, as _select needs; a handle sorts them once, when it is built.
     return (
-        tuple(ph.lo for ph in vector.phantoms),
-        tuple(ph.hi for ph in vector.phantoms),
+        tuple(sorted([ph.lo for ph in vector.phantoms])),
+        tuple(sorted([ph.hi for ph in vector.phantoms])),
     )
 
 
@@ -478,12 +527,7 @@ def median_rule_handle() -> RuleHandle:
 
 
 def maximal_rule_handle() -> RuleHandle:
-    # maximal_rule keeps its O(n) min/max; reports vary as rule (1, 1).
-    return RuleHandle(
-        "maximal",
-        maximal_rule,
-        lambda profile, index: _vary_select(profile, index, 1, len(profile)),
-    )
+    return _order_statistic_handle("maximal", _maximal_ranks)
 
 
 def averaging_rule_handle() -> RuleHandle:

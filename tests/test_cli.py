@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -235,6 +236,19 @@ class TestAggregateCommand:
         )
         assert code == 0
         assert out.strip() == '{"lo": 2, "hi": 5}'
+
+    def test_averaging_means_one_rounding_apart_exit_0(self, capsys, tmp_path):
+        # Both means round to the same float; the rule returns it and the
+        # next float up instead of failing as if its parameters were bad.
+        agents = [{"lo": 11.0, "hi": math.nextafter(11.0, 20.0)}]
+        agents += [{"lo": 0.0, "hi": 5e-324}] * 8
+        path = tmp_path / "close_means.json"
+        path.write_text(json.dumps({"agents": agents}))
+        code, out, err = run_cli(
+            capsys, "aggregate", "--rule", "averaging", "--profile", str(path)
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"lo": 1.2222222222222223, "hi": 1.2222222222222225}
 
     def test_phantom_rule_from_file(self, capsys, committee_file, tmp_path):
         phantom_path = tmp_path / "median_phantoms.json"

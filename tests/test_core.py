@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -11,10 +13,16 @@ from intervalagg import (
     Profile,
     between,
     endpoint_distance,
+    endpoint_rule_handle,
+    endpoint_rule_phantoms,
     ext_precedes,
+    maximal_rule_handle,
+    median_rule_handle,
+    phantom_rule_handle,
     scalar_between,
     subset,
 )
+from intervalagg import core, rules
 
 from .strategies import intervals, profiles
 
@@ -202,6 +210,107 @@ class TestProfile:
         assert profile.shift(10.0) == Profile(
             (Interval(10, 11), Interval(12, 13))
         )
+
+
+RANKED_N = 11
+
+
+def crowd_handles():
+    """The four order-statistic handles one crowd round evaluates."""
+    return [
+        endpoint_rule_handle(3, 4),
+        median_rule_handle(),
+        maximal_rule_handle(),
+        phantom_rule_handle(endpoint_rule_phantoms(2, 5, RANKED_N)),
+    ]
+
+
+def spread_profile():
+    return Profile(Interval(k % 4 - k, k % 3 + 2) for k in range(RANKED_N))
+
+
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """Length of every list sorted by the core and rules modules."""
+    calls = []
+
+    def counting_sorted(values, *args, **kwargs):
+        values = list(values)
+        calls.append(len(values))
+        return sorted(values, *args, **kwargs)
+
+    for module in (core, rules):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    return calls
+
+
+class TestRankedEndpoints:
+    """A profile sorts its endpoints once and shares them; the ranks are
+    invisible to equality, hashing, pickling and copying."""
+
+    def test_ranked_profile_equals_unranked(self):
+        ranked, plain = spread_profile(), spread_profile()
+        median_rule_handle()(ranked)
+        assert ranked == plain and plain == ranked
+        assert hash(ranked) == hash(plain)
+        assert {plain: "found"}[ranked] == "found"
+        assert repr(ranked) == repr(plain)
+
+    def test_crowd_handles_sort_the_profile_once(self, sort_calls):
+        handles = crowd_handles()
+        sort_calls.clear()
+        profile = spread_profile()
+        first = [handle(profile) for handle in handles]
+        assert sort_calls == [RANKED_N, RANKED_N]
+        assert [handle(profile) for handle in handles] == first
+        assert sort_calls == [RANKED_N, RANKED_N]
+
+    def test_replace_agent_passes_ranks_without_a_sort(self, sort_calls):
+        handles = crowd_handles()
+        profile = spread_profile()
+        handles[0](profile)
+        sort_calls.clear()
+        child = profile.replace_agent(4, Interval(-20, 30))
+        grandchild = child.replace_agent(0, Interval(5, 6))
+        outcomes = [handle(p) for p in (child, grandchild) for handle in handles]
+        assert sort_calls == []
+        fresh = [Profile(tuple(p)) for p in (child, grandchild)]
+        assert outcomes == [handle(p) for p in fresh for handle in handles]
+
+    def test_unranked_parent_sorts_nothing_on_replace(self, sort_calls):
+        handles = crowd_handles()
+        sort_calls.clear()
+        child = spread_profile().replace_agent(4, Interval(-20, 30))
+        assert sort_calls == []
+        handles[1](child)
+        assert sort_calls == [RANKED_N, RANKED_N]
+
+    def test_pickle_carries_no_ranks(self, sort_calls):
+        handles = crowd_handles()
+        ranked = spread_profile()
+        outcomes = [handle(ranked) for handle in handles]
+        assert pickle.dumps(ranked) == pickle.dumps(spread_profile())
+        clone = pickle.loads(pickle.dumps(ranked))
+        assert type(clone) is Profile and clone == ranked
+        assert hash(clone) == hash(ranked)
+        sort_calls.clear()
+        assert [handle(clone) for handle in handles] == outcomes
+        assert sort_calls == [RANKED_N, RANKED_N]
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copies_are_equal_and_evaluate_alike(self, clone):
+        handles = crowd_handles()
+        ranked = spread_profile()
+        outcomes = [handle(ranked) for handle in handles]
+        copied = clone(ranked)
+        assert type(copied) is Profile and copied == ranked
+        assert hash(copied) == hash(ranked)
+        assert [handle(copied) for handle in handles] == outcomes
+        revised = copied.replace_agent(2, Interval(7, 8))
+        assert revised == ranked.replace_agent(2, Interval(7, 8))
+        assert [handle(revised) for handle in handles] == [
+            handle(ranked.replace_agent(2, Interval(7, 8))) for handle in handles
+        ]
 
 
 class TestPredicates:

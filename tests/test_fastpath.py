@@ -1,11 +1,15 @@
 """Differential tests: ``RuleHandle.vary_agent`` against full re-evaluation.
 
 Endpoints sit on a half-integer lattice so that ties between agents, and
-between a report and the other agents, occur often.  The exact-mean tests
-at the end draw from the whole float range instead and compare the
-averaging rule with a ``Fraction`` reference.
+between a report and the other agents, occur often.  Chains of
+``replace_agent`` revisions, which carry a profile's ranked endpoints from
+parent to child, are checked against freshly built profiles, and the
+two-list selection kernel against a sort of the pooled values.  The
+exact-mean tests at the end draw from the whole float range instead and
+compare the averaging rule with a ``Fraction`` reference.
 """
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +43,7 @@ from intervalagg import (
     valid_quota_pairs,
     validate_phantoms,
 )
+from intervalagg.rules import _kth_of_two
 
 lattice = st.integers(-6, 6).map(lambda k: k / 2.0)
 
@@ -152,6 +157,77 @@ def test_agent_index_validated(handle, index):
         handle.vary_agent(profile, index)
 
 
+# Ties, duplicate endpoints and -0.0 (which Interval stores as +0.0).
+chain_values = st.sampled_from([-3.0, -1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0])
+
+
+@st.composite
+def chain_intervals(draw):
+    lo = draw(chain_values)
+    hi = draw(chain_values.filter(lambda v: v != lo))
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+def bits(interval):
+    return tuple(value.hex() for value in interval)
+
+
+@st.composite
+def revision_chains(draw):
+    """A profile of 1..40 agents, the handles to compare, and revisions."""
+    n = draw(st.integers(1, 40))
+    profile = Profile(draw(st.lists(chain_intervals(), min_size=n, max_size=n)))
+    lower = draw(st.integers(1, n))
+    upper = draw(st.integers(1, n + 1 - lower))
+    vector = draw(phantom_vectors(n))
+    assume(validate_phantoms(vector, n) is None)
+    handles = [
+        endpoint_rule_handle(lower, upper),
+        median_rule_handle(),
+        maximal_rule_handle(),
+        phantom_rule_handle(endpoint_rule_phantoms(upper, lower, n)),
+        phantom_rule_handle(vector),
+        averaging_rule_handle(),
+    ]
+    revisions = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), chain_intervals()), min_size=1, max_size=6
+    ))
+    return profile, handles, revisions
+
+
+@given(revision_chains(), st.booleans(), st.data())
+def test_revision_chain_matches_fresh_profiles(case, rank_first, data):
+    profile, handles, revisions = case
+    if rank_first:
+        handles[0](profile)
+    for index, interval in revisions:
+        profile = profile.replace_agent(index, interval)
+        fresh = Profile(tuple(profile))
+        for handle in handles:
+            assert bits(handle(profile)) == bits(handle(fresh))
+        agent = data.draw(st.integers(0, len(profile) - 1))
+        report = data.draw(chain_intervals())
+        for handle in handles:
+            expected = bits(handle(fresh.replace_agent(agent, report)))
+            assert bits(handle.vary_agent(profile, agent)(report)) == expected
+            assert bits(handle.vary_agent(fresh, agent)(report)) == expected
+
+
+kernel_values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0])
+pool_values = st.one_of(kernel_values, st.sampled_from([NEG_INF, POS_INF]))
+
+
+@given(st.lists(kernel_values, max_size=12), st.lists(pool_values, max_size=13), st.data())
+def test_kth_of_two_matches_sorted_pool(ranked, pool, data):
+    assume(ranked or pool)
+    ranked.sort()
+    pool.sort()
+    k = data.draw(st.integers(1, len(ranked) + len(pool)))
+    expected = sorted(ranked + pool)[k - 1]
+    assert _kth_of_two(ranked, pool, k) == expected
+    assert _kth_of_two(pool, ranked, k) == expected
+
+
 def reference_search(rule, profile, agent_index, preference, config) -> ManipulationResult:
     """The search as a plain loop that rebuilds the profile per candidate."""
     truthful = rule(profile)
@@ -228,16 +304,14 @@ def reference_mean(values) -> float:
 def assert_mean_matches(outcome_of, profile):
     """``outcome_of()`` against the ``Fraction`` means of ``profile``.
 
-    Two means less than one rounding apart may round to the same float;
-    the rule then has no valid interval to return and must say so.
+    Two means less than one rounding apart may round to the same float
+    ``m``; the rule then returns ``m`` and the next float above it.
     """
     lo = reference_mean([entry.lo for entry in profile])
     hi = reference_mean([entry.hi for entry in profile])
-    if lo < hi:
-        assert outcome_of() == Interval(lo, hi)
-    else:
-        with pytest.raises(ValueError, match="lo < hi"):
-            outcome_of()
+    if lo == hi:
+        hi = math.nextafter(lo, POS_INF)
+    assert outcome_of() == Interval(lo, hi)
 
 
 @given(st.lists(wide_intervals(), min_size=1, max_size=9), st.data())
@@ -273,3 +347,16 @@ def test_exact_mean_rounds_subnormal_ties_to_even():
     assert averaging_rule(profile) == Interval(0.0, 1e-323)
     assert reference_mean([0.0, 5e-324]) == 0.0
     assert reference_mean([5e-324, 1e-323]) == 1e-323
+
+
+def test_means_one_rounding_apart_give_the_next_float_up():
+    close = Interval(11.0, math.nextafter(11.0, 20.0))
+    profile = Profile([close] + [Interval(0.0, 5e-324)] * 8)
+    mean = reference_mean([entry.lo for entry in profile])
+    assert reference_mean([entry.hi for entry in profile]) == mean
+    expected = Interval(mean, math.nextafter(mean, POS_INF))
+    assert expected == Interval(1.2222222222222223, 1.2222222222222225)
+    assert averaging_rule(profile) == expected
+    handle = averaging_rule_handle()
+    assert handle.vary_agent(profile, 0)(close) == expected
+    assert handle.vary_agent(profile.replace_agent(0, Interval(0, 1)), 0)(close) == expected
