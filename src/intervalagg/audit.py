@@ -2,10 +2,20 @@
 
 Each ``check_*`` function decides one axiom on one concrete instance and
 returns an :class:`AxiomCheck`; a failing check carries a JSON-plain
-witness that :func:`replay_witness` re-runs deterministically.  The
-:func:`audit` driver samples instances per axiom with per-sample seeds
-derived from (master seed, axiom, sample index), so a report is a pure
-function of (rule, config) no matter how the samples would be scheduled.
+witness.  One table, ``_AXIOMS``, holds a row per axiom: the function
+that decides one instance, the witness fields that make up an instance,
+a draw that samples one, and whether the default battery runs it.  An
+instance reaches its decider along one of two paths:
+
+* draw, then decide: :func:`audit` draws each sample from a stream
+  seeded by (master seed, axiom, sample index), so a report is a pure
+  function of (rule, config) no matter how the samples are scheduled;
+* replay, then decide: :func:`replay_witness` decodes the row's fields
+  from a stored witness and re-runs the same decider, so a witness
+  re-fails bit-exactly against the rule that produced it.
+
+The default battery, the full id list and each axiom's seed code (its
+place in the table, from 1) are all read off the table.
 
 Checks compare untransformed rule outputs exactly.  After a map or a
 translation has touched the numbers, endpoint comparisons allow 1e-9
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from .core import Interval, Profile, between, scalar_between, subset
@@ -90,22 +101,6 @@ UNANIMITY = "Unanimity"
 # Not an axiom of the framework: a sampled misreport search exposed
 # through the same tally machinery, opt-in.
 MANIPULATION = "Manipulation"
-
-DEFAULT_AUDIT_AXIOMS = (
-    RESPONSIVENESS,
-    ANONYMITY,
-    WEAK_NEUTRALITY,
-    TRANSLATION_EQUIVARIANCE,
-    CONTINUITY_LIPSCHITZ,
-    INDEPENDENT_ENDPOINTS,
-    OUT_BETWEENNESS,
-    LOWER_PROPERTY,
-    UPPER_PROPERTY,
-    UNANIMITY,
-)
-ALL_AXIOM_IDS = DEFAULT_AUDIT_AXIOMS + (STRONG_NEUTRALITY, MANIPULATION)
-
-_AXIOM_CODES = {axiom: code for code, axiom in enumerate(ALL_AXIOM_IDS, start=1)}
 
 # Endpoint slack after a map or translation has been applied.
 TRANSFORM_TOL = 1e-9
@@ -175,7 +170,10 @@ def check_anonymity(
 ) -> AxiomCheck:
     """Reordering the agents leaves the aggregate exactly unchanged."""
     n = len(profile)
-    if sorted(permutation) != list(range(n)):
+    # Entries must be ints, bools excluded: a JSON witness can hold 1.0,
+    # which sorts like 1 but cannot index a profile.
+    ints = all(type(source) is int for source in permutation)
+    if not ints or sorted(permutation) != list(range(n)):
         raise ValueError(
             f"{list(permutation)!r} is not a permutation of 0..{n - 1}"
         )
@@ -317,6 +315,14 @@ def check_continuity_lipschitz(
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     if epsilon == 0:
         return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
+    return _check_lipschitz(
+        rule, profile, epsilon, *_perturbations(profile, epsilon, samples, seed)
+    )
+
+
+def _perturbations(
+    profile: Profile, epsilon: float, samples: int, seed: int
+) -> list[Profile]:
     rng = random.Random(seed)
     perturbations = []
     for _ in range(samples):
@@ -330,7 +336,7 @@ def check_continuity_lipschitz(
                 )
             )
         perturbations.append(Profile(jittered))
-    return _check_lipschitz(rule, profile, epsilon, *perturbations)
+    return perturbations
 
 
 def check_independent_endpoints(
@@ -506,6 +512,16 @@ def check_manipulation(
     )
 
 
+def _decide_manipulation(
+    rule, profile, agent_index, preference, grid_seed, misreport=None
+) -> AxiomCheck:
+    # A stored misreport joins the seeded grid, so replay tries it even
+    # if candidate generation changed after the witness was written.
+    extra = () if misreport is None else (misreport,)
+    grid = GridConfig(seed=grid_seed, extra_candidates=extra)
+    return check_manipulation(rule, profile, agent_index, preference, grid)
+
+
 # --------------------------------------------------------------------------
 # Sampling
 
@@ -553,128 +569,138 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
     return Profile(agents)
 
 
-def _profile_anchors(profile: Profile, output: Interval) -> list[float]:
+# Draws take (rule, rng, sample_index, n_agents) and return the decider's
+# arguments after the rule; their order of rng calls fixes every report.
+
+
+def _draw_responsiveness(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    wider = [
+        entry if rng.random() < 0.3
+        else Interval(entry.lo - rng.uniform(0.0, 3.0), entry.hi + rng.uniform(0.0, 3.0))
+        for entry in profile
+    ]
+    return profile, Profile(wider)
+
+
+def _draw_anonymity(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    permutation = list(range(n))
+    rng.shuffle(permutation)
+    return profile, permutation
+
+
+def _draw_neutrality(rule, rng, sample_index, n, strong=False):
+    profile = sample_profile(rng, n)
+    # The anchoring evaluation goes on to the decider as the check's own
+    # output, so a sample evaluates the profile once.
+    output = rule(profile)
     anchors = [v for entry in profile for v in (entry.lo, entry.hi)]
     anchors.extend((output.lo, output.hi))
-    return anchors
+    if not strong or sample_index % 2 == 0:
+        mapping = _random_increasing_from_rng(rng, anchors)
+    elif rng.random() < 0.5:
+        mapping = MonotoneMap.affine_map(-1.0)
+    else:
+        rising = _random_increasing_from_rng(rng, anchors)
+        falling = tuple((x, -y) for x, y in rising.breakpoints)
+        mapping = MonotoneMap(falling, False, rising.left_slope, rising.right_slope)
+    return profile, mapping, output
 
 
-def _negate_map(mapping: MonotoneMap) -> MonotoneMap:
-    points = tuple((x, -y) for x, y in mapping.breakpoints)
-    return MonotoneMap(
-        points, not mapping.increasing, mapping.left_slope, mapping.right_slope
+def _draw_translation(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    roll = rng.random()
+    if roll < 0.1:
+        return profile, 0.0
+    if roll < 0.5:
+        return profile, float(rng.randint(-100, 100))
+    return profile, rng.uniform(-100.0, 100.0)
+
+
+def _draw_continuity(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    perturbations = _perturbations(
+        profile, _CONTINUITY_EPSILON, _CONTINUITY_PERTURBATIONS, rng.randrange(2**60)
     )
+    return (profile, _CONTINUITY_EPSILON, *perturbations)
 
 
-def _widened_profile(rng: random.Random, profile: Profile) -> Profile:
-    agents = []
-    for entry in profile:
-        if rng.random() < 0.3:
-            agents.append(entry)
-        else:
-            agents.append(
-                Interval(
-                    entry.lo - rng.uniform(0.0, 3.0),
-                    entry.hi + rng.uniform(0.0, 3.0),
-                )
-            )
-    return Profile(agents)
+def _draw_independent_endpoints(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    keep_lower = sample_index % 2 == 0
+    other = [
+        entry if rng.random() < 0.25
+        else Interval(entry.lo, entry.lo + rng.uniform(0.05, 8.0)) if keep_lower
+        else Interval(entry.hi - rng.uniform(0.05, 8.0), entry.hi)
+        for entry in profile
+    ]
+    return profile, Profile(other)
 
 
-def _same_side_variant(
-    rng: random.Random, profile: Profile, keep_lower: bool
-) -> Profile:
-    agents = []
-    for entry in profile:
-        if rng.random() < 0.25:
-            agents.append(entry)
-        elif keep_lower:
-            agents.append(Interval(entry.lo, entry.lo + rng.uniform(0.05, 8.0)))
-        else:
-            agents.append(Interval(entry.hi - rng.uniform(0.05, 8.0), entry.hi))
-    return Profile(agents)
+def _draw_out_betweenness(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    agent = rng.randrange(n)
+    return profile, agent, _sample_interval(rng)
 
 
-def _sample_preference(rng: random.Random, peak: Interval) -> Preference:
+def _draw_side_property(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    agent = rng.randrange(n)
+    if rng.random() < 0.1:
+        return profile, profile, agent
+    return profile, profile.replace_agent(agent, _sample_interval(rng)), agent
+
+
+def _draw_unanimity(rule, rng, sample_index, n):
+    return _sample_interval(rng), n
+
+
+def _draw_manipulation(rule, rng, sample_index, n):
+    profile = sample_profile(rng, n)
+    agent = rng.randrange(n)
     if rng.random() < 0.5:
         # Log-uniform weights in [0.1, 10] avoid weight-specific blind spots.
-        return WeightedL1Preference(
-            peak, 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)
+        preference = WeightedL1Preference(
+            profile[agent], 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)
         )
-    return PenaltyPreference(peak, _sample_interval(rng))
+    else:
+        preference = PenaltyPreference(profile[agent], _sample_interval(rng))
+    return profile, agent, preference, rng.randrange(2**60)
 
 
-def _run_axiom_sample(
-    axiom: str,
-    rule: RuleHandle,
-    rng: random.Random,
-    sample_index: int,
-    n: int,
-) -> AxiomCheck:
-    if axiom == RESPONSIVENESS:
-        profile = sample_profile(rng, n)
-        return check_responsiveness(rule, profile, _widened_profile(rng, profile))
-    if axiom == ANONYMITY:
-        profile = sample_profile(rng, n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        return check_anonymity(rule, profile, perm)
-    if axiom == WEAK_NEUTRALITY or axiom == STRONG_NEUTRALITY:
-        profile = sample_profile(rng, n)
-        # The anchoring evaluation is also the check's own output.
-        output = rule(profile)
-        anchors = _profile_anchors(profile, output)
-        if axiom == WEAK_NEUTRALITY or sample_index % 2 == 0:
-            mapping = _random_increasing_from_rng(rng, anchors)
-        elif rng.random() < 0.5:
-            mapping = MonotoneMap.affine_map(-1.0)
-        else:
-            mapping = _negate_map(_random_increasing_from_rng(rng, anchors))
-        return _neutrality_check(axiom, rule, profile, mapping, output)
-    if axiom == TRANSLATION_EQUIVARIANCE:
-        profile = sample_profile(rng, n)
-        roll = rng.random()
-        if roll < 0.1:
-            offset = 0.0
-        elif roll < 0.5:
-            offset = float(rng.randint(-100, 100))
-        else:
-            offset = rng.uniform(-100.0, 100.0)
-        return check_translation_equivariance(rule, profile, offset)
-    if axiom == CONTINUITY_LIPSCHITZ:
-        profile = sample_profile(rng, n)
-        return check_continuity_lipschitz(
-            rule, profile, _CONTINUITY_EPSILON, seed=rng.randrange(2**60)
-        )
-    if axiom == INDEPENDENT_ENDPOINTS:
-        profile = sample_profile(rng, n)
-        keep_lower = sample_index % 2 == 0
-        return check_independent_endpoints(
-            rule, profile, _same_side_variant(rng, profile, keep_lower)
-        )
-    if axiom == OUT_BETWEENNESS:
-        profile = sample_profile(rng, n)
-        agent = rng.randrange(n)
-        return check_out_betweenness(rule, profile, agent, _sample_interval(rng))
-    if axiom == LOWER_PROPERTY or axiom == UPPER_PROPERTY:
-        profile = sample_profile(rng, n)
-        agent = rng.randrange(n)
-        if rng.random() < 0.1:
-            other = profile
-        else:
-            other = profile.replace_agent(agent, _sample_interval(rng))
-        if axiom == LOWER_PROPERTY:
-            return check_lower_property(rule, profile, other, agent)
-        return check_upper_property(rule, profile, other, agent)
-    if axiom == UNANIMITY:
-        return check_unanimity(rule, _sample_interval(rng), n)
-    if axiom == MANIPULATION:
-        profile = sample_profile(rng, n)
-        agent = rng.randrange(n)
-        preference = _sample_preference(rng, profile[agent])
-        grid = GridConfig(seed=rng.randrange(2**60))
-        return check_manipulation(rule, profile, agent, preference, grid)
-    raise ValueError(f"unknown axiom id: {axiom!r}")
+# One row per axiom: (decide, the witness fields replay passes to decide,
+# draw, whether the default battery runs it).  An axiom's seed code is its
+# place here, from 1, so moving a row changes the samples of every report.
+_AXIOMS = {
+    RESPONSIVENESS: (check_responsiveness, ("profile", "wider_profile"),
+                     _draw_responsiveness, True),
+    ANONYMITY: (check_anonymity, ("profile", "permutation"), _draw_anonymity, True),
+    WEAK_NEUTRALITY: (partial(_neutrality_check, WEAK_NEUTRALITY), ("profile", "map"),
+                      _draw_neutrality, True),
+    TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset"),
+                               _draw_translation, True),
+    CONTINUITY_LIPSCHITZ: (_check_lipschitz, ("profile", "epsilon", "perturbed"),
+                           _draw_continuity, True),
+    INDEPENDENT_ENDPOINTS: (check_independent_endpoints, ("profile", "other"),
+                            _draw_independent_endpoints, True),
+    OUT_BETWEENNESS: (check_out_betweenness, ("profile", "agent", "misreport"),
+                      _draw_out_betweenness, True),
+    LOWER_PROPERTY: (check_lower_property, ("profile", "other", "agent"),
+                     _draw_side_property, True),
+    UPPER_PROPERTY: (check_upper_property, ("profile", "other", "agent"),
+                     _draw_side_property, True),
+    UNANIMITY: (check_unanimity, ("judgment", "n_agents"), _draw_unanimity, True),
+    STRONG_NEUTRALITY: (partial(_neutrality_check, STRONG_NEUTRALITY), ("profile", "map"),
+                        partial(_draw_neutrality, strong=True), False),
+    MANIPULATION: (_decide_manipulation,
+                   ("profile", "agent", "preference", "grid_seed", "misreport"),
+                   _draw_manipulation, False),
+}
+
+ALL_AXIOM_IDS = tuple(_AXIOMS)
+DEFAULT_AUDIT_AXIOMS = tuple(a for a, (_, _, _, default) in _AXIOMS.items() if default)
+_AXIOM_CODES = {axiom: code for code, axiom in enumerate(_AXIOMS, start=1)}
 
 
 @dataclass
@@ -812,12 +838,11 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     rng = random.Random()
     for axiom in config.axioms:
         tally = tallies[axiom]
+        decide, _, draw, _ = _AXIOMS[axiom]
         for sample_index in range(config.samples):
             rng.seed(_derive_seed(config.seed, axiom, sample_index))
             try:
-                check = _run_axiom_sample(
-                    axiom, rule, rng, sample_index, config.n_agents
-                )
+                check = decide(rule, *draw(rule, rng, sample_index, config.n_agents))
             except RuleEvaluationError as error:
                 tally.samples += 1
                 tally.eval_errors += 1
@@ -835,20 +860,6 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
                 if tally.first_witness is None:
                     tally.first_witness = check.witness
     return report
-
-
-def _replay_manipulation(
-    rule: RuleHandle,
-    profile: Profile,
-    agent_index: int,
-    preference: Preference,
-    grid_seed: int,
-    misreport: Interval,
-) -> AxiomCheck:
-    # The stored misreport joins the seeded grid, so replay tries it even
-    # if candidate generation changed after the witness was written.
-    grid = GridConfig(seed=grid_seed, extra_candidates=(misreport,))
-    return check_manipulation(rule, profile, agent_index, preference, grid)
 
 
 def _pref_data(preference: Preference) -> dict:
@@ -913,42 +924,27 @@ _WITNESS_DECODERS = {
     "preference": _pref_from,
 }
 
-# Per axiom: the function that decides one stored instance, and the
-# witness fields it takes after the rule, in argument order.
-_WITNESS_REPLAY = {
-    RESPONSIVENESS: (check_responsiveness, ("profile", "wider_profile")),
-    ANONYMITY: (check_anonymity, ("profile", "permutation")),
-    WEAK_NEUTRALITY: (check_weak_neutrality, ("profile", "map")),
-    STRONG_NEUTRALITY: (check_strong_neutrality, ("profile", "map")),
-    TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset")),
-    CONTINUITY_LIPSCHITZ: (_check_lipschitz, ("profile", "epsilon", "perturbed")),
-    INDEPENDENT_ENDPOINTS: (check_independent_endpoints, ("profile", "other")),
-    OUT_BETWEENNESS: (check_out_betweenness, ("profile", "agent", "misreport")),
-    LOWER_PROPERTY: (check_lower_property, ("profile", "other", "agent")),
-    UPPER_PROPERTY: (check_upper_property, ("profile", "other", "agent")),
-    UNANIMITY: (check_unanimity, ("judgment", "n_agents")),
-    MANIPULATION: (
-        _replay_manipulation,
-        ("profile", "agent", "preference", "grid_seed", "misreport"),
-    ),
-}
-
 
 def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     """Re-run the exact instance stored in a witness dict.
 
     A witness produced by a failing check re-fails bit-exactly against
-    the same rule; this is the soundness guarantee audits rest on.
+    the same rule; this is the soundness guarantee audits rest on.  A
+    witness without its axiom or a field its axiom reads is a ValueError.
     """
+    if "axiom" not in witness:
+        raise ValueError("witness has no 'axiom' field")
     axiom = witness["axiom"]
-    if axiom not in _WITNESS_REPLAY:
+    if not isinstance(axiom, str) or axiom not in _AXIOMS:
         raise ValueError(f"unknown axiom id in witness: {axiom!r}")
-    check, fields = _WITNESS_REPLAY[axiom]
+    decide, fields, _, _ = _AXIOMS[axiom]
     args = []
     for name in fields:
+        if name not in witness:
+            raise ValueError(f"{axiom} witness has no {name!r} field")
         decode = _WITNESS_DECODERS.get(name)
         args.append(witness[name] if decode is None else decode(witness[name]))
-    return check(rule, *args)
+    return decide(rule, *args)
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .audit import (
     ALL_AXIOM_IDS,
+    DEFAULT_AUDIT_AXIOMS,
     AuditConfig,
     audit,
     identify_endpoint_rule,
@@ -528,8 +529,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--axioms",
         default=None,
         help=(
-            "comma-separated axiom ids (default: all except StrongNeutrality "
-            "and Manipulation); known ids: " + ", ".join(ALL_AXIOM_IDS)
+            "comma-separated axiom ids (default: "
+            + ", ".join(DEFAULT_AUDIT_AXIOMS)
+            + "; opt-in: "
+            + ", ".join(a for a in ALL_AXIOM_IDS if a not in DEFAULT_AUDIT_AXIOMS)
+            + ")"
         ),
     )
     p_audit.add_argument(

@@ -339,15 +339,16 @@ def validate_phantoms(vector: PhantomVector, n_agents: int) -> Optional[str]:
     following counts at most ``n_agents``:
 
     * phantoms with lower bound ``-inf``,
-    * phantoms with upper bound ``+inf``,
-    * copies of ``(+inf, +inf)``,
-    * copies of ``(-inf, -inf)``.
+    * phantoms with upper bound ``+inf``.
 
-    These four bounds are exactly what rules out an unbounded or empty
+    These two bounds are exactly what rules out an unbounded or empty
     aggregate: if the pooled median came out invalid, more than
     ``n_agents`` of the ``2n + 1`` pooled intervals would have to push
     the same endpoint past the other side, and the ``n_agents`` real
-    judgments are finite.
+    judgments are finite.  Copies of ``(+inf, +inf)`` need no count of
+    their own: each also has upper bound ``+inf``, so too many of them
+    already break the second bound; ``(-inf, -inf)`` mirrors this on
+    the first.
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
@@ -359,8 +360,6 @@ def validate_phantoms(vector: PhantomVector, n_agents: int) -> Optional[str]:
         )
     lo_neg_inf = sum(1 for ph in vector if ph.lo == NEG_INF)
     hi_pos_inf = sum(1 for ph in vector if ph.hi == POS_INF)
-    all_pos_inf = sum(1 for ph in vector if ph.lo == POS_INF)
-    all_neg_inf = sum(1 for ph in vector if ph.hi == NEG_INF)
     if lo_neg_inf > n_agents:
         return (
             f"{lo_neg_inf} phantoms have lower bound -inf, "
@@ -372,18 +371,6 @@ def validate_phantoms(vector: PhantomVector, n_agents: int) -> Optional[str]:
             f"{hi_pos_inf} phantoms have upper bound +inf, "
             f"at most {n_agents} allowed: the aggregate upper bound "
             "could be +inf"
-        )
-    if all_pos_inf > n_agents:
-        return (
-            f"{all_pos_inf} phantoms equal (+inf, +inf), "
-            f"at most {n_agents} allowed: the aggregate could be empty "
-            "from above"
-        )
-    if all_neg_inf > n_agents:
-        return (
-            f"{all_neg_inf} phantoms equal (-inf, -inf), "
-            f"at most {n_agents} allowed: the aggregate could be empty "
-            "from below"
         )
     return None
 

@@ -36,11 +36,12 @@ from intervalagg import (
     replay_witness,
     staircase_profile,
 )
-from intervalagg.audit import _WITNESS_REPLAY
+from intervalagg.audit import _AXIOM_CODES, _AXIOMS
 
 from .conftest import BENCHMARK_PROFILE
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_WITNESSES = json.loads((GOLDEN_DIR / "witnesses_n3.json").read_text())
 
 
 def narrowest_rule():
@@ -159,6 +160,15 @@ class TestAnonymity:
     def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError):
             check_anonymity(median_rule_handle(), BENCHMARK_PROFILE, [0, 0, 1])
+
+    # Each sorts equal to [0, 1, 2]; none can index a profile as given.
+    @pytest.mark.parametrize("permutation", [[1.0, 0, 2], [True, False, 2]])
+    def test_non_int_entries_rejected(self, permutation):
+        with pytest.raises(ValueError, match="not a permutation"):
+            check_anonymity(median_rule_handle(), BENCHMARK_PROFILE, permutation)
+        witness = dict(GOLDEN_WITNESSES["Anonymity"], permutation=permutation)
+        with pytest.raises(ValueError, match="not a permutation"):
+            replay_witness(dictatorial_rule(), json.loads(json.dumps(witness)))
 
 
 class TestNeutrality:
@@ -430,6 +440,23 @@ class TestManipulationCheck:
         assert not again.passed
         assert again.witness["misreport"] == check.witness["misreport"]
 
+    def test_penalty_witness_replays_bit_exactly(self):
+        from intervalagg import PenaltyPreference
+
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        preference = PenaltyPreference(Interval(0, 1), Interval(5, 6))
+        check = check_manipulation(averaging_rule_handle(), profile, 0, preference)
+        assert not check.passed
+        assert check.witness["preference"]["kind"] == "penalty"
+        text = json.dumps(check.witness)
+        again = replay_witness(averaging_rule_handle(), json.loads(text))
+        assert json.dumps(again.witness) == text
+
+        witness = json.loads(text)
+        witness["preference"]["kind"] = "quadratic"
+        with pytest.raises(ValueError, match="unknown preference kind: 'quadratic'"):
+            replay_witness(averaging_rule_handle(), witness)
+
 
 class TestAuditCampaigns:
     def test_symmetric_rule_fully_compliant(self):
@@ -640,9 +667,61 @@ def test_readme_lists_the_fields_replay_reads():
         fields = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", fields))
         for axiom in re.findall(r"`(\w+)`", axioms):
             documented[axiom] = tuple(fields)
-    assert documented == {
-        axiom: fields for axiom, (_, fields) in _WITNESS_REPLAY.items()
-    }
+    replayed = {axiom: fields for axiom, (_, fields, _, _) in _AXIOMS.items()}
+    assert documented == replayed
+
+
+# Each axiom's seed code; moving a row of the table changes every report.
+@pytest.mark.parametrize("axiom,code", [
+    ("Responsiveness", 1),
+    ("Anonymity", 2),
+    ("WeakNeutrality", 3),
+    ("TranslationEquivariance", 4),
+    ("ContinuityLipschitz", 5),
+    ("IndependentEndpoints", 6),
+    ("OutBetweenness", 7),
+    ("LowerProperty", 8),
+    ("UpperProperty", 9),
+    ("Unanimity", 10),
+    ("StrongNeutrality", 11),
+    ("Manipulation", 12),
+])
+def test_axiom_keeps_its_seed_code(axiom, code):
+    assert _AXIOM_CODES[axiom] == code
+    assert ALL_AXIOM_IDS[code - 1] == axiom
+
+
+def test_readme_lists_the_default_and_opt_in_axioms():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("Checked axioms:")[1].split("\n\n")[0]
+    default_part, opt_in_part = section.split(" by default")
+    opt_in = tuple(a for a in ALL_AXIOM_IDS if a not in DEFAULT_AUDIT_AXIOMS)
+    assert tuple(re.findall(r"`(\w+)`", default_part)) == DEFAULT_AUDIT_AXIOMS
+    assert tuple(re.findall(r"`(\w+)`", opt_in_part)) == opt_in
+
+
+class TestReplayInput:
+    @pytest.mark.parametrize("axiom", ALL_AXIOM_IDS)
+    def test_missing_field_names_axiom_and_field(self, axiom):
+        _, fields, _, _ = _AXIOMS[axiom]
+        for field in fields:
+            witness = dict(GOLDEN_WITNESSES[axiom])
+            del witness[field]
+            message = f"{axiom} witness has no '{field}' field"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                replay_witness(averaging_rule_handle(), witness)
+
+    def test_missing_axiom_rejected(self):
+        witness = dict(GOLDEN_WITNESSES["Unanimity"])
+        del witness["axiom"]
+        with pytest.raises(ValueError, match="no 'axiom' field"):
+            replay_witness(averaging_rule_handle(), witness)
+
+    @pytest.mark.parametrize("axiom", ["NoSuchAxiom", ["Unanimity"], None])
+    def test_unknown_axiom_rejected(self, axiom):
+        witness = dict(GOLDEN_WITNESSES["Unanimity"], axiom=axiom)
+        with pytest.raises(ValueError, match="unknown axiom id"):
+            replay_witness(averaging_rule_handle(), witness)
 
 
 class TestEvaluationErrors:

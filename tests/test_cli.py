@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from intervalagg import Interval, Profile, RuleEvaluationError, maximal_rule
+from intervalagg import (
+    ALL_AXIOM_IDS,
+    DEFAULT_AUDIT_AXIOMS,
+    Interval,
+    Profile,
+    RuleEvaluationError,
+    maximal_rule,
+)
 from intervalagg.cli import (
     CommandError,
     extern_rule_adapter,
@@ -356,6 +363,39 @@ class TestExternAdapter:
         assert code == 2
         assert "rule evaluation failed" in err
 
+    def test_crashing_rule_is_evaluation_error(self, capsys, committee_file):
+        command = extern_command("crash.py")
+        with pytest.raises(
+            RuleEvaluationError,
+            match="rule process exited 1: crash fixture: cannot aggregate",
+        ):
+            extern_rule_adapter(command)(BENCHMARK_PROFILE)
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{command}",
+            "--profile", committee_file,
+        )
+        assert code == 2
+        assert "rule evaluation failed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("reply", ["[1, 2]", '{"lo": 1}', "3"])
+    def test_reply_that_is_not_a_bounds_object_is_evaluation_error(
+        self, capsys, tmp_path, committee_file, reply
+    ):
+        script = tmp_path / "non_object_reply.py"
+        script.write_text(f"import sys\nsys.stdin.read()\nprint({reply!r})\n")
+        command = f"{sys.executable} {script}"
+        with pytest.raises(
+            RuleEvaluationError,
+            match="rule reply must be an object with 'lo' and 'hi'",
+        ):
+            extern_rule_adapter(command)(BENCHMARK_PROFILE)
+        code, _, err = run_cli(
+            capsys, "aggregate", "--rule", f"extern:{command}",
+            "--profile", committee_file,
+        )
+        assert code == 2
+        assert "rule evaluation failed" in err and "Traceback" not in err
+
     # 401 digits overflow float(); 5000 pass the int digit limit of json.
     @pytest.mark.parametrize("digits", [401, 5000])
     def test_oversized_integer_reply_is_evaluation_error(
@@ -438,6 +478,17 @@ class TestExternAdapter:
 
 
 class TestAuditCommand:
+    def test_axioms_help_lists_the_default_and_opt_in_ids(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+        with pytest.raises(SystemExit):
+            main(["audit", "--help"])
+        opt_in = [a for a in ALL_AXIOM_IDS if a not in DEFAULT_AUDIT_AXIOMS]
+        listed = (
+            f"(default: {', '.join(DEFAULT_AUDIT_AXIOMS)}; "
+            f"opt-in: {', '.join(opt_in)})"
+        )
+        assert listed in capsys.readouterr().out
+
     def test_compliant_rule_exits_0_and_writes_report(
         self, capsys, tmp_path
     ):

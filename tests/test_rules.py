@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -35,6 +36,16 @@ from .strategies import intervals, profiles, profiles_with_quotas
 TOP = ExtendedInterval(POS_INF, POS_INF)
 BOTTOM = ExtendedInterval(NEG_INF, NEG_INF)
 WHOLE = ExtendedInterval(NEG_INF, POS_INF)
+# Every shape of extended interval, with finite bounds at 0 and 1.
+PHANTOM_ALPHABET = (
+    BOTTOM,
+    ExtendedInterval(NEG_INF, 0),
+    ExtendedInterval(NEG_INF, 1),
+    WHOLE,
+    ExtendedInterval(0, POS_INF),
+    ExtendedInterval(1, POS_INF),
+    TOP,
+)
 
 
 def count_oracle_probes(values):
@@ -220,6 +231,35 @@ class TestPhantoms:
         reason = validate_phantoms(PhantomVector(vector), n)
         assert reason is not None
         assert fragment in reason
+
+    def test_validation_matches_pooled_median_on_every_small_vector(self):
+        # The pooled median read straight off the sorted bounds, with no
+        # validation, shows what an invalid vector would produce.
+        def pooled_median(vector, profile):
+            n = len(profile)
+            lows = sorted([iv.lo for iv in profile] + [ph.lo for ph in vector])
+            highs = sorted([iv.hi for iv in profile] + [ph.hi for ph in vector])
+            return lows[n], highs[n]
+
+        checked = 0
+        for n in range(1, 5):
+            probes = [
+                Profile((Interval(0, 1),) * n),
+                Profile(Interval(2 * k - 1, 2 * k) for k in range(1, n + 1)),
+                Profile(Interval(-2 * k, 1 - 2 * k) for k in range(1, n + 1)),
+            ]
+            for entries in itertools.combinations_with_replacement(
+                PHANTOM_ALPHABET, n + 1
+            ):
+                vector = PhantomVector(entries)
+                outputs = [pooled_median(vector, probe) for probe in probes]
+                sound = all(
+                    math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                    for lo, hi in outputs
+                )
+                assert (validate_phantoms(vector, n) is None) == sound, entries
+                checked += 1
+        assert checked == 784
 
     def test_phantom_vector_type_checks(self):
         with pytest.raises(ValueError):
