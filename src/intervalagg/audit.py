@@ -32,6 +32,7 @@ confirmed against the reconstructed rule on random profiles.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -126,12 +127,43 @@ class AxiomCheck:
     witness: Optional[dict] = None
 
 
+# Witness field decoders: each reads one field's JSON value and raises on
+# anything a failing check could not have written there.
+
+
+def _number_from(data, least: Optional[float] = None) -> float:
+    # A bool is an int to Python but never a stored number.
+    if type(data) not in (int, float) or not math.isfinite(data):
+        raise ValueError(f"expected a finite number, got {data!r}")
+    if least is not None and data < least:
+        raise ValueError(f"expected a number >= {least}, got {data!r}")
+    return data
+
+
+def _int_from(data, least: Optional[int] = None) -> int:
+    if type(data) is not int:
+        raise ValueError(f"expected an int, got {data!r}")
+    if least is not None and data < least:
+        raise ValueError(f"expected an int >= {least}, got {data!r}")
+    return data
+
+
 def _interval_from(data: Sequence[float]) -> Interval:
-    return Interval(data[0], data[1])
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError(f"expected a [lo, hi] pair, got {data!r}")
+    return Interval(_number_from(data[0]), _number_from(data[1]))
 
 
 def _profile_from(data: Sequence[Sequence[float]]) -> Profile:
-    return Profile(Interval(lo, hi) for lo, hi in data)
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"expected a list of [lo, hi] pairs, got {data!r}")
+    return Profile(map(_interval_from, data))
+
+
+def _permutation_from(data: Sequence[int]) -> list[int]:
+    if not isinstance(data, (list, tuple)) or any(type(v) is not int for v in data):
+        raise ValueError(f"{data!r} is not a permutation (a list of agent indices)")
+    return data
 
 
 def _close(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -878,11 +910,13 @@ def _pref_data(preference: Preference) -> dict:
 
 
 def _pref_from(data: Mapping) -> Preference:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a preference object, got {data!r}")
     if data["kind"] == "weighted_l1":
         return WeightedL1Preference(
             _interval_from(data["peak"]),
-            data["lower_weight"],
-            data["upper_weight"],
+            _number_from(data["lower_weight"]),
+            _number_from(data["upper_weight"]),
         )
     if data["kind"] == "penalty":
         return PenaltyPreference(
@@ -912,7 +946,7 @@ def _failure(axiom: str, **fields) -> AxiomCheck:
     return AxiomCheck(axiom, False, witness)
 
 
-# How a witness field is read back; a field not listed is plain JSON.
+# How each witness field a row of _AXIOMS lists is read back and checked.
 _WITNESS_DECODERS = {
     "profile": _profile_from,
     "wider_profile": _profile_from,
@@ -922,6 +956,12 @@ _WITNESS_DECODERS = {
     "judgment": _interval_from,
     "map": map_from_data,
     "preference": _pref_from,
+    "permutation": _permutation_from,
+    "offset": _number_from,
+    "epsilon": partial(_number_from, least=0.0),
+    "agent": partial(_int_from, least=0),
+    "n_agents": partial(_int_from, least=1),
+    "grid_seed": _int_from,
 }
 
 
@@ -930,7 +970,9 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
 
     A witness produced by a failing check re-fails bit-exactly against
     the same rule; this is the soundness guarantee audits rest on.  A
-    witness without its axiom or a field its axiom reads is a ValueError.
+    witness without its axiom, or with a field its axiom reads missing
+    or malformed, is a ValueError naming the axiom and the field, raised
+    before the rule is evaluated.
     """
     if "axiom" not in witness:
         raise ValueError("witness has no 'axiom' field")
@@ -942,8 +984,13 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     for name in fields:
         if name not in witness:
             raise ValueError(f"{axiom} witness has no {name!r} field")
-        decode = _WITNESS_DECODERS.get(name)
-        args.append(witness[name] if decode is None else decode(witness[name]))
+        try:
+            args.append(_WITNESS_DECODERS[name](witness[name]))
+        except (TypeError, ValueError, KeyError, OverflowError) as error:
+            detail = f"missing key {error}" if isinstance(error, KeyError) else error
+            raise ValueError(
+                f"{axiom} witness field {name!r} is malformed: {detail}"
+            ) from error
     return decide(rule, *args)
 
 

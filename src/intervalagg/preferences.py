@@ -124,6 +124,18 @@ class GridConfig:
     seed: int = 0
     extra_candidates: tuple[Interval, ...] = ()
 
+    def __post_init__(self) -> None:
+        count = self.random_candidates
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TypeError(f"random_candidates must be an int, got {count!r}")
+        if count < 0:
+            raise ValueError(f"random_candidates must be >= 0, got {count}")
+        for pos, entry in enumerate(self.extra_candidates):
+            if not isinstance(entry, Interval):
+                raise TypeError(
+                    f"extra_candidates entry {pos} is not an Interval: {entry!r}"
+                )
+
 
 @dataclass(frozen=True)
 class ManipulationResult:
@@ -148,9 +160,14 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
     Grid values: every profile endpoint, midpoints of adjacent distinct
     values, and outward margins at each configured delta.  Candidates are
     all increasing pairs of grid values, plus a seeded uniform cloud over
-    a box twice the profile span, plus any ``extra_candidates``.  The
-    returned list is sorted and duplicate-free, which fixes the search
-    order and hence the tie-break.
+    a box reaching twice the profile span beyond each side of it, plus
+    any ``extra_candidates``.  The returned list is sorted and
+    duplicate-free, which fixes the search order and hence the tie-break.
+
+    The grid pairs come out of ``combinations`` already sorted and
+    distinct, so only the cloud and the extras are deduplicated (a pair
+    of two grid values is already on the grid) and merged in with one
+    sort of the two sorted runs.
 
     Near float max, midpoints are taken as half-sums, margins that
     overflow are dropped and the random box is clipped to the finite
@@ -168,8 +185,7 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
             for point in (lowest - delta, highest + delta)
             if math.isfinite(point)
         )
-    points = sorted(grid)
-    candidates = {Interval(a, b) for a, b in combinations(points, 2)}
+    candidates = [Interval(a, b) for a, b in combinations(sorted(grid), 2)]
     span = max(highest - lowest, 1.0)
     box_lo = max(lowest - 2.0 * span, -_FLOAT_MAX)
     box_hi = min(highest + 2.0 * span, _FLOAT_MAX)
@@ -178,16 +194,23 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
         uniform = rng.uniform
     else:
         uniform = partial(_wide_uniform, rng)
+    others = []  # the cloud, then the extras
     made = 0
     while made < config.random_candidates:
         a = uniform(box_lo, box_hi)
         b = uniform(box_lo, box_hi)
         if a == b:
             continue
-        candidates.add(Interval(min(a, b), max(a, b)))
+        others.append(Interval(a, b) if a < b else Interval(b, a))
         made += 1
-    candidates.update(config.extra_candidates)
-    return sorted(candidates)
+    others.extend(config.extra_candidates)
+    off_grid = {
+        candidate for candidate in others
+        if candidate.lo not in grid or candidate.hi not in grid
+    }
+    candidates.extend(sorted(off_grid))
+    candidates.sort()
+    return candidates
 
 
 def _wide_uniform(rng: random.Random, lo: float, hi: float) -> float:

@@ -191,11 +191,20 @@ def _vary_select(
     lo_floor, lo_ceiling = _rank_bounds(lows, pool_lows, lo_rank)
     hi_floor, hi_ceiling = _rank_bounds(highs, pool_highs, hi_rank)
 
+    # Comparisons instead of min(max(...)): floor <= ceiling, so at most
+    # one bound applies, and an unclamped endpoint is passed on as it is.
     def outcome(report: Interval) -> Interval:
-        return Interval(
-            min(max(report.lo, lo_floor), lo_ceiling),
-            min(max(report.hi, hi_floor), hi_ceiling),
-        )
+        lo = report.lo
+        hi = report.hi
+        if lo < lo_floor:
+            lo = lo_floor
+        elif lo > lo_ceiling:
+            lo = lo_ceiling
+        if hi < hi_floor:
+            hi = hi_floor
+        elif hi > hi_ceiling:
+            hi = hi_ceiling
+        return Interval(lo, hi)
 
     return outcome
 

@@ -723,6 +723,51 @@ class TestReplayInput:
         with pytest.raises(ValueError, match="unknown axiom id"):
             replay_witness(averaging_rule_handle(), witness)
 
+    # One malformed value per case, put into a golden witness.
+    @pytest.mark.parametrize("axiom,field,value,detail", [
+        ("Anonymity", "permutation", 5, "5 is not a permutation"),
+        ("Anonymity", "permutation", [0, "1", 2], "is not a permutation"),
+        ("TranslationEquivariance", "offset", "3", "expected a finite number"),
+        ("TranslationEquivariance", "offset", True, "expected a finite number"),
+        ("TranslationEquivariance", "offset", 10**400, "too large"),
+        ("ContinuityLipschitz", "epsilon", float("nan"), "expected a finite number"),
+        ("ContinuityLipschitz", "epsilon", -0.5, "expected a number >= 0.0"),
+        ("ContinuityLipschitz", "perturbed", [[0, 1, 2]], "expected a [lo, hi] pair"),
+        ("OutBetweenness", "agent", [1], "expected an int, got [1]"),
+        ("OutBetweenness", "misreport", [2, 1], "interval needs lo < hi"),
+        ("LowerProperty", "agent", -1, "expected an int >= 0"),
+        ("Unanimity", "n_agents", 2.0, "expected an int, got 2.0"),
+        ("Unanimity", "n_agents", 0, "expected an int >= 1"),
+        ("Unanimity", "judgment", [1], "expected a [lo, hi] pair"),
+        ("Responsiveness", "profile", 5, "expected a list of [lo, hi] pairs"),
+        ("IndependentEndpoints", "other", [["0", 1]], "expected a finite number"),
+        ("WeakNeutrality", "map", {"breakpoints": []}, "missing key 'direction'"),
+        ("Manipulation", "grid_seed", "7", "expected an int"),
+        ("Manipulation", "preference", {"peak": [0, 1]}, "missing key 'kind'"),
+        ("Manipulation", "preference", [0, 1], "expected a preference object"),
+    ])
+    def test_malformed_field_names_axiom_and_field(self, axiom, field, value, detail):
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return median_rule(profile)
+
+        witness = dict(GOLDEN_WITNESSES[axiom], **{field: value})
+        message = f"{axiom} witness field '{field}' is malformed: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(detail)):
+            replay_witness(RuleHandle("counting", counting), witness)
+        assert calls == []
+
+    @pytest.mark.parametrize("error", [ValueError("own"), RuleEvaluationError("own")])
+    def test_errors_the_rule_raises_propagate(self, error):
+        def broken(profile):
+            raise error
+
+        for axiom in ALL_AXIOM_IDS:
+            with pytest.raises(type(error), match="^own$"):
+                replay_witness(RuleHandle("broken", broken), GOLDEN_WITNESSES[axiom])
+
 
 class TestEvaluationErrors:
     def test_always_failing_rule_aborts_campaign(self):

@@ -262,7 +262,9 @@ def test_find_manipulation_matches_reference_loop():
             endpoint_rule_handle(*quotas),
             phantom_rule_handle(endpoint_rule_phantoms(*quotas, n)),
             averaging_rule_handle(),
-        ][trial % 3]
+            median_rule_handle(),
+            maximal_rule_handle(),
+        ][trial % 5]
         if trial % 2:
             preference = WeightedL1Preference(profile[agent], rng.uniform(0.1, 10), rng.uniform(0.1, 10))
         else:

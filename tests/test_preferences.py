@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -206,12 +208,38 @@ class TestCandidateGrid:
             st.lists(wide_intervals(), min_size=1, max_size=4).map(Profile),
         ),
         st.integers(0, 2**31),
+        st.sampled_from([0, 20]),
     )
-    def test_finite_profiles_keep_the_grid(self, profile, seed):
-        config = GridConfig(random_candidates=20, seed=seed)
-        assert candidate_misreports(profile, config) == reference_candidates(
-            profile, config
-        )
+    def test_finite_profiles_keep_the_grid(self, profile, seed, cloud_size):
+        config = GridConfig(random_candidates=cloud_size, seed=seed)
+        grid = reference_candidates(profile, GridConfig(random_candidates=0))
+        with_cloud = reference_candidates(profile, config)
+        cloud = sorted(set(with_cloud) - set(grid))
+        lowest = grid[0].lo
+        # One extra on the grid, one below every grid value (so on neither
+        # the grid nor, but for a zero-probability draw, the cloud) and
+        # one equal to a cloud point when there is a cloud.
+        on_grid = grid[len(grid) // 2]
+        on_neither = Interval(lowest - max(1.0, abs(lowest)), lowest)
+        extras = (on_grid, on_neither, *cloud[:1])
+        config = replace(config, extra_candidates=extras)
+        merged = candidate_misreports(profile, config)
+        assert merged == reference_candidates(profile, config)
+        assert on_neither not in with_cloud
+        assert len(merged) == len(with_cloud) + 1
+
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"extra_candidates": ((1.3, 2.7),)}, TypeError,
+         "extra_candidates entry 0 is not an Interval: (1.3, 2.7)"),
+        ({"extra_candidates": (Interval(0, 1), [2, 3])}, TypeError,
+         "extra_candidates entry 1 is not an Interval"),
+        ({"random_candidates": 2.5}, TypeError, "random_candidates must be an int"),
+        ({"random_candidates": True}, TypeError, "random_candidates must be an int"),
+        ({"random_candidates": -3}, ValueError, "random_candidates must be >= 0"),
+    ])
+    def test_config_validation(self, kwargs, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            GridConfig(**kwargs)
 
     @pytest.mark.parametrize("deltas", [(1.0, 10.0, 100.0), (1e308,)])
     def test_near_float_max_profile_stays_finite(self, deltas):
