@@ -971,8 +971,9 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     A witness produced by a failing check re-fails bit-exactly against
     the same rule; this is the soundness guarantee audits rest on.  A
     witness without its axiom, or with a field its axiom reads missing
-    or malformed, is a ValueError naming the axiom and the field, raised
-    before the rule is evaluated.
+    or malformed (an ``agent`` outside its profile included), is a
+    ValueError naming the axiom and the field, raised before the rule is
+    evaluated.
     """
     if "axiom" not in witness:
         raise ValueError("witness has no 'axiom' field")
@@ -980,18 +981,24 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     if not isinstance(axiom, str) or axiom not in _AXIOMS:
         raise ValueError(f"unknown axiom id in witness: {axiom!r}")
     decide, fields, _, _ = _AXIOMS[axiom]
-    args = []
+    args = {}
     for name in fields:
         if name not in witness:
             raise ValueError(f"{axiom} witness has no {name!r} field")
         try:
-            args.append(_WITNESS_DECODERS[name](witness[name]))
+            args[name] = _WITNESS_DECODERS[name](witness[name])
         except (TypeError, ValueError, KeyError, OverflowError) as error:
             detail = f"missing key {error}" if isinstance(error, KeyError) else error
             raise ValueError(
                 f"{axiom} witness field {name!r} is malformed: {detail}"
             ) from error
-    return decide(rule, *args)
+    # Every row that reads an agent reads the profile it indexes.
+    if "agent" in args and args["agent"] >= len(args["profile"]):
+        raise ValueError(
+            f"{axiom} witness field 'agent' is malformed: {args['agent']} is "
+            f"out of range for {len(args['profile'])} agents"
+        )
+    return decide(rule, *args.values())
 
 
 # --------------------------------------------------------------------------

@@ -125,6 +125,24 @@ class GridConfig:
     extra_candidates: tuple[Interval, ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            deltas = tuple(self.margin_deltas)
+        except TypeError:
+            raise TypeError(
+                f"margin_deltas must be a sequence of numbers, got "
+                f"{self.margin_deltas!r}"
+            ) from None
+        for pos, delta in enumerate(deltas):
+            if not isinstance(delta, (int, float)) or isinstance(delta, bool):
+                raise TypeError(
+                    f"margin_deltas entry {pos} is not a number: {delta!r}"
+                )
+            if not -_FLOAT_MAX <= delta <= _FLOAT_MAX:  # NaN, inf, huge ints
+                raise ValueError(
+                    f"margin_deltas entry {pos} is not finite: {delta!r}"
+                )
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
         count = self.random_candidates
         if not isinstance(count, int) or isinstance(count, bool):
             raise TypeError(f"random_candidates must be an int, got {count!r}")
@@ -173,6 +191,28 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
     overflow are dropped and the random box is clipped to the finite
     floats, so every candidate stays finite.
     """
+    return _candidates(profile, config, None)
+
+
+def _candidates(
+    profile: Profile,
+    config: GridConfig,
+    bounds: Optional[tuple[float, float, float, float]],
+) -> list[Interval]:
+    """:func:`candidate_misreports`, with the grid pairs cut to one per
+    outcome class of a clamp when its ``bounds`` are given."""
+    points, grid = _grid_values(profile, config)
+    if bounds is None:
+        candidates = [Interval(a, b) for a, b in combinations(points, 2)]
+    else:
+        candidates = _class_representatives(points, bounds)
+    candidates.extend(_off_grid(profile, grid, config))
+    candidates.sort()
+    return candidates
+
+
+def _grid_values(profile: Profile, config: GridConfig) -> tuple[list[float], set[float]]:
+    """The grid values of :func:`candidate_misreports`, sorted, and their set."""
     values = sorted({v for entry in profile for v in (entry.lo, entry.hi)})
     lowest, highest = values[0], values[-1]
     grid = set(values)
@@ -185,7 +225,14 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
             for point in (lowest - delta, highest + delta)
             if math.isfinite(point)
         )
-    candidates = [Interval(a, b) for a, b in combinations(sorted(grid), 2)]
+    return sorted(grid), grid
+
+
+def _off_grid(profile: Profile, grid: set[float], config: GridConfig) -> list[Interval]:
+    """The seeded cloud and the extras that are not a pair of two grid
+    values, deduplicated and sorted."""
+    lowest = min(entry.lo for entry in profile)
+    highest = max(entry.hi for entry in profile)
     span = max(highest - lowest, 1.0)
     box_lo = max(lowest - 2.0 * span, -_FLOAT_MAX)
     box_hi = min(highest + 2.0 * span, _FLOAT_MAX)
@@ -204,13 +251,49 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
         others.append(Interval(a, b) if a < b else Interval(b, a))
         made += 1
     others.extend(config.extra_candidates)
-    off_grid = {
+    return sorted({
         candidate for candidate in others
         if candidate.lo not in grid or candidate.hi not in grid
-    }
-    candidates.extend(sorted(off_grid))
-    candidates.sort()
-    return candidates
+    })
+
+
+def _class_representatives(
+    points: list[float], bounds: tuple[float, float, float, float]
+) -> list[Interval]:
+    """The smallest pair of the sorted distinct ``points`` in each outcome
+    class of a clamp with ``bounds``, in sorted order.
+
+    Each side of the grid splits into runs of consecutive points with one
+    clamped value (the clamp need not be monotone).  Every pair whose
+    lower point lies in one lower run and whose upper point lies in one
+    upper run has the same outcome; the smallest such pair takes the
+    lower run's first point and the first point of the upper run above
+    it.
+    """
+    lo_floor, lo_ceiling, hi_floor, hi_ceiling = bounds
+    lo_starts = _run_starts(points, lo_floor, lo_ceiling)
+    hi_starts = _run_starts(points, hi_floor, hi_ceiling)
+    hi_runs = list(zip(hi_starts, hi_starts[1:]))
+    pairs = []
+    for i in lo_starts[:-1]:
+        for start, end in hi_runs:
+            if end - 1 > i:
+                pairs.append(Interval(points[i], points[start if start > i else i + 1]))
+    return pairs
+
+
+def _run_starts(points: list[float], floor: float, ceiling: float) -> list[int]:
+    """Where the clamped value of ``points`` changes, from 0, then
+    ``len(points)``: the bounds of the runs of equal outcome endpoints."""
+    starts = []
+    previous = None
+    for index, x in enumerate(points):
+        value = floor if x < floor else ceiling if x > ceiling else x
+        if value != previous:
+            starts.append(index)
+            previous = value
+    starts.append(len(points))
+    return starts
 
 
 def _wide_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -238,6 +321,16 @@ def find_manipulation(
     Outcomes come from ``rule.vary_agent``, so handles with a one-agent
     fast path skip the profile rebuild per candidate, and the cost of an
     outcome already seen is reused.
+
+    When that clamp carries ``bounds`` (order-statistic and phantom
+    handles; see :meth:`~intervalagg.rules.RuleHandle.vary_agent`), the
+    grid pairs are cut to the smallest pair of each outcome class, and
+    the off-grid cloud and extras are kept whole.  The result is the
+    same: pairs in one class share their outcome and so their drop, the
+    winner is the smallest candidate with the largest drop, so it is the
+    smallest member of its class and is searched, and every searched
+    candidate is one of :func:`candidate_misreports`.  A median search at
+    n = 1001 then tries a few hundred candidates instead of about 8M.
     """
     if not 0 <= agent_index < len(profile):
         raise IndexError(
@@ -254,8 +347,11 @@ def find_manipulation(
     best_misreport: Optional[Interval] = None
     best_outcome: Optional[Interval] = None
     outcome_of = rule.vary_agent(profile, agent_index)
+    candidates = _candidates(
+        profile, config, getattr(outcome_of, "bounds", None)
+    )
     costs: dict[Interval, float] = {}
-    for candidate in candidate_misreports(profile, config):
+    for candidate in candidates:
         outcome = outcome_of(candidate)
         cost = costs.get(outcome)
         if cost is None:

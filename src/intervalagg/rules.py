@@ -186,7 +186,12 @@ def _vary_select(
     pool_highs: Sequence[float] = (),
 ) -> Callable[[Interval], Interval]:
     """``report -> _select(profile.replace_agent(index, report), ...)``,
-    with the other agents' endpoints ranked once instead of per report."""
+    with the other agents' endpoints ranked once instead of per report.
+
+    The returned clamp carries ``bounds = (lo_floor, lo_ceiling,
+    hi_floor, hi_ceiling)``: each outcome endpoint is its report endpoint
+    clamped alone, so the lower one depends only on ``report.lo`` and the
+    upper one only on ``report.hi``."""
     lows, highs = profile._ranked_without(index)
     lo_floor, lo_ceiling = _rank_bounds(lows, pool_lows, lo_rank)
     hi_floor, hi_ceiling = _rank_bounds(highs, pool_highs, hi_rank)
@@ -206,6 +211,7 @@ def _vary_select(
             hi = hi_ceiling
         return Interval(lo, hi)
 
+    outcome.bounds = (lo_floor, lo_ceiling, hi_floor, hi_ceiling)
     return outcome
 
 
@@ -467,6 +473,15 @@ class RuleHandle:
         averaging handles precompute what the other agents contribute, so
         each report costs a clamp or one exact addition instead of a
         profile rebuild and a full evaluation.
+
+        An order-statistic handle's clamp also carries ``bounds = (lo_floor,
+        lo_ceiling, hi_floor, hi_ceiling)``: its outcome is
+        ``Interval(clamp(report.lo, lo_floor, lo_ceiling), clamp(report.hi,
+        hi_floor, hi_ceiling))`` with ``clamp(x, floor, ceiling)`` equal to
+        ``floor`` if ``x < floor``, else ``ceiling`` if ``x > ceiling``, else
+        ``x``.  :func:`~intervalagg.preferences.find_manipulation` reads it
+        to search one misreport per outcome class.  The averaging clamp
+        and the full-evaluation fallback have no ``bounds``.
         """
         if not 0 <= index < len(profile):
             raise IndexError(

@@ -759,6 +759,27 @@ class TestReplayInput:
             replay_witness(RuleHandle("counting", counting), witness)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "axiom", ["OutBetweenness", "LowerProperty", "UpperProperty", "Manipulation"]
+    )
+    @pytest.mark.parametrize("agent", [3, 7])
+    def test_agent_outside_profile_names_axiom_and_field(self, axiom, agent):
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return median_rule(profile)
+
+        witness = dict(GOLDEN_WITNESSES[axiom], agent=agent)
+        assert len(witness["profile"]) == 3
+        message = (
+            f"{axiom} witness field 'agent' is malformed: "
+            f"{agent} is out of range for 3 agents"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replay_witness(RuleHandle("counting", counting), witness)
+        assert calls == []
+
     @pytest.mark.parametrize("error", [ValueError("own"), RuleEvaluationError("own")])
     def test_errors_the_rule_raises_propagate(self, error):
         def broken(profile):

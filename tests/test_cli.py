@@ -761,6 +761,18 @@ class TestManipulateCommand:
         assert code in (0, 1), err
         assert "truthful outcome" in out
 
+    def test_1001_agent_profile_exits_0(self, capsys, write_profile):
+        # The clamp search tries a few hundred candidates, not about 8M.
+        profile = [Interval(k, k + 1001.5) for k in range(1001)]
+        path = write_profile(profile)
+        code, out, err = run_cli(
+            capsys, "manipulate", "--rule", "median", "--profile", str(path),
+            "--agent", "7",
+        )
+        assert code == 0, err
+        assert out.startswith("truthful outcome: [500, 1501.5]")
+        assert "no manipulation found" in out
+
     def test_agent_out_of_range_exits_2(self, capsys, committee_file):
         code, _, err = run_cli(
             capsys,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 
 from intervalagg import (
     NEG_INF,
@@ -43,6 +43,7 @@ from intervalagg import (
     valid_quota_pairs,
     validate_phantoms,
 )
+from intervalagg.preferences import _candidates
 from intervalagg.rules import _kth_of_two
 
 lattice = st.integers(-6, 6).map(lambda k: k / 2.0)
@@ -275,6 +276,200 @@ def test_find_manipulation_matches_reference_loop():
         found += result.found
     # The averaging searches must exercise the found branch too.
     assert found > 0
+
+
+# Clamp searches: a handle whose vary_agent clamp carries ``bounds`` is
+# searched on one grid pair per outcome class, which must give the result
+# of the full candidate list.  Values mix a lattice (ties), -0.0 and
+# endpoints at +-1e300.
+search_values = st.one_of(
+    lattice, st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e299, -5e299])
+)
+
+
+@st.composite
+def search_intervals(draw):
+    lo = draw(search_values)
+    hi = draw(search_values.filter(lambda v: v != lo))
+    return Interval(min(lo, hi), max(lo, hi))
+
+
+@st.composite
+def grid_configs(draw):
+    return GridConfig(
+        margin_deltas=tuple(draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5, 100.0, 1e300]), max_size=3
+        ))),
+        random_candidates=draw(st.sampled_from([0, 5, 200])),
+        seed=draw(st.integers(0, 2**31)),
+        extra_candidates=tuple(draw(st.lists(search_intervals(), max_size=3))),
+    )
+
+
+@st.composite
+def preferences_for(draw, peak):
+    if draw(st.booleans()):
+        weights = st.floats(0.1, 10.0)
+        return WeightedL1Preference(peak, draw(weights), draw(weights))
+    return PenaltyPreference(peak, draw(search_intervals()))
+
+
+def clamp_handle(bounds, agent):
+    """A rule that clamps agent ``agent``'s report with ``bounds`` and
+    ignores everyone else; its clamp carries the bounds."""
+    lo_floor, lo_ceiling, hi_floor, hi_ceiling = bounds
+
+    def outcome(report):
+        lo, hi = report
+        lo = lo_floor if lo < lo_floor else lo_ceiling if lo > lo_ceiling else lo
+        hi = hi_floor if hi < hi_floor else hi_ceiling if hi > hi_ceiling else hi
+        return Interval(lo, hi)
+
+    outcome.bounds = bounds
+    return RuleHandle(
+        f"clamp{bounds}", lambda profile: outcome(profile[agent]),
+        lambda profile, index: outcome,
+    )
+
+
+def counted(handle):
+    """``handle`` with a counter on its clamp calls; the clamp's
+    ``bounds`` are copied, so the search still sees them."""
+    calls = []
+
+    def incremental(profile, index):
+        inner = handle.vary_agent(profile, index)
+
+        def outcome(report):
+            calls.append(report)
+            return inner(report)
+
+        outcome.bounds = inner.bounds
+        return outcome
+
+    return RuleHandle(handle.name, handle.evaluate, incremental), calls
+
+
+@settings(deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_clamp_search_matches_reference_loop(n, data):
+    profile = Profile(data.draw(st.lists(search_intervals(), min_size=n, max_size=n)))
+    agent = data.draw(st.integers(0, n - 1))
+    quotas = data.draw(st.sampled_from(valid_quota_pairs(n)))
+    kind = data.draw(st.sampled_from(["endpoint", "phantoms", "custom phantoms"]))
+    if kind == "endpoint":
+        rule = endpoint_rule_handle(*quotas)
+    elif kind == "phantoms":
+        rule = phantom_rule_handle(endpoint_rule_phantoms(*quotas, n))
+    else:
+        vector = data.draw(phantom_vectors(n))
+        assume(validate_phantoms(vector, n) is None)
+        rule = phantom_rule_handle(vector)
+    assert rule.vary_agent(profile, agent).bounds
+    preference = data.draw(preferences_for(profile[agent]))
+    config = data.draw(grid_configs())
+    result = find_manipulation(rule, profile, agent, preference, config)
+    assert result == reference_search(rule, profile, agent, preference, config)
+    assert not result.found
+
+
+# Lower bounds in [-10, 0] and upper bounds in [1, 10], in either order, so
+# every outcome is a valid interval even when a floor is above its ceiling;
+# only the lower floor and the upper ceiling may be unbounded.
+lower_bounds = st.integers(-20, 0).map(lambda k: k / 2.0)
+upper_bounds = st.integers(2, 20).map(lambda k: k / 2.0)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(lattice_intervals(), min_size=1, max_size=5),
+    st.tuples(
+        st.one_of(lower_bounds, st.just(NEG_INF)), lower_bounds,
+        upper_bounds, st.one_of(upper_bounds, st.just(POS_INF)),
+    ),
+    st.data(),
+)
+def test_broken_clamps_match_reference_loop(agents, bounds, data):
+    profile = Profile(agents)
+    agent = data.draw(st.integers(0, len(profile) - 1))
+    rule = clamp_handle(bounds, agent)
+    preference = data.draw(preferences_for(profile[agent]))
+    config = data.draw(grid_configs())
+    result = find_manipulation(rule, profile, agent, preference, config)
+    assert result == reference_search(rule, profile, agent, preference, config)
+
+
+def outcome_class_minima(outcome_of, candidates):
+    """The smallest candidate reaching each outcome."""
+    minima = {}
+    for candidate in candidates:
+        minima.setdefault(outcome_of(candidate), candidate)
+    return set(minima.values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reduced_grid_holds_each_outcome_class(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    raw = []
+    while len(raw) < n:
+        a, b = rng.randint(-6, 6) / 2.0, rng.choice([rng.randint(-6, 6) / 2.0, rng.uniform(-4, 4)])
+        if a != b:
+            raw.append(Interval(min(a, b), max(a, b)))
+    profile = Profile(raw)
+    agent = rng.randrange(n)
+    config = GridConfig(random_candidates=rng.choice([0, 5, 50]), seed=seed)
+    full = candidate_misreports(profile, config)
+    rules = [
+        median_rule_handle(),
+        endpoint_rule_handle(*rng.choice(valid_quota_pairs(n))),
+        clamp_handle((1.0, -2.0, 3.0, 1.5), agent),  # both sides broken
+    ]
+    for rule in rules:
+        outcome_of = rule.vary_agent(profile, agent)
+        reduced = _candidates(profile, config, outcome_of.bounds)
+        assert reduced == sorted(set(reduced))
+        assert set(reduced) <= set(full)
+        assert outcome_class_minima(outcome_of, full) <= set(reduced)
+    # Two runs a side leave at most four grid pairs besides the cloud.
+    assert len(reduced) <= 4 + config.random_candidates
+
+
+def test_broken_clamp_is_manipulable_on_both_paths():
+    # One agent at (1, 20).  The lower clamp sends reports below 5 to 5 and
+    # the rest to 0; the upper one sends reports below 30 to 30 and the
+    # rest to 25.  Truthful: (5, 30), cost 4 + 10; any report with lo >= 5
+    # and hi >= 30 reaches (0, 25), cost 1 + 5.
+    profile = Profile((Interval(1, 20),))
+    rule, calls = counted(clamp_handle((5.0, 0.0, 30.0, 25.0), 0))
+    preference = WeightedL1Preference(profile[0])
+    for config in (GridConfig(random_candidates=0), GridConfig(seed=3)):
+        calls.clear()
+        result = find_manipulation(rule, profile, 0, preference, config)
+        assert result.found
+        assert result.manipulated_outcome == Interval(0, 25)
+        assert result.cost_drop == 8.0
+        assert result == reference_search(rule, profile, 0, preference, config)
+        assert len(calls) < len(candidate_misreports(profile, config))
+    assert find_manipulation(
+        rule, profile, 0, preference, GridConfig(random_candidates=0)
+    ).misreport == Interval(10.5, 30)
+
+
+def test_median_search_at_1001_agents_evaluates_few_outcomes():
+    rng = random.Random(1001)
+    raw = []
+    while len(raw) < 1001:
+        a, b = rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)
+        if a != b:
+            raw.append(Interval(min(a, b), max(a, b)))
+    profile = Profile(raw)
+    rule, calls = counted(median_rule_handle())
+    result = find_manipulation(rule, profile, 0, WeightedL1Preference(profile[0]))
+    assert not result.found
+    assert result.truthful_outcome == median_rule_handle()(profile)
+    # The full list would hold C(4005, 2) grid pairs, about 8M.
+    assert 200 < len(calls) < 2000
 
 
 # Exact means over the whole float range: subnormals, values next to the

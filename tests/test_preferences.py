@@ -236,6 +236,16 @@ class TestCandidateGrid:
         ({"random_candidates": 2.5}, TypeError, "random_candidates must be an int"),
         ({"random_candidates": True}, TypeError, "random_candidates must be an int"),
         ({"random_candidates": -3}, ValueError, "random_candidates must be >= 0"),
+        ({"margin_deltas": ("1",)}, TypeError, "margin_deltas entry 0 is not a number: '1'"),
+        ({"margin_deltas": (1.0, True)}, TypeError, "margin_deltas entry 1 is not a number"),
+        ({"margin_deltas": 1.0}, TypeError, "margin_deltas must be a sequence of numbers"),
+        ({"margin_deltas": (1.0, 2.0, math.inf)}, ValueError,
+         "margin_deltas entry 2 is not finite"),
+        ({"margin_deltas": (math.nan,)}, ValueError, "margin_deltas entry 0 is not finite"),
+        ({"margin_deltas": (10**400,)}, ValueError, "margin_deltas entry 0 is not finite"),
+        ({"seed": 1.5}, TypeError, "seed must be an int, got 1.5"),
+        ({"seed": False}, TypeError, "seed must be an int, got False"),
+        ({"seed": "7"}, TypeError, "seed must be an int"),
     ])
     def test_config_validation(self, kwargs, error, message):
         with pytest.raises(error, match=re.escape(message)):
