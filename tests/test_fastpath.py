@@ -451,9 +451,9 @@ def test_broken_clamp_is_manipulable_on_both_paths():
         assert result.cost_drop == 8.0
         assert result == reference_search(rule, profile, 0, preference, config)
         assert len(calls) < len(candidate_misreports(profile, config))
-    assert find_manipulation(
-        rule, profile, 0, preference, GridConfig(random_candidates=0)
-    ).misreport == Interval(10.5, 30)
+        if not config.random_candidates:
+            # The first grid pair with lo >= 5 and hi >= 30.
+            assert result.misreport == Interval(10.5, 30)
 
 
 def test_median_search_at_1001_agents_evaluates_few_outcomes():
