@@ -8,16 +8,16 @@ the aggregate interval from two order statistics: the lower endpoint is
 the p-th smallest of the individual lower endpoints, and the upper
 endpoint is the q-th largest of the individual upper endpoints.  This
 script walks through the standard members of that family on one small
-profile and then sweeps every admissible quota pair.
+profile and then sweeps every admissible quota pair.  Each rule is a
+handle: a named callable built once and applied to any profile.
 """
 
 from intervalagg import (
-    EndpointRuleParams,
     Interval,
     Profile,
-    endpoint_rule,
-    maximal_rule,
-    median_rule,
+    endpoint_rule_handle,
+    maximal_rule_handle,
+    median_rule_handle,
     valid_quota_pairs,
 )
 
@@ -30,21 +30,21 @@ print("profile:", profile)
 # takes the smallest lower endpoint and the largest upper endpoint, so
 # anything acceptable to at least one agent is in the aggregate.
 
-print("maximal  f^{1,1}:", maximal_rule(profile))
+print("maximal  f^{1,1}:", maximal_rule_handle()(profile))
 
 ############################################################
 # The median rule takes the middle lower endpoint and the middle upper
 # endpoint.  Each aggregate bound is backed by a majority: at least two
 # of the three agents accept values just inside it.
 
-print("median   f^{2,2}:", median_rule(profile))
+print("median   f^{2,2}:", median_rule_handle()(profile))
 
 ############################################################
 # Quotas need not match.  With p = 1 and q = 3 the lower bound is
 # generous while the upper bound is the strictest one on the table.
 
-params = EndpointRuleParams(lower_quota=1, upper_quota=3, n_agents=3)
-print("skewed   f^{1,3}:", endpoint_rule(params, profile))
+skewed = endpoint_rule_handle(lower_quota=1, upper_quota=3)
+print(f"skewed   f^{{1,3}} ({skewed.name}):", skewed(profile))
 
 ############################################################
 # Not every pair (p, q) is admissible.  The constraint p + q <= n + 1
@@ -54,9 +54,7 @@ print("skewed   f^{1,3}:", endpoint_rule(params, profile))
 print()
 print("  p   q   aggregate")
 for lower_quota, upper_quota in valid_quota_pairs(len(profile)):
-    output = endpoint_rule(
-        EndpointRuleParams(lower_quota, upper_quota, len(profile)), profile
-    )
+    output = endpoint_rule_handle(lower_quota, upper_quota)(profile)
     print(f"  {lower_quota}   {upper_quota}   {output}")
 
 ############################################################
@@ -72,9 +70,7 @@ for lower_quota, upper_quota in valid_quota_pairs(len(profile)):
 
 agreed = Profile((Interval(2, 4),) * 3)
 for lower_quota, upper_quota in valid_quota_pairs(3):
-    output = endpoint_rule(
-        EndpointRuleParams(lower_quota, upper_quota, 3), agreed
-    )
+    output = endpoint_rule_handle(lower_quota, upper_quota)(agreed)
     assert output == Interval(2, 4)
 print()
 print("unanimous profile (2, 4) x3 reproduced by all",

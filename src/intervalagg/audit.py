@@ -47,10 +47,10 @@ from .preferences import (
     find_manipulation,
 )
 from .rules import (
-    EndpointRuleParams,
     RuleEvaluationError,
     RuleHandle,
-    endpoint_rule,
+    _check_int,
+    endpoint_rule_handle,
 )
 from .transforms import (
     MonotoneMap,
@@ -509,8 +509,7 @@ def check_upper_property(
 
 def check_unanimity(rule: RuleHandle, judgment: Interval, n_agents: int) -> AxiomCheck:
     """A unanimous profile aggregates to the common judgment exactly."""
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    _check_int("n_agents", n_agents, 1)
     profile = Profile((judgment,) * n_agents)
     output = rule(profile)
     if output == judgment:
@@ -755,10 +754,11 @@ class AuditConfig:
     axioms: tuple[str, ...] = DEFAULT_AUDIT_AXIOMS
 
     def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        _check_int("n_agents", self.n_agents, 1)
+        _check_int("samples", self.samples, 0)
+        _check_int("seed", self.seed)
+        if isinstance(self.axioms, str):
+            raise ValueError(f"axioms must be a sequence of ids, got {self.axioms!r}")
         axioms = tuple(self.axioms)
         for axiom in axioms:
             if axiom not in _AXIOM_CODES:
@@ -1014,8 +1014,7 @@ def staircase_profile(n_agents: int) -> Profile:
     (2p - 1, 2(n + 1 - q)), which makes the quotas readable from a
     single evaluation.
     """
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    _check_int("n_agents", n_agents, 1)
     return Profile(
         Interval(float(2 * k - 1), float(2 * k)) for k in range(1, n_agents + 1)
     )
@@ -1036,10 +1035,10 @@ def identify_endpoint_rule(
     integral or violates the quota constraint short-circuits to None.
     The probe can only certify behavioral equality on the sampled set;
     for genuine order-statistic rules the confirmation is exact by
-    construction.
+    construction.  ``n_agents`` and ``confirmations`` must be ints (not
+    bools) >= 1; they are checked before the rule is evaluated.
     """
-    if confirmations < 1:
-        raise ValueError(f"confirmations must be >= 1, got {confirmations}")
+    _check_int("confirmations", confirmations, 1)
     probe = staircase_profile(n_agents)
     output = rule(probe)
     lower_guess = (output.lo + 1.0) / 2.0
@@ -1052,10 +1051,10 @@ def identify_endpoint_rule(
         return None
     if lower_quota + upper_quota > n_agents + 1:
         return None
-    params = EndpointRuleParams(lower_quota, upper_quota, n_agents)
+    reference = endpoint_rule_handle(lower_quota, upper_quota)
     rng = random.Random(seed)
     for _ in range(confirmations):
         trial = sample_profile(rng, n_agents)
-        if rule(trial) != endpoint_rule(params, trial):
+        if rule(trial) != reference(trial):
             return None
     return (lower_quota, upper_quota)

@@ -48,8 +48,6 @@ from .rules import (
     RuleEvaluationError,
     RuleHandle,
     averaging_rule_handle,
-    endpoint_rule,
-    EndpointRuleParams,
     endpoint_rule_handle,
     maximal_rule_handle,
     median_rule_handle,
@@ -380,12 +378,13 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     rule = parse_rule_spec(args.rule, timeout=args.timeout)
     if args.n < 1 or args.samples < 1:
         raise CommandError("--n and --samples must be >= 1 for identify")
-    probe = staircase_profile(args.n)
-    print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
+    # Identify before printing, so a rule that fails leaves stdout empty.
     with _rule_errors():
         quotas = identify_endpoint_rule(
             rule, args.n, confirmations=args.samples, seed=args.seed
         )
+    probe = staircase_profile(args.n)
+    print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
     if quotas is None:
         print("not an endpoint rule")
     else:
@@ -463,17 +462,11 @@ def _plain_interval(interval: Interval) -> list:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     profile = load_profile_document(args.profile)
-    n = len(profile)
     rows = []
-    for lower_quota, upper_quota in valid_quota_pairs(n):
-        params = EndpointRuleParams(lower_quota, upper_quota, n)
-        rows.append((lower_quota, upper_quota, endpoint_rule(params, profile)))
-    print(f"{'p':>3} {'q':>3}  interval")
-    for lower_quota, upper_quota, interval in rows:
-        print(
-            f"{lower_quota:>3} {upper_quota:>3}  "
-            f"({_json_number(interval.lo)}, {_json_number(interval.hi)})"
-        )
+    for lower_quota, upper_quota in valid_quota_pairs(len(profile)):
+        interval = endpoint_rule_handle(lower_quota, upper_quota)(profile)
+        rows.append((lower_quota, upper_quota, interval))
+    # Write before printing, so a failed write leaves stdout empty.
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -482,6 +475,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 writer.writerow([lower_quota, upper_quota, interval.lo, interval.hi])
     except OSError as error:
         raise CommandError(f"cannot write {args.out}: {error}") from error
+    print(f"{'p':>3} {'q':>3}  interval")
+    for lower_quota, upper_quota, interval in rows:
+        print(
+            f"{lower_quota:>3} {upper_quota:>3}  "
+            f"({_json_number(interval.lo)}, {_json_number(interval.hi)})"
+        )
     print(f"csv written to {args.out}")
     return EXIT_OK
 

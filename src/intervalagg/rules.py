@@ -1,5 +1,9 @@
 """Aggregation rules mapping a profile of interval judgments to one interval.
 
+Each rule has one face, a :class:`RuleHandle` built by a factory such as
+:func:`endpoint_rule_handle`; audits, the misreport search and the CLI
+all take handles.
+
 Two families live here.  Order-statistic rules pick the aggregate lower
 endpoint as the ``lower_quota``-th smallest individual lower endpoint and
 the aggregate upper endpoint as the ``upper_quota``-th largest individual
@@ -43,15 +47,9 @@ from .core import (
 
 __all__ = [
     "RuleEvaluationError",
-    "EndpointRuleParams",
-    "endpoint_rule",
-    "median_rule",
-    "maximal_rule",
-    "averaging_rule",
     "PhantomVector",
     "validate_phantoms",
     "endpoint_rule_phantoms",
-    "generalized_median",
     "RuleHandle",
     "endpoint_rule_handle",
     "median_rule_handle",
@@ -71,45 +69,25 @@ class RuleEvaluationError(Exception):
     """
 
 
+def _check_int(name: str, value: object, least: Optional[int] = None) -> None:
+    """Reject a ``value`` that is not an int (bools included) or is below
+    ``least``, naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_quotas(lower_quota: int, upper_quota: int, n_agents: int) -> None:
-    for name, value in (
-        ("lower_quota", lower_quota),
-        ("upper_quota", upper_quota),
-        ("n_agents", n_agents),
-    ):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if lower_quota < 1 or upper_quota < 1:
-        raise ValueError(
-            f"quotas must be >= 1, got ({lower_quota}, {upper_quota})"
-        )
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    _check_int("lower_quota", lower_quota, 1)
+    _check_int("upper_quota", upper_quota, 1)
+    _check_int("n_agents", n_agents, 1)
     if lower_quota + upper_quota > n_agents + 1:
         raise ValueError(
             f"quotas ({lower_quota}, {upper_quota}) violate "
             f"lower_quota + upper_quota <= n_agents + 1 with "
             f"n_agents = {n_agents}; the rule could output an empty interval"
         )
-
-
-@dataclass(frozen=True)
-class EndpointRuleParams:
-    """Validated parameter triple for an order-statistic rule.
-
-    ``lower_quota`` is the rank (1-based, from below) of the individual
-    lower endpoint that becomes the aggregate lower endpoint;
-    ``upper_quota`` is the rank from above on the upper side.  Requires
-    ``1 <= lower_quota``, ``1 <= upper_quota`` and
-    ``lower_quota + upper_quota <= n_agents + 1``.
-    """
-
-    lower_quota: int
-    upper_quota: int
-    n_agents: int
-
-    def __post_init__(self) -> None:
-        _check_quotas(self.lower_quota, self.upper_quota, self.n_agents)
 
 
 def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float:
@@ -215,47 +193,6 @@ def _vary_select(
     return outcome
 
 
-def _median_ranks(n_agents: int) -> tuple[int, int]:
-    mid = (n_agents + 1) // 2
-    return mid, n_agents + 1 - mid
-
-
-def _maximal_ranks(n_agents: int) -> tuple[int, int]:
-    return 1, n_agents
-
-
-def endpoint_rule(params: EndpointRuleParams, profile: Sequence[Interval]) -> Interval:
-    """Order-statistic aggregate under ``params``.
-
-    Lower endpoint: the ``lower_quota``-th smallest individual lower
-    endpoint.  Upper endpoint: the ``upper_quota``-th largest individual
-    upper endpoint.  The quota constraint guarantees a strictly positive
-    width on every profile of the declared size.
-    """
-    if len(profile) != params.n_agents:
-        raise ValueError(
-            f"profile has {len(profile)} agents, params expect {params.n_agents}"
-        )
-    return _select(
-        profile, params.lower_quota, params.n_agents + 1 - params.upper_quota
-    )
-
-
-def median_rule(profile: Sequence[Interval]) -> Interval:
-    """Symmetric rule with both quotas at ``(n + 1) // 2``.
-
-    For odd ``n`` both aggregate endpoints are the coordinatewise medians
-    of the individual endpoints; for even ``n`` they are the lower of the
-    two middle lower endpoints and the upper of the two middle uppers.
-    """
-    return _select(profile, *_median_ranks(len(profile)))
-
-
-def maximal_rule(profile: Sequence[Interval]) -> Interval:
-    """Quota pair (1, 1): the smallest interval containing every judgment."""
-    return _select(profile, *_maximal_ranks(len(profile)))
-
-
 _UNIT_BITS = 1074  # 2**-1074, the smallest subnormal, divides every float
 
 
@@ -282,14 +219,7 @@ def _mean_interval(lo_units: int, hi_units: int, n_agents: int) -> Interval:
     return Interval(lo, hi)
 
 
-def averaging_rule(profile: Sequence[Interval]) -> Interval:
-    """Endpointwise arithmetic mean; the non-strategyproof contrast case.
-
-    Means are exactly rounded, so the rule is bit-exactly anonymous and
-    unanimous even though it fails neutrality and out-between-ness.  When
-    both means round to the same float ``m`` the output is ``m`` and the
-    next float above it.
-    """
+def _averaging(profile: Sequence[Interval]) -> Interval:
     if len(profile) == 0:
         raise ValueError("profile needs at least one agent")
     return _mean_interval(
@@ -302,7 +232,7 @@ def averaging_rule(profile: Sequence[Interval]) -> Interval:
 def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interval]:
     # The exact sums of the other agents' endpoints are kept, so each report
     # costs one integer addition and one correctly rounded division and
-    # reproduces averaging_rule bit for bit.
+    # reproduces _averaging bit for bit.
     n = len(profile)
     others = profile[:index] + profile[index + 1 :]
     lo_rest = sum([_units(entry.lo) for entry in others])
@@ -365,8 +295,7 @@ def validate_phantoms(vector: PhantomVector, n_agents: int) -> Optional[str]:
     already break the second bound; ``(-inf, -inf)`` mirrors this on
     the first.
     """
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    _check_int("n_agents", n_agents, 1)
     size = len(vector)
     if size != n_agents + 1:
         return (
@@ -414,38 +343,9 @@ def endpoint_rule_phantoms(
     return PhantomVector(entries)
 
 
-def generalized_median(vector: PhantomVector, profile: Sequence[Interval]) -> Interval:
-    """Coordinatewise median of the ``n`` judgments pooled with the phantoms.
-
-    With ``2n + 1`` pooled intervals the aggregate lower endpoint is the
-    ``(n + 1)``-th smallest pooled lower bound and the aggregate upper
-    endpoint the ``(n + 1)``-th largest pooled upper bound.  Rejects
-    phantom vectors that fail :func:`validate_phantoms` for this profile
-    size, so the result is always a bounded nonempty interval.
-    """
-    n = len(profile)
-    _require_valid_phantoms(vector, n)
-    # 2n + 1 pooled values: the (n+1)-th smallest is also the (n+1)-th largest.
-    return _select(profile, n + 1, n + 1, *_phantom_pools(vector))
-
-
-def _require_valid_phantoms(vector: PhantomVector, n_agents: int) -> None:
-    reason = validate_phantoms(vector, n_agents)
-    if reason is not None:
-        raise ValueError(f"invalid phantom vector: {reason}")
-
-
-def _phantom_pools(vector: PhantomVector) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Sorted, as _select needs; a handle sorts them once, when it is built.
-    return (
-        tuple(sorted([ph.lo for ph in vector.phantoms])),
-        tuple(sorted([ph.hi for ph in vector.phantoms])),
-    )
-
-
 @dataclass(frozen=True)
 class RuleHandle:
-    """Named callable wrapper giving every rule a uniform face.
+    """A rule's one face: a named callable from a profile to an interval.
 
     ``evaluate`` maps a :class:`Profile` to an :class:`Interval`; the
     handle itself is callable.  Audit reports and CLI output use ``name``.
@@ -495,8 +395,11 @@ class RuleHandle:
 def endpoint_rule_handle(lower_quota: int, upper_quota: int) -> RuleHandle:
     """Handle for the order-statistic rule with the given quotas.
 
-    Profile size is checked per call against the quota constraint, so one
-    handle serves any ``n`` with ``lower_quota + upper_quota <= n + 1``.
+    Lower endpoint: the ``lower_quota``-th smallest individual lower
+    endpoint; upper endpoint: the ``upper_quota``-th largest individual
+    upper endpoint.  Profile size is checked per call against the quota
+    constraint, so one handle serves any ``n`` with ``lower_quota +
+    upper_quota <= n + 1``.
     """
     _check_quotas(lower_quota, upper_quota, lower_quota + upper_quota)
 
@@ -534,21 +437,35 @@ def _order_statistic_handle(
 
 
 def median_rule_handle() -> RuleHandle:
-    return _order_statistic_handle("median", _median_ranks)
+    """Both quotas at ``(n + 1) // 2``: for odd ``n`` the coordinatewise
+    medians, for even ``n`` the lower of the two middle lower endpoints and
+    the upper of the two middle upper endpoints."""
+
+    def ranks(n: int) -> tuple[int, int]:
+        mid = (n + 1) // 2
+        return mid, n + 1 - mid
+
+    return _order_statistic_handle("median", ranks)
 
 
 def maximal_rule_handle() -> RuleHandle:
-    return _order_statistic_handle("maximal", _maximal_ranks)
+    """Quota pair (1, 1): the smallest interval containing every judgment."""
+    return _order_statistic_handle("maximal", lambda n: (1, n))
 
 
 def averaging_rule_handle() -> RuleHandle:
-    return RuleHandle("averaging", averaging_rule, _vary_averaging)
+    """Endpointwise exactly rounded mean; the non-strategyproof contrast
+    case.  When both means round to the same float ``m`` the output is
+    ``m`` and the next float above it."""
+    return RuleHandle("averaging", _averaging, _vary_averaging)
 
 
 def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> RuleHandle:
     """Handle for the generalized median over a fixed phantom vector.
 
-    The vector is validated once per profile size rather than per call.
+    The coordinatewise median of the ``n`` judgments pooled with the
+    phantoms.  A profile size the vector fails :func:`validate_phantoms`
+    for is a ValueError, checked once per size rather than per call.
     """
     if name is None:
         name = f"phantoms[{len(vector)}]"
@@ -556,17 +473,24 @@ def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> Ru
 
     def ranks(n: int) -> tuple[int, int]:
         if n not in valid_sizes:
-            _require_valid_phantoms(vector, n)
+            reason = validate_phantoms(vector, n)
+            if reason is not None:
+                raise ValueError(f"invalid phantom vector: {reason}")
             valid_sizes.add(n)
+        # 2n + 1 pooled values: the (n+1)-th smallest is the (n+1)-th largest.
         return n + 1, n + 1
 
-    return _order_statistic_handle(name, ranks, *_phantom_pools(vector))
+    return _order_statistic_handle(
+        name,
+        ranks,
+        tuple(sorted([ph.lo for ph in vector.phantoms])),
+        tuple(sorted([ph.hi for ph in vector.phantoms])),
+    )
 
 
 def valid_quota_pairs(n_agents: int) -> list[tuple[int, int]]:
     """All quota pairs admissible for ``n_agents``, lexicographically."""
-    if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+    _check_int("n_agents", n_agents, 1)
     return [
         (lower, upper)
         for lower in range(1, n_agents + 1)

@@ -19,7 +19,6 @@ import pytest
 from intervalagg import (
     AuditConfig,
     DEFAULT_AUDIT_AXIOMS,
-    EndpointRuleParams,
     GridConfig,
     Interval,
     PenaltyPreference,
@@ -29,14 +28,13 @@ from intervalagg import (
     audit,
     averaging_rule_handle,
     check_out_betweenness,
-    endpoint_rule,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
     find_manipulation,
-    generalized_median,
     identify_endpoint_rule,
-    maximal_rule,
-    median_rule,
+    maximal_rule_handle,
+    median_rule_handle,
+    phantom_rule_handle,
     valid_quota_pairs,
 )
 from intervalagg.cli import extern_rule_adapter
@@ -76,11 +74,14 @@ def _random_preference(rng, peak):
 
 
 def test_criterion_1_benchmark_profile_goldens():
-    maximal_rule(BENCHMARK_PROFILE)
+    maximal = maximal_rule_handle()
+    skewed = endpoint_rule_handle(1, 3)
+    median = median_rule_handle()
+    maximal(BENCHMARK_PROFILE)
     start = time.perf_counter()
-    widest = maximal_rule(BENCHMARK_PROFILE)
-    pooled = endpoint_rule(EndpointRuleParams(1, 3, 3), BENCHMARK_PROFILE)
-    middle = median_rule(BENCHMARK_PROFILE)
+    widest = maximal(BENCHMARK_PROFILE)
+    pooled = skewed(BENCHMARK_PROFILE)
+    middle = median(BENCHMARK_PROFILE)
     elapsed = time.perf_counter() - start
     assert widest == Interval(1, 6)
     assert pooled == Interval(1, 4)
@@ -90,9 +91,10 @@ def test_criterion_1_benchmark_profile_goldens():
 
 
 def test_criterion_2_interleaved_profile_median_golden():
-    median_rule(INTERLEAVED_PROFILE)
+    median = median_rule_handle()
+    median(INTERLEAVED_PROFILE)
     start = time.perf_counter()
-    output = median_rule(INTERLEAVED_PROFILE)
+    output = median(INTERLEAVED_PROFILE)
     elapsed = time.perf_counter() - start
     assert output == Interval(2, 5)
     assert elapsed < 0.001
@@ -104,16 +106,16 @@ def test_criterion_3_phantom_representation_equivalence():
     checked = 0
     for n_agents in range(1, MAX_AGENTS + 1):
         for lower_quota, upper_quota in valid_quota_pairs(n_agents):
-            params = EndpointRuleParams(lower_quota, upper_quota, n_agents)
-            phantoms = endpoint_rule_phantoms(lower_quota, upper_quota, n_agents)
+            direct = endpoint_rule_handle(lower_quota, upper_quota)
+            pooled = phantom_rule_handle(
+                endpoint_rule_phantoms(lower_quota, upper_quota, n_agents)
+            )
             rng = random.Random(
                 30_000 + 97 * n_agents + 13 * lower_quota + upper_quota
             )
             for _ in range(1000):
                 profile = _random_profile(rng, n_agents, tie_bias=0.45)
-                assert generalized_median(phantoms, profile) == endpoint_rule(
-                    params, profile
-                )
+                assert pooled(profile) == direct(profile)
                 checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 56_000

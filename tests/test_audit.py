@@ -31,7 +31,6 @@ from intervalagg import (
     endpoint_rule_handle,
     identify_endpoint_rule,
     maximal_rule_handle,
-    median_rule,
     median_rule_handle,
     replay_witness,
     staircase_profile,
@@ -42,6 +41,7 @@ from .conftest import BENCHMARK_PROFILE
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_WITNESSES = json.loads((GOLDEN_DIR / "witnesses_n3.json").read_text())
+MEDIAN = median_rule_handle()
 
 
 def narrowest_rule():
@@ -68,7 +68,7 @@ def constant_rule():
 
 def clamped_rule():
     def evaluate(profile):
-        out = median_rule(profile)
+        out = MEDIAN(profile)
         lo = min(max(out.lo, 0.0), 100.0)
         hi = min(max(out.hi, 0.0), 100.0)
         if not lo < hi:
@@ -286,7 +286,7 @@ class TestContinuitySurrogate:
 
         def counted(profile):
             calls.append(profile)
-            return median_rule(profile)
+            return MEDIAN(profile)
 
         check = check_continuity_lipschitz(
             RuleHandle("counted", counted), BENCHMARK_PROFILE, 0.01, samples=samples
@@ -415,6 +415,9 @@ class TestUnanimity:
     def test_agent_count_validated(self):
         with pytest.raises(ValueError):
             check_unanimity(median_rule_handle(), Interval(0, 1), 0)
+        for size in (True, 2.5):
+            with pytest.raises(ValueError, match="n_agents must be an int"):
+                check_unanimity(median_rule_handle(), Interval(0, 1), size)
 
 
 class TestManipulationCheck:
@@ -511,7 +514,7 @@ class TestAuditCampaigns:
 
         def counting(profile):
             calls.append(profile)
-            return median_rule(profile)
+            return MEDIAN(profile)
 
         samples = 30
         report = audit(
@@ -644,6 +647,19 @@ class TestAuditCampaigns:
         with pytest.raises(ValueError):
             AuditConfig(n_agents=2, axioms=("Unanimity", "Unanimity"))
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"n_agents": True}, "n_agents must be an int, got True"),
+        ({"n_agents": 2.5}, "n_agents must be an int, got 2.5"),
+        ({"n_agents": 2, "samples": 2.5}, "samples must be an int, got 2.5"),
+        ({"n_agents": 2, "samples": False}, "samples must be an int, got False"),
+        ({"n_agents": 2, "seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"n_agents": 2, "seed": True}, "seed must be an int, got True"),
+        ({"n_agents": 2, "axioms": "Anonymity"}, "axioms must be a sequence"),
+    ])
+    def test_config_rejects_non_int_sizes_naming_the_field(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AuditConfig(**fields)
+
     def test_json_report_shape(self):
         report = audit(
             endpoint_rule_handle(1, 1),
@@ -751,7 +767,7 @@ class TestReplayInput:
 
         def counting(profile):
             calls.append(profile)
-            return median_rule(profile)
+            return MEDIAN(profile)
 
         witness = dict(GOLDEN_WITNESSES[axiom], **{field: value})
         message = f"{axiom} witness field '{field}' is malformed: "
@@ -768,7 +784,7 @@ class TestReplayInput:
 
         def counting(profile):
             calls.append(profile)
-            return median_rule(profile)
+            return MEDIAN(profile)
 
         witness = dict(GOLDEN_WITNESSES[axiom], agent=agent)
         assert len(witness["profile"]) == 3
@@ -811,7 +827,7 @@ class TestEvaluationErrors:
             calls["count"] += 1
             if calls["count"] % 5 == 0:
                 raise RuleEvaluationError("hiccup")
-            return median_rule(profile)
+            return MEDIAN(profile)
 
         report = audit(
             RuleHandle("flaky", flaky),
@@ -830,6 +846,9 @@ class TestIdentification:
         )
         with pytest.raises(ValueError):
             staircase_profile(0)
+        for size in (True, 2.5):
+            with pytest.raises(ValueError, match="n_agents must be an int"):
+                staircase_profile(size)
 
     def test_recovers_quotas(self):
         assert identify_endpoint_rule(median_rule_handle(), 5) == (3, 3)
@@ -842,11 +861,7 @@ class TestIdentification:
         # so the read-off succeeds and refutation must come from the
         # random-profile confirmations.
         probe = staircase_profile(3)
-        from intervalagg import averaging_rule, endpoint_rule, EndpointRuleParams
-
-        assert averaging_rule(probe) == endpoint_rule(
-            EndpointRuleParams(2, 2, 3), probe
-        )
+        assert averaging_rule_handle()(probe) == endpoint_rule_handle(2, 2)(probe)
         assert identify_endpoint_rule(averaging_rule_handle(), 3) is None
 
     def test_width_rule_rejected_in_confirmation_phase(self):
@@ -862,3 +877,20 @@ class TestIdentification:
     def test_confirmation_count_validated(self):
         with pytest.raises(ValueError):
             identify_endpoint_rule(median_rule_handle(), 3, confirmations=0)
+
+    @pytest.mark.parametrize("arguments,message", [
+        ((True,), "n_agents must be an int, got True"),
+        ((2.5,), "n_agents must be an int, got 2.5"),
+        ((3, 2.5), "confirmations must be an int, got 2.5"),
+        ((3, True), "confirmations must be an int, got True"),
+    ])
+    def test_arguments_checked_before_the_rule_runs(self, arguments, message):
+        calls = []
+
+        def counting(profile):
+            calls.append(profile)
+            return MEDIAN(profile)
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            identify_endpoint_rule(RuleHandle("counting", counting), *arguments)
+        assert calls == []

@@ -13,7 +13,7 @@ from intervalagg import (
     Interval,
     Profile,
     RuleEvaluationError,
-    maximal_rule,
+    maximal_rule_handle,
 )
 from intervalagg.cli import (
     CommandError,
@@ -325,6 +325,7 @@ class TestExternAdapter:
         import random
 
         adapter = extern_rule_adapter(extern_command("union_bounds.py"))
+        maximal = maximal_rule_handle()
         rng = random.Random(3)
         for _ in range(40):
             entries = []
@@ -332,7 +333,7 @@ class TestExternAdapter:
                 lo = rng.uniform(-20, 20)
                 entries.append(Interval(lo, lo + rng.uniform(0.5, 10)))
             profile = Profile(entries)
-            assert adapter(profile) == maximal_rule(profile)
+            assert adapter(profile) == maximal(profile)
 
     def test_cli_aggregate_through_adapter(self, capsys, committee_file):
         code, out, _ = run_cli(
@@ -693,6 +694,14 @@ class TestIdentifyCommand:
         assert code == 2
         assert "--n" in err
 
+    def test_rule_that_fails_prints_nothing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "identify", "--rule", "endpoint:2,2", "--n", "2"
+        )
+        assert code == 3
+        assert out == ""
+        assert "quotas (2, 2) invalid for 2 agents" in err
+
 
 class TestManipulateCommand:
     def test_averaging_manipulation_found_exits_1(self, capsys, committee_file):
@@ -873,6 +882,15 @@ class TestSweepCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 1
         assert rows[0]["lo"] == "0.0" and rows[0]["hi"] == "9.0"
+
+    def test_unwritable_out_prints_nothing(self, capsys, committee_file, tmp_path):
+        csv_path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--profile", committee_file, "--out", str(csv_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
 
 
 class TestInstalledEntryPoints:

@@ -9,21 +9,15 @@ import hypothesis.strategies as st
 from intervalagg import (
     NEG_INF,
     POS_INF,
-    EndpointRuleParams,
     ExtendedInterval,
     Interval,
     PhantomVector,
     Profile,
-    averaging_rule,
     averaging_rule_handle,
-    endpoint_rule,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
     ext_precedes,
-    generalized_median,
-    maximal_rule,
     maximal_rule_handle,
-    median_rule,
     median_rule_handle,
     phantom_rule_handle,
     valid_quota_pairs,
@@ -60,25 +54,21 @@ def count_oracle_probes(values):
 
 class TestEndpointRule:
     def test_benchmark_goldens(self):
-        assert endpoint_rule(
-            EndpointRuleParams(1, 1, 3), BENCHMARK_PROFILE
-        ) == Interval(1, 6)
-        assert endpoint_rule(
-            EndpointRuleParams(1, 3, 3), BENCHMARK_PROFILE
-        ) == Interval(1, 4)
-        assert endpoint_rule(
-            EndpointRuleParams(2, 2, 3), BENCHMARK_PROFILE
-        ) == Interval(2, 5)
+        assert endpoint_rule_handle(1, 1)(BENCHMARK_PROFILE) == Interval(1, 6)
+        assert endpoint_rule_handle(1, 3)(BENCHMARK_PROFILE) == Interval(1, 4)
+        assert endpoint_rule_handle(2, 2)(BENCHMARK_PROFILE) == Interval(2, 5)
 
     def test_median_examples(self):
-        assert median_rule(INTERLEAVED_PROFILE) == Interval(2, 5)
-        assert median_rule(Profile((Interval(0, 1),))) == Interval(0, 1)
-        assert median_rule(BENCHMARK_PROFILE) == Interval(2, 5)
+        median = median_rule_handle()
+        assert median(INTERLEAVED_PROFILE) == Interval(2, 5)
+        assert median(Profile((Interval(0, 1),))) == Interval(0, 1)
+        assert median(BENCHMARK_PROFILE) == Interval(2, 5)
 
     def test_maximal_examples(self):
-        assert maximal_rule(BENCHMARK_PROFILE) == Interval(1, 6)
-        assert maximal_rule(Profile((Interval(0, 1),))) == Interval(0, 1)
-        assert maximal_rule(
+        maximal = maximal_rule_handle()
+        assert maximal(BENCHMARK_PROFILE) == Interval(1, 6)
+        assert maximal(Profile((Interval(0, 1),))) == Interval(0, 1)
+        assert maximal(
             Profile((Interval(0, 1), Interval(0, 1)))
         ) == Interval(0, 1)
 
@@ -93,22 +83,24 @@ class TestEndpointRule:
     ])
     def test_invalid_quotas_rejected(self, p, q, n):
         with pytest.raises(ValueError):
-            EndpointRuleParams(p, q, n)
+            endpoint_rule_phantoms(p, q, n)
+        if n >= 1:
+            # A handle is not pinned to one n: bad quotas fail when it is
+            # built, quotas too large for n when it meets an n-agent profile.
+            with pytest.raises(ValueError):
+                endpoint_rule_handle(p, q)(Profile((Interval(0, 1),) * n))
 
     def test_non_integer_quotas_rejected(self):
-        with pytest.raises(ValueError):
-            EndpointRuleParams(1.5, 1, 3)
-        with pytest.raises(ValueError):
-            EndpointRuleParams(True, 1, 3)
-
-    def test_profile_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            endpoint_rule(EndpointRuleParams(1, 1, 2), BENCHMARK_PROFILE)
+        for p, q in ((1.5, 1), (1, 1.5), (True, 1), (1, False)):
+            with pytest.raises(ValueError, match="must be an int"):
+                endpoint_rule_handle(p, q)
+            with pytest.raises(ValueError, match="must be an int"):
+                endpoint_rule_phantoms(p, q, 3)
 
     @given(profiles_with_quotas())
     def test_output_copies_input_endpoints(self, case):
         profile, p, q = case
-        out = endpoint_rule(EndpointRuleParams(p, q, len(profile)), profile)
+        out = endpoint_rule_handle(p, q)(profile)
         assert out.lo in {iv.lo for iv in profile}
         assert out.hi in {iv.hi for iv in profile}
         assert out.lo < out.hi
@@ -119,7 +111,7 @@ class TestEndpointRule:
         definition: x clears the aggregate lower endpoint exactly when at
         least p agents' intervals meet the lower ray at x, and dually."""
         profile, p, q = case
-        out = endpoint_rule(EndpointRuleParams(p, q, len(profile)), profile)
+        out = endpoint_rule_handle(p, q)(profile)
         for x in count_oracle_probes(
             [iv.lo for iv in profile] + [iv.hi for iv in profile]
         ):
@@ -132,20 +124,16 @@ class TestEndpointRule:
     def test_median_is_symmetric_quota_rule(self, profile):
         n = len(profile)
         m = (n + 1) // 2
-        assert median_rule(profile) == endpoint_rule(
-            EndpointRuleParams(m, m, n), profile
-        )
+        assert median_rule_handle()(profile) == endpoint_rule_handle(m, m)(profile)
 
     @given(profiles())
     def test_maximal_is_one_one(self, profile):
-        assert maximal_rule(profile) == endpoint_rule(
-            EndpointRuleParams(1, 1, len(profile)), profile
-        )
+        assert maximal_rule_handle()(profile) == endpoint_rule_handle(1, 1)(profile)
 
     @given(profiles_with_quotas(), st.data())
     def test_order_statistic_lipschitz_bound(self, case, data):
         profile, p, q = case
-        params = EndpointRuleParams(p, q, len(profile))
+        rule = endpoint_rule_handle(p, q)
         other = Profile(
             data.draw(intervals(), label=f"agent {i}")
             for i in range(len(profile))
@@ -156,8 +144,8 @@ class TestEndpointRule:
         bound_hi = max(
             abs(a.hi - b.hi) for a, b in zip(profile, other)
         )
-        first = endpoint_rule(params, profile)
-        second = endpoint_rule(params, other)
+        first = rule(profile)
+        second = rule(other)
         assert abs(first.lo - second.lo) <= bound_lo + 1e-12
         assert abs(first.hi - second.hi) <= bound_hi + 1e-12
 
@@ -170,22 +158,26 @@ class TestEndpointRule:
             assert len(valid_quota_pairs(n)) == n * (n + 1) // 2
         with pytest.raises(ValueError):
             valid_quota_pairs(0)
+        for size in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="n_agents must be an int"):
+                valid_quota_pairs(size)
 
 
 class TestAveraging:
     def test_examples(self):
-        assert averaging_rule(
+        averaging = averaging_rule_handle()
+        assert averaging(
             Profile((Interval(0, 1), Interval(2, 3)))
         ) == Interval(1, 2)
-        assert averaging_rule(Profile((Interval(0, 1),))) == Interval(0, 1)
-        assert averaging_rule(BENCHMARK_PROFILE) == Interval(2, 5)
+        assert averaging(Profile((Interval(0, 1),))) == Interval(0, 1)
+        assert averaging(BENCHMARK_PROFILE) == Interval(2, 5)
 
     def test_unanimous_profiles_reproduce_exactly(self):
         # 0.1 is not a dyadic float; a float-sum mean of three copies
         # drifts by one ulp, an exactly rounded mean must not.
         judgment = Interval(0.1, 1.1)
         profile = Profile((judgment,) * 3)
-        assert averaging_rule(profile) == judgment
+        assert averaging_rule_handle()(profile) == judgment
 
     @given(profiles())
     def test_permutation_invariant(self, profile):
@@ -193,11 +185,12 @@ class TestAveraging:
         order = list(range(len(profile)))
         rng.shuffle(order)
         shuffled = Profile(profile[i] for i in order)
-        assert averaging_rule(shuffled) == averaging_rule(profile)
+        averaging = averaging_rule_handle()
+        assert averaging(shuffled) == averaging(profile)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
-            averaging_rule(())
+            averaging_rule_handle()(())
 
 
 class TestPhantoms:
@@ -269,19 +262,18 @@ class TestPhantoms:
 
     def test_generalized_median_examples(self):
         vector = PhantomVector((TOP, TOP, BOTTOM, BOTTOM))
-        assert generalized_median(vector, BENCHMARK_PROFILE) == Interval(2, 5)
-        assert generalized_median(
-            PhantomVector((BOTTOM, TOP)), Profile((Interval(0, 1),))
+        assert phantom_rule_handle(vector)(BENCHMARK_PROFILE) == Interval(2, 5)
+        assert phantom_rule_handle(PhantomVector((BOTTOM, TOP)))(
+            Profile((Interval(0, 1),))
         ) == Interval(0, 1)
-        assert generalized_median(
-            PhantomVector((BOTTOM, ExtendedInterval(5, POS_INF))),
-            Profile((Interval(10, 11),)),
-        ) == Interval(5, 11)
+        assert phantom_rule_handle(
+            PhantomVector((BOTTOM, ExtendedInterval(5, POS_INF)))
+        )(Profile((Interval(10, 11),))) == Interval(5, 11)
 
     def test_generalized_median_rejects_invalid_vector(self):
         with pytest.raises(ValueError):
-            generalized_median(
-                PhantomVector((BOTTOM, BOTTOM)), Profile((Interval(0, 1),))
+            phantom_rule_handle(PhantomVector((BOTTOM, BOTTOM)))(
+                Profile((Interval(0, 1),))
             )
 
     def test_endpoint_rule_phantom_vectors(self):
@@ -294,6 +286,11 @@ class TestPhantoms:
         )
         with pytest.raises(ValueError):
             endpoint_rule_phantoms(2, 3, 3)
+        for size in (True, 2.5):
+            with pytest.raises(ValueError, match="n_agents must be an int"):
+                endpoint_rule_phantoms(1, 1, size)
+            with pytest.raises(ValueError, match="n_agents must be an int"):
+                validate_phantoms(endpoint_rule_phantoms(1, 1, 1), size)
 
     @given(profiles_with_quotas(max_agents=4), st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -301,8 +298,8 @@ class TestPhantoms:
         profile, p, q = case
         n = len(profile)
         vector = endpoint_rule_phantoms(p, q, n)
-        assert generalized_median(vector, profile) == endpoint_rule(
-            EndpointRuleParams(p, q, n), profile
+        assert phantom_rule_handle(vector)(profile) == endpoint_rule_handle(p, q)(
+            profile
         )
 
     @given(profiles(max_agents=4), st.data())
@@ -336,11 +333,11 @@ class TestPhantoms:
                 )
         vector = PhantomVector(tuple(entries))
         if validate_phantoms(vector, n) is None:
-            out = generalized_median(vector, profile)
+            out = phantom_rule_handle(vector)(profile)
             assert out.lo < out.hi
         else:
             with pytest.raises(ValueError):
-                generalized_median(vector, profile)
+                phantom_rule_handle(vector)(profile)
 
     @given(profiles(max_agents=4), st.data())
     @settings(max_examples=60)
@@ -352,7 +349,7 @@ class TestPhantoms:
         p = data.draw(st.integers(1, n), label="p")
         q = data.draw(st.integers(1, n + 1 - p), label="q")
         vector = endpoint_rule_phantoms(p, q, n)
-        out = generalized_median(vector, profile)
+        out = phantom_rule_handle(vector)(profile)
         pooled = list(profile) + list(vector)
         finite = [iv.lo for iv in profile] + [iv.hi for iv in profile]
         for x in count_oracle_probes(finite):
@@ -402,8 +399,8 @@ class TestExhaustiveSmallCases:
         pair against every permutation of the benchmark profile."""
         n = len(BENCHMARK_PROFILE)
         for p, q in valid_quota_pairs(n):
-            params = EndpointRuleParams(p, q, n)
-            reference = endpoint_rule(params, BENCHMARK_PROFILE)
+            rule = endpoint_rule_handle(p, q)
+            reference = rule(BENCHMARK_PROFILE)
             for order in itertools.permutations(range(n)):
                 shuffled = Profile(BENCHMARK_PROFILE[i] for i in order)
-                assert endpoint_rule(params, shuffled) == reference
+                assert rule(shuffled) == reference
