@@ -7,134 +7,162 @@ that checks any rule against the axioms the rules are characterised by
 (responsiveness, anonymity, neutrality, translation equivariance,
 continuity surrogate, independent endpoints, out-between-ness and
 friends), with deterministic seeded campaigns and replayable witnesses.
+
+Submodules load on first use (PEP 562): ``from intervalagg import X``
+works for every name in ``__all__``, but ``import intervalagg`` alone
+loads none of them, so a CLI subcommand pays only for what it runs.
 """
 
-from .core import (
-    NEG_INF,
-    POS_INF,
-    ExtendedInterval,
-    Interval,
-    Profile,
-    between,
-    endpoint_distance,
-    ext_precedes,
-    scalar_between,
-    subset,
-)
-from .rules import (
-    PhantomVector,
-    RuleEvaluationError,
-    RuleHandle,
-    averaging_rule_handle,
-    endpoint_rule_handle,
-    endpoint_rule_phantoms,
-    maximal_rule_handle,
-    median_rule_handle,
-    phantom_rule_handle,
-    valid_quota_pairs,
-    validate_phantoms,
-)
-from .transforms import (
-    MonotoneMap,
-    apply_map_interval,
-    apply_map_profile,
-    map_from_data,
-    map_to_data,
-    random_increasing_map,
-)
-from .preferences import (
-    STRICT_IMPROVEMENT_EPS,
-    GridConfig,
-    ManipulationResult,
-    PenaltyPreference,
-    Preference,
-    WeightedL1Preference,
-    candidate_misreports,
-    find_manipulation,
-)
-from .audit import (
-    ALL_AXIOM_IDS,
-    DEFAULT_AUDIT_AXIOMS,
-    AuditConfig,
-    AuditReport,
-    AxiomCheck,
-    audit,
-    check_anonymity,
-    check_continuity_lipschitz,
-    check_independent_endpoints,
-    check_lower_property,
-    check_manipulation,
-    check_out_betweenness,
-    check_responsiveness,
-    check_strong_neutrality,
-    check_translation_equivariance,
-    check_unanimity,
-    check_upper_property,
-    check_weak_neutrality,
-    identify_endpoint_rule,
-    replay_witness,
-    sample_profile,
-    staircase_profile,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "Interval",
-    "ExtendedInterval",
-    "Profile",
-    "ext_precedes",
-    "scalar_between",
-    "between",
-    "subset",
-    "endpoint_distance",
-    "PhantomVector",
-    "RuleEvaluationError",
-    "RuleHandle",
-    "endpoint_rule_phantoms",
-    "validate_phantoms",
-    "endpoint_rule_handle",
-    "median_rule_handle",
-    "maximal_rule_handle",
-    "averaging_rule_handle",
-    "phantom_rule_handle",
-    "valid_quota_pairs",
-    "MonotoneMap",
-    "apply_map_interval",
-    "apply_map_profile",
-    "random_increasing_map",
-    "map_to_data",
-    "map_from_data",
-    "WeightedL1Preference",
-    "PenaltyPreference",
-    "Preference",
-    "STRICT_IMPROVEMENT_EPS",
-    "GridConfig",
-    "ManipulationResult",
-    "candidate_misreports",
-    "find_manipulation",
-    "AxiomCheck",
-    "AuditConfig",
-    "AuditReport",
-    "DEFAULT_AUDIT_AXIOMS",
-    "ALL_AXIOM_IDS",
-    "audit",
-    "replay_witness",
-    "sample_profile",
-    "check_responsiveness",
-    "check_anonymity",
-    "check_weak_neutrality",
-    "check_strong_neutrality",
-    "check_translation_equivariance",
-    "check_continuity_lipschitz",
-    "check_independent_endpoints",
-    "check_out_betweenness",
-    "check_lower_property",
-    "check_upper_property",
-    "check_unanimity",
-    "check_manipulation",
-    "identify_endpoint_rule",
-    "staircase_profile",
-]
+# Each public name, grouped under the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("core", (
+            "NEG_INF",
+            "POS_INF",
+            "Interval",
+            "ExtendedInterval",
+            "Profile",
+            "ext_precedes",
+            "scalar_between",
+            "between",
+            "subset",
+            "endpoint_distance",
+        )),
+        ("rules", (
+            "PhantomVector",
+            "RuleEvaluationError",
+            "RuleHandle",
+            "endpoint_rule_phantoms",
+            "validate_phantoms",
+            "endpoint_rule_handle",
+            "median_rule_handle",
+            "maximal_rule_handle",
+            "averaging_rule_handle",
+            "phantom_rule_handle",
+            "valid_quota_pairs",
+        )),
+        ("transforms", (
+            "MonotoneMap",
+            "apply_map_interval",
+            "apply_map_profile",
+            "random_increasing_map",
+            "map_to_data",
+            "map_from_data",
+        )),
+        ("preferences", (
+            "WeightedL1Preference",
+            "PenaltyPreference",
+            "Preference",
+            "STRICT_IMPROVEMENT_EPS",
+            "GridConfig",
+            "ManipulationResult",
+            "candidate_misreports",
+            "find_manipulation",
+        )),
+        ("audit", (
+            "AxiomCheck",
+            "AuditConfig",
+            "AuditReport",
+            "DEFAULT_AUDIT_AXIOMS",
+            "ALL_AXIOM_IDS",
+            "audit",
+            "replay_witness",
+            "sample_profile",
+            "check_responsiveness",
+            "check_anonymity",
+            "check_weak_neutrality",
+            "check_strong_neutrality",
+            "check_translation_equivariance",
+            "check_continuity_lipschitz",
+            "check_independent_endpoints",
+            "check_out_betweenness",
+            "check_lower_property",
+            "check_upper_property",
+            "check_unanimity",
+            "check_manipulation",
+            "identify_endpoint_rule",
+            "staircase_profile",
+        )),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+# The submodules bound onto this copy of the package, by short name.
+_loaded: dict = {}
+
+
+def __getattr__(name: str):
+    """Import the submodule behind ``name`` and bind all its public names."""
+    module = _EXPORTS.get(name, name)
+    if module not in _EXPORTS.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = _loaded.get(module) or _import(module)
+    namespace = globals()
+    for public, home in _EXPORTS.items():
+        if home == module:
+            namespace[public] = getattr(submodule, public)
+    return namespace[name] if name in _EXPORTS else submodule
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+def _import(module: str) -> types.ModuleType:
+    """Import submodule ``module`` of this copy of the package.
+
+    A reload that drops the package from ``sys.modules`` and imports it
+    anew can leave this copy in use.  A submodule it loads late must then
+    be built on this copy's own ``core`` and ``rules``, not the new copy's,
+    or its values would fail this copy's type checks; so this copy and its
+    submodules stand in ``sys.modules`` while the import runs.
+    """
+    prefix = __name__ + "."
+    if sys.modules.get(__name__) is _PACKAGE:
+        return importlib.import_module(prefix + module)
+
+    def take_out() -> dict:
+        return {
+            key: sys.modules.pop(key)
+            for key in list(sys.modules)
+            if key == __name__ or key.startswith(prefix)
+        }
+
+    theirs = take_out()
+    sys.modules[__name__] = _PACKAGE
+    sys.modules.update((prefix + short, loaded) for short, loaded in _loaded.items())
+    try:
+        return importlib.import_module(prefix + module)
+    finally:
+        take_out()
+        sys.modules.update(theirs)
+
+
+class _Package(types.ModuleType):
+    """Records each submodule bound onto the package, and keeps
+    ``intervalagg.audit`` the function.
+
+    Loading a submodule binds it onto the package under its own name, so
+    ``import intervalagg.audit`` would otherwise replace the public
+    ``audit`` with the module that defines it.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, types.ModuleType) and value.__name__ == f"{__name__}.{name}":
+            _loaded[name] = value
+            if _EXPORTS.get(name) == name:
+                value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+_PACKAGE = sys.modules[__name__]
+_PACKAGE.__class__ = _Package

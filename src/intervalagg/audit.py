@@ -342,6 +342,7 @@ def check_continuity_lipschitz(
     passes vacuously.  This is a surrogate: passing it is evidence, not
     a proof, of the continuity axiom.
     """
+    _check_int("samples", samples, 0)
     epsilon = float(epsilon)
     if epsilon < 0 or epsilon != epsilon:
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
@@ -572,8 +573,16 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
     profiles drawing endpoints from a small shared pool (forcing exact
     ties across agents, the likeliest quantile bug site); and
     integer-valued profiles.  The regime is chosen per profile from the
-    provided stream, so campaigns see all three.
+    provided stream, so campaigns see all three.  ``n_agents`` must be an
+    int (not a bool) >= 1.
     """
+    _check_int("n_agents", n_agents, 1)
+    return _sample_profile(rng, n_agents)
+
+
+def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
+    # Campaigns and identification call this per sample, with a size they
+    # have checked.
     roll = rng.random()
     if roll < 0.4:
         return Profile([_sample_interval(rng) for _ in range(n_agents)])
@@ -605,7 +614,7 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
 
 
 def _draw_responsiveness(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     wider = [
         entry if rng.random() < 0.3
         else Interval(entry.lo - rng.uniform(0.0, 3.0), entry.hi + rng.uniform(0.0, 3.0))
@@ -615,14 +624,14 @@ def _draw_responsiveness(rule, rng, sample_index, n):
 
 
 def _draw_anonymity(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     permutation = list(range(n))
     rng.shuffle(permutation)
     return profile, permutation
 
 
 def _draw_neutrality(rule, rng, sample_index, n, strong=False):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     # The anchoring evaluation goes on to the decider as the check's own
     # output, so a sample evaluates the profile once.
     output = rule(profile)
@@ -640,7 +649,7 @@ def _draw_neutrality(rule, rng, sample_index, n, strong=False):
 
 
 def _draw_translation(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     roll = rng.random()
     if roll < 0.1:
         return profile, 0.0
@@ -650,7 +659,7 @@ def _draw_translation(rule, rng, sample_index, n):
 
 
 def _draw_continuity(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     perturbations = _perturbations(
         profile, _CONTINUITY_EPSILON, _CONTINUITY_PERTURBATIONS, rng.randrange(2**60)
     )
@@ -658,7 +667,7 @@ def _draw_continuity(rule, rng, sample_index, n):
 
 
 def _draw_independent_endpoints(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     keep_lower = sample_index % 2 == 0
     other = [
         entry if rng.random() < 0.25
@@ -670,13 +679,13 @@ def _draw_independent_endpoints(rule, rng, sample_index, n):
 
 
 def _draw_out_betweenness(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     agent = rng.randrange(n)
     return profile, agent, _sample_interval(rng)
 
 
 def _draw_side_property(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     agent = rng.randrange(n)
     if rng.random() < 0.1:
         return profile, profile, agent
@@ -688,7 +697,7 @@ def _draw_unanimity(rule, rng, sample_index, n):
 
 
 def _draw_manipulation(rule, rng, sample_index, n):
-    profile = sample_profile(rng, n)
+    profile = _sample_profile(rng, n)
     agent = rng.randrange(n)
     if rng.random() < 0.5:
         # Log-uniform weights in [0.1, 10] avoid weight-specific blind spots.
@@ -1036,9 +1045,11 @@ def identify_endpoint_rule(
     The probe can only certify behavioral equality on the sampled set;
     for genuine order-statistic rules the confirmation is exact by
     construction.  ``n_agents`` and ``confirmations`` must be ints (not
-    bools) >= 1; they are checked before the rule is evaluated.
+    bools) >= 1 and ``seed`` an int; they are checked before the rule is
+    evaluated.
     """
     _check_int("confirmations", confirmations, 1)
+    _check_int("seed", seed)
     probe = staircase_profile(n_agents)
     output = rule(probe)
     lower_guess = (output.lo + 1.0) / 2.0
@@ -1054,7 +1065,7 @@ def identify_endpoint_rule(
     reference = endpoint_rule_handle(lower_quota, upper_quota)
     rng = random.Random(seed)
     for _ in range(confirmations):
-        trial = sample_profile(rng, n_agents)
+        trial = _sample_profile(rng, n_agents)
         if rule(trial) != reference(trial):
             return None
     return (lower_quota, upper_quota)

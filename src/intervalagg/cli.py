@@ -19,30 +19,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import reprlib
 import shlex
-import subprocess
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .audit import (
-    ALL_AXIOM_IDS,
-    DEFAULT_AUDIT_AXIOMS,
-    AuditConfig,
-    audit,
-    identify_endpoint_rule,
-    staircase_profile,
-)
 from .core import ExtendedInterval, Interval, Profile
-from .preferences import (
-    GridConfig,
-    PenaltyPreference,
-    Preference,
-    WeightedL1Preference,
-    find_manipulation,
-)
 from .rules import (
     PhantomVector,
     RuleEvaluationError,
@@ -54,6 +37,15 @@ from .rules import (
     phantom_rule_handle,
     valid_quota_pairs,
 )
+
+# Each subcommand loads the rest of what it runs (audit, preferences,
+# csv, subprocess) where it runs it, so no subcommand pays for another's.
+# Package names are read off this copy of the package: ``from . import``
+# would follow ``sys.modules`` to a newer copy after a reload by purging,
+# whose classes this copy's rules and profiles do not match.
+_package = sys.modules[__package__]
+if TYPE_CHECKING:
+    from .preferences import Preference
 
 __all__ = [
     "CommandError",
@@ -212,6 +204,8 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
     numbers, as in a profile document; extra keys are ignored.
     ``timeout`` is in seconds, positive and at most a day.
     """
+    import subprocess
+
     try:
         argv = shlex.split(command)
     except ValueError as error:
@@ -344,7 +338,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     rule = parse_rule_spec(args.rule, timeout=args.timeout)
     axioms = _parse_axioms(args.axioms)
     try:
-        config = AuditConfig(
+        config = _package.AuditConfig(
             n_agents=args.n,
             samples=args.samples,
             seed=args.seed,
@@ -353,7 +347,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise CommandError(str(error)) from error
     with _rule_errors():
-        report = audit(rule, config)
+        report = _package.audit(rule, config)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report.to_json_dict(), handle, indent=2)
@@ -380,10 +374,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         raise CommandError("--n and --samples must be >= 1 for identify")
     # Identify before printing, so a rule that fails leaves stdout empty.
     with _rule_errors():
-        quotas = identify_endpoint_rule(
+        quotas = _package.identify_endpoint_rule(
             rule, args.n, confirmations=args.samples, seed=args.seed
         )
-    probe = staircase_profile(args.n)
+    probe = _package.staircase_profile(args.n)
     print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
     if quotas is None:
         print("not an endpoint rule")
@@ -399,7 +393,7 @@ def _plain_profile(profile: Profile) -> list:
 def _parse_pref(text: str, peak: Interval) -> Preference:
     text = text.strip()
     if text in ("weighted", "weighted:"):
-        return WeightedL1Preference(peak)
+        return _package.WeightedL1Preference(peak)
     if text.startswith("weighted:"):
         parts = text[len("weighted:"):].split(",")
         if len(parts) != 2:
@@ -414,7 +408,7 @@ def _parse_pref(text: str, peak: Interval) -> Preference:
                 f"weighted preference weights must be numbers: {text!r}"
             ) from error
         try:
-            return WeightedL1Preference(peak, lower_weight, upper_weight)
+            return _package.WeightedL1Preference(peak, lower_weight, upper_weight)
         except ValueError as error:
             raise CommandError(str(error)) from error
     if text.startswith("penalty:"):
@@ -429,7 +423,7 @@ def _parse_pref(text: str, peak: Interval) -> Preference:
             raise CommandError(
                 f"penalty reference interval invalid: {error}"
             ) from error
-        return PenaltyPreference(peak, reference)
+        return _package.PenaltyPreference(peak, reference)
     raise CommandError(f"unrecognised preference spec: {text!r}")
 
 
@@ -442,9 +436,11 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
         )
     agent_index = args.agent - 1
     preference = _parse_pref(args.pref, profile[agent_index])
-    grid = GridConfig(seed=args.seed)
+    grid = _package.GridConfig(seed=args.seed)
     with _rule_errors():
-        result = find_manipulation(rule, profile, agent_index, preference, grid)
+        result = _package.find_manipulation(
+            rule, profile, agent_index, preference, grid
+        )
     print(f"truthful outcome: {json.dumps(_plain_interval(result.truthful_outcome))}")
     if not result.found:
         print("no manipulation found")
@@ -461,6 +457,8 @@ def _plain_interval(interval: Interval) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
+
     profile = load_profile_document(args.profile)
     rows = []
     for lower_quota, upper_quota in valid_quota_pairs(len(profile)):
@@ -524,17 +522,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=1000, help="samples per axiom (default 1000)"
     )
     p_audit.add_argument("--seed", type=int, default=0, help="master seed")
-    p_audit.add_argument(
-        "--axioms",
-        default=None,
-        help=(
+    axioms = p_audit.add_argument("--axioms", default=None)
+
+    def audit_help() -> str:
+        # The ids are read off the audit module, which only this help and
+        # the audit command itself load.
+        default = _package.DEFAULT_AUDIT_AXIOMS
+        axioms.help = (
             "comma-separated axiom ids (default: "
-            + ", ".join(DEFAULT_AUDIT_AXIOMS)
+            + ", ".join(default)
             + "; opt-in: "
-            + ", ".join(a for a in ALL_AXIOM_IDS if a not in DEFAULT_AUDIT_AXIOMS)
+            + ", ".join(a for a in _package.ALL_AXIOM_IDS if a not in default)
             + ")"
-        ),
-    )
+        )
+        return argparse.ArgumentParser.format_help(p_audit)
+
+    p_audit.format_help = audit_help
     p_audit.add_argument(
         "--out", default="audit_report.json", help="report file path"
     )

@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .core import Interval, Profile, between, endpoint_distance
-from .rules import RuleHandle
+from .rules import RuleHandle, _check_int
 
 __all__ = [
     "WeightedL1Preference",
@@ -332,6 +332,7 @@ def find_manipulation(
     candidate is one of :func:`candidate_misreports`.  A median search at
     n = 1001 then tries a few hundred candidates instead of about 8M.
     """
+    _check_int("agent_index", agent_index)
     if not 0 <= agent_index < len(profile):
         raise IndexError(
             f"agent index {agent_index} out of range for {len(profile)} agents"

@@ -78,18 +78,6 @@ def _check_int(name: str, value: object, least: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _check_quotas(lower_quota: int, upper_quota: int, n_agents: int) -> None:
-    _check_int("lower_quota", lower_quota, 1)
-    _check_int("upper_quota", upper_quota, 1)
-    _check_int("n_agents", n_agents, 1)
-    if lower_quota + upper_quota > n_agents + 1:
-        raise ValueError(
-            f"quotas ({lower_quota}, {upper_quota}) violate "
-            f"lower_quota + upper_quota <= n_agents + 1 with "
-            f"n_agents = {n_agents}; the rule could output an empty interval"
-        )
-
-
 def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float:
     """The ``k``-th smallest (1-based) of two sorted lists pooled.
 
@@ -331,7 +319,15 @@ def endpoint_rule_phantoms(
     endpoint; the low phantoms mirror this on the upper side; the
     whole-line phantoms are neutral.
     """
-    _check_quotas(lower_quota, upper_quota, n_agents)
+    _check_int("lower_quota", lower_quota, 1)
+    _check_int("upper_quota", upper_quota, 1)
+    _check_int("n_agents", n_agents, 1)
+    if lower_quota + upper_quota > n_agents + 1:
+        raise ValueError(
+            f"quotas ({lower_quota}, {upper_quota}) violate "
+            f"lower_quota + upper_quota <= n_agents + 1 with "
+            f"n_agents = {n_agents}; the rule could output an empty interval"
+        )
     top = ExtendedInterval(POS_INF, POS_INF)
     bottom = ExtendedInterval(NEG_INF, NEG_INF)
     whole = ExtendedInterval(NEG_INF, POS_INF)
@@ -383,6 +379,7 @@ class RuleHandle:
         to search one misreport per outcome class.  The averaging clamp
         and the full-evaluation fallback have no ``bounds``.
         """
+        _check_int("index", index)
         if not 0 <= index < len(profile):
             raise IndexError(
                 f"agent index {index} out of range for {len(profile)} agents"
@@ -401,7 +398,8 @@ def endpoint_rule_handle(lower_quota: int, upper_quota: int) -> RuleHandle:
     constraint, so one handle serves any ``n`` with ``lower_quota +
     upper_quota <= n + 1``.
     """
-    _check_quotas(lower_quota, upper_quota, lower_quota + upper_quota)
+    _check_int("lower_quota", lower_quota, 1)
+    _check_int("upper_quota", upper_quota, 1)
 
     def ranks(n: int) -> tuple[int, int]:
         if lower_quota + upper_quota > n + 1:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from intervalagg import (
     maximal_rule_handle,
     median_rule_handle,
     replay_witness,
+    sample_profile,
     staircase_profile,
 )
 from intervalagg.audit import _AXIOM_CODES, _AXIOMS
@@ -302,6 +304,13 @@ class TestContinuitySurrogate:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             check_continuity_lipschitz(median_rule_handle(), BENCHMARK_PROFILE, -1.0)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, -1])
+    def test_sample_count_validated(self, samples):
+        with pytest.raises(ValueError, match="samples must be"):
+            check_continuity_lipschitz(
+                median_rule_handle(), BENCHMARK_PROFILE, 0.5, samples=samples
+            )
 
 
 class TestIndependentEndpoints:
@@ -840,6 +849,15 @@ class TestEvaluationErrors:
 
 
 class TestIdentification:
+    @pytest.mark.parametrize("size,message", [
+        (True, "n_agents must be an int, got True"),
+        (2.5, "n_agents must be an int, got 2.5"),
+        (0, "n_agents must be >= 1, got 0"),
+    ])
+    def test_sample_profile_size_validated(self, size, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_profile(random.Random(0), size)
+
     def test_staircase_profile_shape(self):
         assert staircase_profile(3) == Profile(
             (Interval(1, 2), Interval(3, 4), Interval(5, 6))
@@ -883,6 +901,7 @@ class TestIdentification:
         ((2.5,), "n_agents must be an int, got 2.5"),
         ((3, 2.5), "confirmations must be an int, got 2.5"),
         ((3, True), "confirmations must be an int, got True"),
+        ((3, 200, 1.5), "seed must be an int, got 1.5"),
     ])
     def test_arguments_checked_before_the_rule_runs(self, arguments, message):
         calls = []

@@ -157,6 +157,16 @@ def test_agent_index_validated(handle, index):
         handle.vary_agent(profile, index)
 
 
+@pytest.mark.parametrize(
+    "handle", [median_rule_handle(), RuleHandle("opaque", lambda profile: profile[0])]
+)
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_agent_index_must_be_an_int(handle, index):
+    profile = Profile((Interval(0, 2), Interval(1, 3), Interval(2, 4)))
+    with pytest.raises(ValueError, match=f"index must be an int, got {index!r}"):
+        handle.vary_agent(profile, index)
+
+
 # Ties, duplicate endpoints and -0.0 (which Interval stores as +0.0).
 chain_values = st.sampled_from([-3.0, -1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0])
 

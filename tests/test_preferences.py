@@ -347,6 +347,13 @@ class TestFindManipulation:
         with pytest.raises(IndexError):
             find_manipulation(median_rule_handle(), profile, -1, pref)
 
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_agent_index_must_be_an_int(self, agent):
+        pref = WeightedL1Preference(Interval(2, 3))
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        with pytest.raises(ValueError, match=f"agent_index must be an int, got {agent!r}"):
+            find_manipulation(median_rule_handle(), profile, agent, pref)
+
     def test_peak_must_match_truthful_judgment(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
         with pytest.raises(ValueError):

@@ -97,6 +97,14 @@ class TestEndpointRule:
             with pytest.raises(ValueError, match="must be an int"):
                 endpoint_rule_phantoms(p, q, 3)
 
+    @pytest.mark.parametrize("bad", ["1", None, True])
+    def test_quota_types_checked_before_the_sum(self, bad):
+        # The handle's quota sum must not run ahead of the type check.
+        with pytest.raises(ValueError, match=f"lower_quota must be an int, got {bad!r}"):
+            endpoint_rule_handle(bad, 2)
+        with pytest.raises(ValueError, match=f"upper_quota must be an int, got {bad!r}"):
+            endpoint_rule_handle(2, bad)
+
     @given(profiles_with_quotas())
     def test_output_copies_input_endpoints(self, case):
         profile, p, q = case
