@@ -32,13 +32,21 @@ confirmed against the reconstructed rule on random profiles.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from .core import Interval, Profile, between, scalar_between, subset
+from .core import (
+    Interval,
+    Profile,
+    _check_agent,
+    _check_int,
+    _check_number,
+    between,
+    scalar_between,
+    subset,
+)
 from .preferences import (
     GridConfig,
     PenaltyPreference,
@@ -49,7 +57,6 @@ from .preferences import (
 from .rules import (
     RuleEvaluationError,
     RuleHandle,
-    _check_int,
     endpoint_rule_handle,
 )
 from .transforms import (
@@ -131,27 +138,10 @@ class AxiomCheck:
 # anything a failing check could not have written there.
 
 
-def _number_from(data, least: Optional[float] = None) -> float:
-    # A bool is an int to Python but never a stored number.
-    if type(data) not in (int, float) or not math.isfinite(data):
-        raise ValueError(f"expected a finite number, got {data!r}")
-    if least is not None and data < least:
-        raise ValueError(f"expected a number >= {least}, got {data!r}")
-    return data
-
-
-def _int_from(data, least: Optional[int] = None) -> int:
-    if type(data) is not int:
-        raise ValueError(f"expected an int, got {data!r}")
-    if least is not None and data < least:
-        raise ValueError(f"expected an int >= {least}, got {data!r}")
-    return data
-
-
 def _interval_from(data: Sequence[float]) -> Interval:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"expected a [lo, hi] pair, got {data!r}")
-    return Interval(_number_from(data[0]), _number_from(data[1]))
+    return Interval(_check_number("lo", data[0]), _check_number("hi", data[1]))
 
 
 def _profile_from(data: Sequence[Sequence[float]]) -> Profile:
@@ -279,9 +269,7 @@ def check_translation_equivariance(
     rule: RuleHandle, profile: Profile, offset: float
 ) -> AxiomCheck:
     """Shifting every judgment by ``offset`` shifts the aggregate by it."""
-    offset = float(offset)
-    if offset != offset or offset in (float("inf"), float("-inf")):
-        raise ValueError(f"offset must be finite, got {offset!r}")
+    offset = float(_check_number("offset", offset))
     try:
         shifted = profile.shift(offset)
     except ValueError as error:
@@ -343,9 +331,8 @@ def check_continuity_lipschitz(
     a proof, of the continuity axiom.
     """
     _check_int("samples", samples, 0)
-    epsilon = float(epsilon)
-    if epsilon < 0 or epsilon != epsilon:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    _check_int("seed", seed)
+    epsilon = float(_check_number("epsilon", epsilon, 0.0))
     if epsilon == 0:
         return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
     return _check_lipschitz(
@@ -421,6 +408,7 @@ def check_out_betweenness(
     the outcome around, but never *past* the truthful outcome from the
     deviator's point of view.
     """
+    _check_agent(profile, agent_index, "agent_index")
     deviated = profile.replace_agent(agent_index, misreport)
     output = rule(profile)
     deviated_output = rule(deviated)
@@ -439,10 +427,7 @@ def check_out_betweenness(
 def _one_agent_difference(profile: Profile, other: Profile, agent_index: int) -> None:
     if len(profile) != len(other):
         raise ValueError("profiles must have the same number of agents")
-    if not 0 <= agent_index < len(profile):
-        raise IndexError(
-            f"agent index {agent_index} out of range for {len(profile)} agents"
-        )
+    _check_agent(profile, agent_index, "agent_index")
     for pos, (a, b) in enumerate(zip(profile, other)):
         if pos != agent_index and a != b:
             raise ValueError(
@@ -923,9 +908,7 @@ def _pref_from(data: Mapping) -> Preference:
         raise ValueError(f"expected a preference object, got {data!r}")
     if data["kind"] == "weighted_l1":
         return WeightedL1Preference(
-            _interval_from(data["peak"]),
-            _number_from(data["lower_weight"]),
-            _number_from(data["upper_weight"]),
+            _interval_from(data["peak"]), data["lower_weight"], data["upper_weight"]
         )
     if data["kind"] == "penalty":
         return PenaltyPreference(
@@ -966,11 +949,11 @@ _WITNESS_DECODERS = {
     "map": map_from_data,
     "preference": _pref_from,
     "permutation": _permutation_from,
-    "offset": _number_from,
-    "epsilon": partial(_number_from, least=0.0),
-    "agent": partial(_int_from, least=0),
-    "n_agents": partial(_int_from, least=1),
-    "grid_seed": _int_from,
+    "offset": partial(_check_number, "offset"),
+    "epsilon": partial(_check_number, "epsilon", least=0.0),
+    "agent": partial(_check_int, "agent", least=0),
+    "n_agents": partial(_check_int, "n_agents", least=1),
+    "grid_seed": partial(_check_int, "grid_seed"),
 }
 
 

@@ -16,12 +16,16 @@ structurally equal intervals are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, insort
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+_FLOAT_MAX = sys.float_info.max
+# The least positive float: least=_LEAST_POSITIVE asks for a number > 0.
+_LEAST_POSITIVE = math.ulp(0.0)
 
 __all__ = [
     "NEG_INF",
@@ -35,6 +39,43 @@ __all__ = [
     "subset",
     "endpoint_distance",
 ]
+
+
+# The one input checker: every size, seed, index, weight, slope, offset and
+# epsilon from an API caller or a replayed witness goes through these three.
+
+
+def _check_int(name: str, value, least: Optional[int] = None) -> int:
+    """``value`` unchanged if it is an int (bools excluded) >= ``least``;
+    else a ValueError naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_number(name: str, value, least: Optional[float] = None):
+    """``value`` unchanged if it is a finite int or float >= ``least``, bools
+    and ints past the float range excluded; else a ValueError naming it."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def _check_agent(profile: Sequence, index, name: str = "index") -> int:
+    """``index`` unchanged if it is an int naming an agent of ``profile``; a
+    negative one is an IndexError, as a silent wraparound corrupts searches."""
+    _check_int(name, index)
+    if not 0 <= index < len(profile):
+        raise IndexError(
+            f"agent index {index} out of range for {len(profile)} agents"
+        )
+    return index
 
 
 def ext_precedes(a: float, b: float) -> bool:
@@ -182,15 +223,11 @@ class Profile(tuple):
     def replace_agent(self, index: int, interval: Interval) -> "Profile":
         """Copy of the profile with one agent's judgment swapped out.
 
-        Negative indices are rejected rather than wrapped; a silent
-        wraparound in a misreport loop would corrupt search results.  A
-        ranked profile hands its ranks to the copy with one slot moved,
-        in O(n) instead of a fresh sort.
+        ``index`` goes through :func:`_check_agent`.  A ranked profile
+        hands its ranks to the copy with one slot moved, in O(n) instead
+        of a fresh sort.
         """
-        if not 0 <= index < len(self):
-            raise IndexError(
-                f"agent index {index} out of range for {len(self)} agents"
-            )
+        _check_agent(self, index)
         if not isinstance(interval, Interval):
             raise TypeError(f"replacement is not an Interval: {interval!r}")
         child = Profile(self[:index] + (interval,) + self[index + 1 :])

@@ -27,14 +27,23 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from typing import Optional, Union
 
-from .core import Interval, Profile, between, endpoint_distance
-from .rules import RuleHandle, _check_int
+from .core import (
+    _FLOAT_MAX,
+    _LEAST_POSITIVE,
+    Interval,
+    Profile,
+    _check_agent,
+    _check_int,
+    _check_number,
+    between,
+    endpoint_distance,
+)
+from .rules import RuleHandle
 
 __all__ = [
     "WeightedL1Preference",
@@ -50,8 +59,6 @@ __all__ = [
 # A misreport only counts as profitable when the cost drop clears this.
 STRICT_IMPROVEMENT_EPS = 1e-12
 
-_FLOAT_MAX = sys.float_info.max
-
 
 @dataclass(frozen=True)
 class WeightedL1Preference:
@@ -64,14 +71,8 @@ class WeightedL1Preference:
     def __post_init__(self) -> None:
         if not isinstance(self.peak, Interval):
             raise TypeError(f"peak must be an Interval, got {self.peak!r}")
-        for name, weight in (
-            ("lower_weight", self.lower_weight),
-            ("upper_weight", self.upper_weight),
-        ):
-            if not weight > 0 or weight != weight or weight == float("inf"):
-                raise ValueError(
-                    f"{name} must be a positive finite number, got {weight!r}"
-                )
+        _check_number("lower_weight", self.lower_weight, _LEAST_POSITIVE)
+        _check_number("upper_weight", self.upper_weight, _LEAST_POSITIVE)
 
     def cost(self, candidate: Interval) -> float:
         return self.lower_weight * abs(candidate.lo - self.peak.lo) + (
@@ -133,21 +134,9 @@ class GridConfig:
                 f"{self.margin_deltas!r}"
             ) from None
         for pos, delta in enumerate(deltas):
-            if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-                raise TypeError(
-                    f"margin_deltas entry {pos} is not a number: {delta!r}"
-                )
-            if not -_FLOAT_MAX <= delta <= _FLOAT_MAX:  # NaN, inf, huge ints
-                raise ValueError(
-                    f"margin_deltas entry {pos} is not finite: {delta!r}"
-                )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an int, got {self.seed!r}")
-        count = self.random_candidates
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise TypeError(f"random_candidates must be an int, got {count!r}")
-        if count < 0:
-            raise ValueError(f"random_candidates must be >= 0, got {count}")
+            _check_number(f"margin_deltas entry {pos}", delta)
+        _check_int("seed", self.seed)
+        _check_int("random_candidates", self.random_candidates, 0)
         for pos, entry in enumerate(self.extra_candidates):
             if not isinstance(entry, Interval):
                 raise TypeError(
@@ -332,11 +321,7 @@ def find_manipulation(
     candidate is one of :func:`candidate_misreports`.  A median search at
     n = 1001 then tries a few hundred candidates instead of about 8M.
     """
-    _check_int("agent_index", agent_index)
-    if not 0 <= agent_index < len(profile):
-        raise IndexError(
-            f"agent index {agent_index} out of range for {len(profile)} agents"
-        )
+    _check_agent(profile, agent_index, "agent_index")
     if preference.peak != profile[agent_index]:
         raise ValueError(
             f"preference peak {preference.peak!r} differs from agent "

@@ -43,6 +43,8 @@ from .core import (
     ExtendedInterval,
     Interval,
     Profile,
+    _check_agent,
+    _check_int,
 )
 
 __all__ = [
@@ -67,15 +69,6 @@ class RuleEvaluationError(Exception):
     nonzero exits and malformed output; audits count these separately
     from axiom failures.
     """
-
-
-def _check_int(name: str, value: object, least: Optional[int] = None) -> None:
-    """Reject a ``value`` that is not an int (bools included) or is below
-    ``least``, naming the field."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float:
@@ -108,7 +101,7 @@ def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float
 
 
 def _select(
-    profile: Sequence[Interval],
+    profile: Profile,
     lo_rank: int,
     hi_rank: int,
     pool_lows: Sequence[float] = (),
@@ -121,8 +114,6 @@ def _select(
     Reads the profile's ranked endpoints, so after a profile's first
     evaluation each call costs O(1) for quota rules and O(log n) for
     generalized medians.  The pools must be sorted ascending."""
-    if not isinstance(profile, Profile):
-        profile = Profile(profile)  # a plain sequence is ranked on the spot
     lows, highs = profile._ranked()
     return Interval(
         _kth_of_two(lows, pool_lows, lo_rank),
@@ -207,9 +198,7 @@ def _mean_interval(lo_units: int, hi_units: int, n_agents: int) -> Interval:
     return Interval(lo, hi)
 
 
-def _averaging(profile: Sequence[Interval]) -> Interval:
-    if len(profile) == 0:
-        raise ValueError("profile needs at least one agent")
+def _averaging(profile: Profile) -> Interval:
     return _mean_interval(
         sum([_units(entry.lo) for entry in profile]),
         sum([_units(entry.hi) for entry in profile]),
@@ -344,7 +333,9 @@ class RuleHandle:
     """A rule's one face: a named callable from a profile to an interval.
 
     ``evaluate`` maps a :class:`Profile` to an :class:`Interval`; the
-    handle itself is callable.  Audit reports and CLI output use ``name``.
+    handle itself is callable, on a profile or on any sequence of
+    intervals, which it turns into a profile first.  Audit reports and CLI
+    output use ``name``.
     ``incremental``, when given, backs :meth:`vary_agent` with a faster
     path that must agree with ``evaluate`` bit for bit; handles built
     without it fall back to full evaluation.
@@ -356,7 +347,9 @@ class RuleHandle:
         Callable[[Profile, int], Callable[[Interval], Interval]]
     ] = None
 
-    def __call__(self, profile: Profile) -> Interval:
+    def __call__(self, profile: Sequence[Interval]) -> Interval:
+        if not isinstance(profile, Profile):
+            profile = Profile(profile)
         return self.evaluate(profile)
 
     def vary_agent(
@@ -379,11 +372,7 @@ class RuleHandle:
         to search one misreport per outcome class.  The averaging clamp
         and the full-evaluation fallback have no ``bounds``.
         """
-        _check_int("index", index)
-        if not 0 <= index < len(profile):
-            raise IndexError(
-                f"agent index {index} out of range for {len(profile)} agents"
-            )
+        _check_agent(profile, index)
         if self.incremental is not None:
             return self.incremental(profile, index)
         return lambda report: self(profile.replace_agent(index, report))
@@ -423,7 +412,7 @@ def _order_statistic_handle(
     """Handle selecting the endpoint ranks ``ranks(n)`` from the judgments
     pooled with fixed extra bounds, with the one-agent fast path."""
 
-    def evaluate(profile: Sequence[Interval]) -> Interval:
+    def evaluate(profile: Profile) -> Interval:
         return _select(profile, *ranks(len(profile)), pool_lows, pool_highs)
 
     def incremental(profile: Profile, index: int) -> Callable[[Interval], Interval]:
@@ -465,6 +454,8 @@ def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> Ru
     phantoms.  A profile size the vector fails :func:`validate_phantoms`
     for is a ValueError, checked once per size rather than per call.
     """
+    if not isinstance(vector, PhantomVector):
+        raise TypeError(f"vector must be a PhantomVector, got {vector!r}")
     if name is None:
         name = f"phantoms[{len(vector)}]"
     valid_sizes: set[int] = set()

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Interval, Profile
+from .core import _LEAST_POSITIVE, Interval, Profile, _check_int, _check_number
 
 __all__ = [
     "MonotoneMap",
@@ -80,14 +80,13 @@ class MonotoneMap:
                 raise ValueError(
                     f"decreasing map needs strictly decreasing y, got {a} then {b}"
                 )
-        for name, slope in (
-            ("left_slope", self.left_slope),
-            ("right_slope", self.right_slope),
-        ):
-            if not slope > 0 or slope != slope or slope == float("inf"):
-                raise ValueError(
-                    f"{name} must be a positive finite magnitude, got {slope!r}"
-                )
+        # Strictly monotone, so the ends bound every other coordinate.
+        for end in (xs[0], xs[-1], ys[0], ys[-1]):
+            _check_number("breakpoint", end)
+        _check_number("left_slope", self.left_slope, _LEAST_POSITIVE)
+        _check_number("right_slope", self.right_slope, _LEAST_POSITIVE)
+        if not isinstance(self.affine, bool):
+            raise ValueError(f"affine must be a bool, got {self.affine!r}")
         if self.affine:
             if len(points) != 2 or self.left_slope != self.right_slope:
                 raise ValueError(
@@ -220,7 +219,7 @@ def random_increasing_map(seed: int, anchors: Sequence[float]) -> MonotoneMap:
     y gaps, extra outer kinks and tail slopes all come from the seeded
     stream, so distinct seeds give genuinely different nonlinear maps.
     """
-    return _random_increasing_from_rng(random.Random(seed), anchors)
+    return _random_increasing_from_rng(random.Random(_check_int("seed", seed)), anchors)
 
 
 def map_to_data(mapping: MonotoneMap) -> dict:
@@ -235,14 +234,18 @@ def map_to_data(mapping: MonotoneMap) -> dict:
 
 
 def map_from_data(data: Mapping) -> MonotoneMap:
-    """Inverse of :func:`map_to_data`; validates the direction string."""
+    """Inverse of :func:`map_to_data`; no value is coerced, so a breakpoint
+    must be a JSON number and ``affine`` a JSON bool."""
     direction = data["direction"]
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown map direction: {direction!r}")
     return MonotoneMap(
-        tuple((float(x), float(y)) for x, y in data["breakpoints"]),
+        tuple(
+            (_check_number("breakpoint", x), _check_number("breakpoint", y))
+            for x, y in data["breakpoints"]
+        ),
         direction == "increasing",
-        float(data["left_slope"]),
-        float(data["right_slope"]),
-        bool(data.get("affine", False)),
+        data["left_slope"],
+        data["right_slope"],
+        data.get("affine", False),
     )

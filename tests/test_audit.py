@@ -44,6 +44,14 @@ from .conftest import BENCHMARK_PROFILE
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_WITNESSES = json.loads((GOLDEN_DIR / "witnesses_n3.json").read_text())
 MEDIAN = median_rule_handle()
+# map_to_data form of the identity map, for one-field edits in replay tests.
+IDENTITY_MAP = {
+    "breakpoints": [[-5, -5], [5, 5]],
+    "direction": "increasing",
+    "left_slope": 1,
+    "right_slope": 1,
+    "affine": False,
+}
 
 
 def narrowest_rule():
@@ -312,6 +320,13 @@ class TestContinuitySurrogate:
                 median_rule_handle(), BENCHMARK_PROFILE, 0.5, samples=samples
             )
 
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+            check_continuity_lipschitz(
+                median_rule_handle(), BENCHMARK_PROFILE, 0.5, seed=seed
+            )
+
 
 class TestIndependentEndpoints:
     def test_fixed_lower_endpoints_pass(self):
@@ -371,6 +386,15 @@ class TestOutBetweenness:
                 median_rule_handle(), BENCHMARK_PROFILE, 0, (0, 1)
             )
 
+    # A bool once passed as agent 1 and wrote a witness replay rejects.
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_non_int_agent_index_names_the_field(self, agent):
+        message = f"agent_index must be an int, got {agent!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_out_betweenness(
+                averaging_rule_handle(), BENCHMARK_PROFILE, agent, Interval(-9, -8)
+            )
+
 
 class TestEndpointProperties:
     def test_order_statistic_pair_passes_both_sides(self):
@@ -405,6 +429,14 @@ class TestEndpointProperties:
         other = Profile((Interval(0, 9), Interval(0, 9), Interval(0, 9)))
         with pytest.raises(ValueError):
             check_lower_property(median_rule_handle(), BENCHMARK_PROFILE, other, 0)
+
+    @pytest.mark.parametrize("check", [check_lower_property, check_upper_property])
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_non_int_agent_index_names_the_field(self, check, agent):
+        other = BENCHMARK_PROFILE.replace_agent(1, Interval(-9, 9))
+        message = f"agent_index must be an int, got {agent!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(averaging_rule_handle(), BENCHMARK_PROFILE, other, agent)
 
 
 class TestUnanimity:
@@ -468,6 +500,18 @@ class TestManipulationCheck:
         witness["preference"]["kind"] = "quadratic"
         with pytest.raises(ValueError, match="unknown preference kind: 'quadratic'"):
             replay_witness(averaging_rule_handle(), witness)
+
+    def test_int_weight_witness_replays_bit_exactly(self):
+        from intervalagg import WeightedL1Preference
+
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        preference = WeightedL1Preference(Interval(0, 1), 2, 1.0)
+        check = check_manipulation(averaging_rule_handle(), profile, 0, preference)
+        assert not check.passed
+        assert check.witness["preference"]["lower_weight"] == 2
+        text = json.dumps(check.witness)
+        again = replay_witness(averaging_rule_handle(), json.loads(text))
+        assert json.dumps(again.witness) == text
 
 
 class TestAuditCampaigns:
@@ -752,24 +796,41 @@ class TestReplayInput:
     @pytest.mark.parametrize("axiom,field,value,detail", [
         ("Anonymity", "permutation", 5, "5 is not a permutation"),
         ("Anonymity", "permutation", [0, "1", 2], "is not a permutation"),
-        ("TranslationEquivariance", "offset", "3", "expected a finite number"),
-        ("TranslationEquivariance", "offset", True, "expected a finite number"),
-        ("TranslationEquivariance", "offset", 10**400, "too large"),
-        ("ContinuityLipschitz", "epsilon", float("nan"), "expected a finite number"),
-        ("ContinuityLipschitz", "epsilon", -0.5, "expected a number >= 0.0"),
+        ("TranslationEquivariance", "offset", "3", "offset must be a finite number, got '3'"),
+        ("TranslationEquivariance", "offset", True, "offset must be a finite number, got True"),
+        ("TranslationEquivariance", "offset", 10**400, "offset must be a finite number"),
+        ("ContinuityLipschitz", "epsilon", float("nan"), "epsilon must be a finite number"),
+        ("ContinuityLipschitz", "epsilon", -0.5, "epsilon must be >= 0.0, got -0.5"),
         ("ContinuityLipschitz", "perturbed", [[0, 1, 2]], "expected a [lo, hi] pair"),
-        ("OutBetweenness", "agent", [1], "expected an int, got [1]"),
+        ("OutBetweenness", "agent", [1], "agent must be an int, got [1]"),
         ("OutBetweenness", "misreport", [2, 1], "interval needs lo < hi"),
-        ("LowerProperty", "agent", -1, "expected an int >= 0"),
-        ("Unanimity", "n_agents", 2.0, "expected an int, got 2.0"),
-        ("Unanimity", "n_agents", 0, "expected an int >= 1"),
+        ("LowerProperty", "agent", -1, "agent must be >= 0, got -1"),
+        ("Unanimity", "n_agents", 2.0, "n_agents must be an int, got 2.0"),
+        ("Unanimity", "n_agents", 0, "n_agents must be >= 1, got 0"),
         ("Unanimity", "judgment", [1], "expected a [lo, hi] pair"),
         ("Responsiveness", "profile", 5, "expected a list of [lo, hi] pairs"),
-        ("IndependentEndpoints", "other", [["0", 1]], "expected a finite number"),
+        ("IndependentEndpoints", "other", [["0", 1]], "lo must be a finite number, got '0'"),
         ("WeakNeutrality", "map", {"breakpoints": []}, "missing key 'direction'"),
-        ("Manipulation", "grid_seed", "7", "expected an int"),
+        # Each of these read as a valid map before numbers were checked.
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, left_slope="2"),
+         "left_slope must be a finite number, got '2'"),
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, breakpoints=[["-5", "-5"], [5, 5]]),
+         "breakpoint must be a finite number, got '-5'"),
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, breakpoints=[[True, 1], [5, 5]]),
+         "breakpoint must be a finite number, got True"),
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, affine="false"),
+         "affine must be a bool, got 'false'"),
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, breakpoints=[[-5, -5], [5, 1e400]]),
+         "breakpoint must be a finite number, got inf"),
+        ("Manipulation", "grid_seed", "7", "grid_seed must be an int, got '7'"),
         ("Manipulation", "preference", {"peak": [0, 1]}, "missing key 'kind'"),
         ("Manipulation", "preference", [0, 1], "expected a preference object"),
+        ("Manipulation", "preference",
+         dict(GOLDEN_WITNESSES["Manipulation"]["preference"], lower_weight=True),
+         "lower_weight must be a finite number, got True"),
+        ("Manipulation", "preference",
+         dict(GOLDEN_WITNESSES["Manipulation"]["preference"], upper_weight=True),
+         "upper_weight must be a finite number, got True"),
     ])
     def test_malformed_field_names_axiom_and_field(self, axiom, field, value, detail):
         calls = []
@@ -783,6 +844,10 @@ class TestReplayInput:
         with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(detail)):
             replay_witness(RuleHandle("counting", counting), witness)
         assert calls == []
+
+    def test_identity_map_witness_replays_and_passes(self):
+        witness = dict(GOLDEN_WITNESSES["WeakNeutrality"], map=IDENTITY_MAP)
+        assert replay_witness(MEDIAN, witness).passed
 
     @pytest.mark.parametrize(
         "axiom", ["OutBetweenness", "LowerProperty", "UpperProperty", "Manipulation"]

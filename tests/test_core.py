@@ -205,6 +205,12 @@ class TestProfile:
         with pytest.raises(IndexError):
             profile.replace_agent(-1, Interval(0, 1))
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_replace_agent_rejects_non_int_index(self, index):
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        with pytest.raises(ValueError, match=f"index must be an int, got {index!r}"):
+            profile.replace_agent(index, Interval(0, 1))
+
     def test_shift(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
         assert profile.shift(10.0) == Profile(

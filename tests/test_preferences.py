@@ -119,10 +119,10 @@ class TestCosts:
             assert penalty.cost(other) > 0.0
 
     def test_weight_validation(self):
-        for bad in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, float("inf"), float("nan"), True):
+            with pytest.raises(ValueError, match=f"lower_weight .*, got {bad!r}"):
                 WeightedL1Preference(Interval(0, 1), lower_weight=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"upper_weight .*, got {bad!r}"):
                 WeightedL1Preference(Interval(0, 1), upper_weight=bad)
 
     def test_peak_type_validation(self):
@@ -233,19 +233,23 @@ class TestCandidateGrid:
          "extra_candidates entry 0 is not an Interval: (1.3, 2.7)"),
         ({"extra_candidates": (Interval(0, 1), [2, 3])}, TypeError,
          "extra_candidates entry 1 is not an Interval"),
-        ({"random_candidates": 2.5}, TypeError, "random_candidates must be an int"),
-        ({"random_candidates": True}, TypeError, "random_candidates must be an int"),
+        ({"random_candidates": 2.5}, ValueError, "random_candidates must be an int"),
+        ({"random_candidates": True}, ValueError, "random_candidates must be an int"),
         ({"random_candidates": -3}, ValueError, "random_candidates must be >= 0"),
-        ({"margin_deltas": ("1",)}, TypeError, "margin_deltas entry 0 is not a number: '1'"),
-        ({"margin_deltas": (1.0, True)}, TypeError, "margin_deltas entry 1 is not a number"),
+        ({"margin_deltas": ("1",)}, ValueError,
+         "margin_deltas entry 0 must be a finite number, got '1'"),
+        ({"margin_deltas": (1.0, True)}, ValueError,
+         "margin_deltas entry 1 must be a finite number"),
         ({"margin_deltas": 1.0}, TypeError, "margin_deltas must be a sequence of numbers"),
         ({"margin_deltas": (1.0, 2.0, math.inf)}, ValueError,
-         "margin_deltas entry 2 is not finite"),
-        ({"margin_deltas": (math.nan,)}, ValueError, "margin_deltas entry 0 is not finite"),
-        ({"margin_deltas": (10**400,)}, ValueError, "margin_deltas entry 0 is not finite"),
-        ({"seed": 1.5}, TypeError, "seed must be an int, got 1.5"),
-        ({"seed": False}, TypeError, "seed must be an int, got False"),
-        ({"seed": "7"}, TypeError, "seed must be an int"),
+         "margin_deltas entry 2 must be a finite number"),
+        ({"margin_deltas": (math.nan,)}, ValueError,
+         "margin_deltas entry 0 must be a finite number"),
+        ({"margin_deltas": (10**400,)}, ValueError,
+         "margin_deltas entry 0 must be a finite number"),
+        ({"seed": 1.5}, ValueError, "seed must be an int, got 1.5"),
+        ({"seed": False}, ValueError, "seed must be an int, got False"),
+        ({"seed": "7"}, ValueError, "seed must be an int"),
     ])
     def test_config_validation(self, kwargs, error, message):
         with pytest.raises(error, match=re.escape(message)):

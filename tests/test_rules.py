@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +391,22 @@ class TestRuleHandles:
         handle = phantom_rule_handle(endpoint_rule_phantoms(1, 1, 2))
         with pytest.raises(ValueError):
             handle(BENCHMARK_PROFILE)
+
+    @pytest.mark.parametrize("handle", [
+        endpoint_rule_handle(1, 1),
+        median_rule_handle(),
+        maximal_rule_handle(),
+        averaging_rule_handle(),
+        phantom_rule_handle(PhantomVector((TOP, BOTTOM))),
+    ])
+    def test_non_interval_entry_is_the_profile_error(self, handle):
+        message = "profile entry 0 is not an Interval: (0, 1)"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            handle([(0, 1)])
+
+    def test_phantom_handle_rejects_a_bare_tuple(self):
+        with pytest.raises(TypeError, match="vector must be a PhantomVector"):
+            phantom_rule_handle((TOP, BOTTOM))
 
     def test_endpoint_handle_rejects_bad_quotas_eagerly(self):
         with pytest.raises(ValueError):

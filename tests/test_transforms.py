@@ -74,6 +74,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, slope, 1.0)
 
+    # A map the API accepts must write a witness that replay accepts.
+    @pytest.mark.parametrize("points", [
+        ((0.0, 0.0), (1.0, float("inf"))),
+        ((float("-inf"), 0.0), (1.0, 1.0)),
+    ])
+    def test_breakpoints_must_be_finite(self, points):
+        with pytest.raises(ValueError, match="breakpoint must be a finite number"):
+            MonotoneMap(points, True, 1.0, 1.0)
+
+    def test_affine_flag_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="affine must be a bool, got 1"):
+            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, 1.0, 1.0, affine=1)
+
     def test_scaling_rejects_degenerate_factors(self):
         for factor in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -192,6 +205,11 @@ class TestRandomMaps:
         first = random_increasing_map(1, [0.0, 1.0])
         second = random_increasing_map(1, [0.0, 1.0])
         assert first == second
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
+            random_increasing_map(seed, [0.0, 1.0])
 
     def test_seeds_give_distinct_maps(self):
         maps = {random_increasing_map(seed, [0.0, 1.0]) for seed in range(100)}
