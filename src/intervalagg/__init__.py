@@ -11,6 +11,8 @@ friends), with deterministic seeded campaigns and replayable witnesses.
 Submodules load on first use (PEP 562): ``from intervalagg import X``
 works for every name in ``__all__``, but ``import intervalagg`` alone
 loads none of them, so a CLI subcommand pays only for what it runs.
+No submodule is named after a public name, so ``intervalagg.axioms``,
+``intervalagg.rules`` and the rest are always the modules.
 """
 
 import importlib
@@ -34,6 +36,7 @@ _EXPORTS = {
             "between",
             "subset",
             "endpoint_distance",
+            "sample_profile",
         )),
         ("rules", (
             "PhantomVector",
@@ -47,6 +50,8 @@ _EXPORTS = {
             "averaging_rule_handle",
             "phantom_rule_handle",
             "valid_quota_pairs",
+            "identify_endpoint_rule",
+            "staircase_profile",
         )),
         ("transforms", (
             "MonotoneMap",
@@ -66,7 +71,7 @@ _EXPORTS = {
             "candidate_misreports",
             "find_manipulation",
         )),
-        ("audit", (
+        ("axioms", (
             "AxiomCheck",
             "AuditConfig",
             "AuditReport",
@@ -74,7 +79,6 @@ _EXPORTS = {
             "ALL_AXIOM_IDS",
             "audit",
             "replay_witness",
-            "sample_profile",
             "check_responsiveness",
             "check_anonymity",
             "check_weak_neutrality",
@@ -87,8 +91,6 @@ _EXPORTS = {
             "check_upper_property",
             "check_unanimity",
             "check_manipulation",
-            "identify_endpoint_rule",
-            "staircase_profile",
         )),
     )
     for name in names
@@ -96,17 +98,14 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-# The submodules bound onto this copy of the package, by short name.
-_loaded: dict = {}
-
 
 def __getattr__(name: str):
     """Import the submodule behind ``name`` and bind all its public names."""
     module = _EXPORTS.get(name, name)
     if module not in _EXPORTS.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    submodule = _loaded.get(module) or _import(module)
     namespace = globals()
+    submodule = namespace.get(module) or _import(module)
     for public, home in _EXPORTS.items():
         if home == module:
             namespace[public] = getattr(submodule, public)
@@ -123,8 +122,8 @@ def _import(module: str) -> types.ModuleType:
     A reload that drops the package from ``sys.modules`` and imports it
     anew can leave this copy in use.  A submodule it loads late must then
     be built on this copy's own ``core`` and ``rules``, not the new copy's,
-    or its values would fail this copy's type checks; so this copy and its
-    submodules stand in ``sys.modules`` while the import runs.
+    or its values would fail this copy's type checks; so this copy and the
+    submodules bound onto it stand in ``sys.modules`` while the import runs.
     """
     prefix = __name__ + "."
     if sys.modules.get(__name__) is _PACKAGE:
@@ -139,7 +138,11 @@ def _import(module: str) -> types.ModuleType:
 
     theirs = take_out()
     sys.modules[__name__] = _PACKAGE
-    sys.modules.update((prefix + short, loaded) for short, loaded in _loaded.items())
+    sys.modules.update(
+        (value.__name__, value)
+        for value in globals().values()
+        if isinstance(value, types.ModuleType) and value.__name__.startswith(prefix)
+    )
     try:
         return importlib.import_module(prefix + module)
     finally:
@@ -147,22 +150,4 @@ def _import(module: str) -> types.ModuleType:
         sys.modules.update(theirs)
 
 
-class _Package(types.ModuleType):
-    """Records each submodule bound onto the package, and keeps
-    ``intervalagg.audit`` the function.
-
-    Loading a submodule binds it onto the package under its own name, so
-    ``import intervalagg.audit`` would otherwise replace the public
-    ``audit`` with the module that defines it.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, types.ModuleType) and value.__name__ == f"{__name__}.{name}":
-            _loaded[name] = value
-            if _EXPORTS.get(name) == name:
-                value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
 _PACKAGE = sys.modules[__name__]
-_PACKAGE.__class__ = _Package

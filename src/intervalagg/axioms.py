@@ -1,4 +1,4 @@
-"""Axiom checks, sampled audit campaigns, and the rule identification probe.
+"""Axiom checks, sampled audit campaigns and witness replay.
 
 Each ``check_*`` function decides one axiom on one concrete instance and
 returns an :class:`AxiomCheck`; a failing check carries a JSON-plain
@@ -24,10 +24,7 @@ a sampled 1-Lipschitz surrogate (sup-norm perturbations of size eps must
 move the output endpoints by at most eps plus slack); reports label it
 as a surrogate so nobody mistakes it for the topological property.
 
-The identification probe exploits the staircase profile
-``((1,2), (3,4), ..., (2n-1, 2n))``: an order-statistic rule's output on
-it is ``(2p - 1, 2(n + 1 - q))``, so the quotas can be read off and then
-confirmed against the reconstructed rule on random profiles.
+Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 """
 
 from __future__ import annotations
@@ -43,6 +40,8 @@ from .core import (
     _check_agent,
     _check_int,
     _check_number,
+    _sample_interval,
+    _sample_profile,
     between,
     scalar_between,
     subset,
@@ -54,11 +53,7 @@ from .preferences import (
     WeightedL1Preference,
     find_manipulation,
 )
-from .rules import (
-    RuleEvaluationError,
-    RuleHandle,
-    endpoint_rule_handle,
-)
+from .rules import RuleEvaluationError, RuleHandle
 from .transforms import (
     MonotoneMap,
     _random_increasing_from_rng,
@@ -90,9 +85,6 @@ __all__ = [
     "check_manipulation",
     "audit",
     "replay_witness",
-    "sample_profile",
-    "identify_endpoint_rule",
-    "staircase_profile",
 ]
 
 RESPONSIVENESS = "Responsiveness"
@@ -151,9 +143,11 @@ def _profile_from(data: Sequence[Sequence[float]]) -> Profile:
 
 
 def _permutation_from(data: Sequence[int]) -> list[int]:
-    if not isinstance(data, (list, tuple)) or any(type(v) is not int for v in data):
+    # Entries must be ints, bools excluded: a JSON witness can hold 1.0,
+    # which sorts like 1 but cannot index a profile.
+    if not isinstance(data, (list, tuple)):
         raise ValueError(f"{data!r} is not a permutation (a list of agent indices)")
-    return data
+    return [_check_int("permutation entry", source) for source in data]
 
 
 def _close(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -191,14 +185,16 @@ def check_anonymity(
     rule: RuleHandle, profile: Profile, permutation: Sequence[int]
 ) -> AxiomCheck:
     """Reordering the agents leaves the aggregate exactly unchanged."""
+    return _anonymity_check(rule, profile, _permutation_from(list(permutation)))
+
+
+def _anonymity_check(
+    rule: RuleHandle, profile: Profile, permutation: list[int]
+) -> AxiomCheck:
+    # The entries are ints already: drawn, decoded or checked above.
     n = len(profile)
-    # Entries must be ints, bools excluded: a JSON witness can hold 1.0,
-    # which sorts like 1 but cannot index a profile.
-    ints = all(type(source) is int for source in permutation)
-    if not ints or sorted(permutation) != list(range(n)):
-        raise ValueError(
-            f"{list(permutation)!r} is not a permutation of 0..{n - 1}"
-        )
+    if sorted(permutation) != list(range(n)):
+        raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
     permuted = Profile(profile[source] for source in permutation)
     output = rule(profile)
     permuted_output = rule(permuted)
@@ -207,7 +203,7 @@ def check_anonymity(
     return _failure(
         ANONYMITY,
         profile=profile,
-        permutation=list(permutation),
+        permutation=permutation,
         output=output,
         permuted_output=permuted_output,
     )
@@ -539,61 +535,6 @@ def _decide_manipulation(
     return check_manipulation(rule, profile, agent_index, preference, grid)
 
 
-# --------------------------------------------------------------------------
-# Sampling
-
-
-def _sample_interval(rng: random.Random, low: float = -10.0, high: float = 10.0) -> Interval:
-    while True:
-        a = rng.uniform(low, high)
-        b = rng.uniform(low, high)
-        if a != b:
-            return Interval(a, b) if a < b else Interval(b, a)
-
-
-def sample_profile(rng: random.Random, n_agents: int) -> Profile:
-    """Mixture sampler used by audits.
-
-    Three regimes: plain uniform endpoints in [-10, 10]; clustered
-    profiles drawing endpoints from a small shared pool (forcing exact
-    ties across agents, the likeliest quantile bug site); and
-    integer-valued profiles.  The regime is chosen per profile from the
-    provided stream, so campaigns see all three.  ``n_agents`` must be an
-    int (not a bool) >= 1.
-    """
-    _check_int("n_agents", n_agents, 1)
-    return _sample_profile(rng, n_agents)
-
-
-def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
-    # Campaigns and identification call this per sample, with a size they
-    # have checked.
-    roll = rng.random()
-    if roll < 0.4:
-        return Profile([_sample_interval(rng) for _ in range(n_agents)])
-    if roll < 0.7:
-        pool_size = rng.randint(2, max(2, min(4, n_agents + 1)))
-        pool = set()
-        while len(pool) < pool_size + 1:
-            if rng.random() < 0.5:
-                pool.add(float(rng.randint(-8, 8)))
-            else:
-                pool.add(round(rng.uniform(-10.0, 10.0), 2))
-        values = sorted(pool)
-        agents = []
-        for _ in range(n_agents):
-            i = rng.randrange(len(values) - 1)
-            j = rng.randrange(i + 1, len(values))
-            agents.append(Interval(values[i], values[j]))
-        return Profile(agents)
-    agents = []
-    for _ in range(n_agents):
-        lo = rng.randint(-10, 9)
-        hi = rng.randint(lo + 1, 10)
-        agents.append(Interval(lo, hi))
-    return Profile(agents)
-
-
 # Draws take (rule, rng, sample_index, n_agents) and return the decider's
 # arguments after the rule; their order of rng calls fixes every report.
 
@@ -700,7 +641,7 @@ def _draw_manipulation(rule, rng, sample_index, n):
 _AXIOMS = {
     RESPONSIVENESS: (check_responsiveness, ("profile", "wider_profile"),
                      _draw_responsiveness, True),
-    ANONYMITY: (check_anonymity, ("profile", "permutation"), _draw_anonymity, True),
+    ANONYMITY: (_anonymity_check, ("profile", "permutation"), _draw_anonymity, True),
     WEAK_NEUTRALITY: (partial(_neutrality_check, WEAK_NEUTRALITY), ("profile", "map"),
                       _draw_neutrality, True),
     TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset"),
@@ -992,63 +933,3 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
         )
     return decide(rule, *args.values())
 
-
-# --------------------------------------------------------------------------
-# Identification probe
-
-
-def staircase_profile(n_agents: int) -> Profile:
-    """The disjoint probe profile ((1,2), (3,4), ..., (2n-1, 2n)).
-
-    Agent k occupies (2k-1, 2k), so all 2n endpoint values are distinct
-    and every order statistic is attained by exactly one agent.  An
-    order-statistic rule with quotas (p, q) therefore outputs exactly
-    (2p - 1, 2(n + 1 - q)), which makes the quotas readable from a
-    single evaluation.
-    """
-    _check_int("n_agents", n_agents, 1)
-    return Profile(
-        Interval(float(2 * k - 1), float(2 * k)) for k in range(1, n_agents + 1)
-    )
-
-
-def identify_endpoint_rule(
-    rule: RuleHandle,
-    n_agents: int,
-    confirmations: int = 200,
-    seed: int = 0,
-) -> Optional[tuple[int, int]]:
-    """Recover (lower_quota, upper_quota) if the rule is an order-statistic
-    rule for this profile size; None otherwise.
-
-    Phase one reads candidate quotas off the staircase profile; phase
-    two confirms against the reconstructed rule on ``confirmations``
-    seeded random profiles (exact comparison).  A read-off that is not
-    integral or violates the quota constraint short-circuits to None.
-    The probe can only certify behavioral equality on the sampled set;
-    for genuine order-statistic rules the confirmation is exact by
-    construction.  ``n_agents`` and ``confirmations`` must be ints (not
-    bools) >= 1 and ``seed`` an int; they are checked before the rule is
-    evaluated.
-    """
-    _check_int("confirmations", confirmations, 1)
-    _check_int("seed", seed)
-    probe = staircase_profile(n_agents)
-    output = rule(probe)
-    lower_guess = (output.lo + 1.0) / 2.0
-    upper_guess = n_agents + 1.0 - output.hi / 2.0
-    if not (float(lower_guess).is_integer() and float(upper_guess).is_integer()):
-        return None
-    lower_quota = int(lower_guess)
-    upper_quota = int(upper_guess)
-    if lower_quota < 1 or upper_quota < 1:
-        return None
-    if lower_quota + upper_quota > n_agents + 1:
-        return None
-    reference = endpoint_rule_handle(lower_quota, upper_quota)
-    rng = random.Random(seed)
-    for _ in range(confirmations):
-        trial = _sample_profile(rng, n_agents)
-        if rule(trial) != reference(trial):
-            return None
-    return (lower_quota, upper_quota)

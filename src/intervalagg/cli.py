@@ -32,13 +32,15 @@ from .rules import (
     RuleHandle,
     averaging_rule_handle,
     endpoint_rule_handle,
+    identify_endpoint_rule,
     maximal_rule_handle,
     median_rule_handle,
     phantom_rule_handle,
+    staircase_profile,
     valid_quota_pairs,
 )
 
-# Each subcommand loads the rest of what it runs (audit, preferences,
+# Each subcommand loads the rest of what it runs (axioms, preferences,
 # csv, subprocess) where it runs it, so no subcommand pays for another's.
 # Package names are read off this copy of the package: ``from . import``
 # would follow ``sys.modules`` to a newer copy after a reload by purging,
@@ -374,10 +376,10 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         raise CommandError("--n and --samples must be >= 1 for identify")
     # Identify before printing, so a rule that fails leaves stdout empty.
     with _rule_errors():
-        quotas = _package.identify_endpoint_rule(
+        quotas = identify_endpoint_rule(
             rule, args.n, confirmations=args.samples, seed=args.seed
         )
-    probe = _package.staircase_profile(args.n)
+    probe = staircase_profile(args.n)
     print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
     if quotas is None:
         print("not an endpoint rule")
@@ -525,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     axioms = p_audit.add_argument("--axioms", default=None)
 
     def audit_help() -> str:
-        # The ids are read off the audit module, which only this help and
+        # The ids are read off the axioms module, which only this help and
         # the audit command itself load.
         default = _package.DEFAULT_AUDIT_AXIOMS
         axioms.help = (

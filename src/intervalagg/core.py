@@ -11,11 +11,15 @@ infinite, including three degenerate shapes ``(-inf, -inf)``,
 Everything in this module is an immutable value type with exact float
 equality.  ``-0.0`` is normalised to ``+0.0`` at construction time so that
 structurally equal intervals are bit-identical.
+
+:func:`sample_profile` draws random profiles from a caller's seeded
+stream; audit campaigns and the identification probe both sample with it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from bisect import bisect_left, insort
 from collections import namedtuple
@@ -38,6 +42,7 @@ __all__ = [
     "between",
     "subset",
     "endpoint_distance",
+    "sample_profile",
 ]
 
 
@@ -283,3 +288,54 @@ def endpoint_distance(a: Interval, b: Interval) -> float:
     A metric on intervals; zero iff the intervals are equal.
     """
     return abs(a.lo - b.lo) + abs(a.hi - b.hi)
+
+
+def _sample_interval(rng: random.Random, low: float = -10.0, high: float = 10.0) -> Interval:
+    while True:
+        a = rng.uniform(low, high)
+        b = rng.uniform(low, high)
+        if a != b:
+            return Interval(a, b) if a < b else Interval(b, a)
+
+
+def sample_profile(rng: random.Random, n_agents: int) -> Profile:
+    """Mixture sampler used by audits and the identification probe.
+
+    Three regimes: plain uniform endpoints in [-10, 10]; clustered
+    profiles drawing endpoints from a small shared pool (forcing exact
+    ties across agents, the likeliest quantile bug site); and
+    integer-valued profiles.  The regime is chosen per profile from the
+    provided stream, so campaigns see all three.  ``n_agents`` must be an
+    int (not a bool) >= 1.
+    """
+    _check_int("n_agents", n_agents, 1)
+    return _sample_profile(rng, n_agents)
+
+
+def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
+    # Campaigns and identification call this per sample, with a size they
+    # have checked.
+    roll = rng.random()
+    if roll < 0.4:
+        return Profile([_sample_interval(rng) for _ in range(n_agents)])
+    if roll < 0.7:
+        pool_size = rng.randint(2, max(2, min(4, n_agents + 1)))
+        pool = set()
+        while len(pool) < pool_size + 1:
+            if rng.random() < 0.5:
+                pool.add(float(rng.randint(-8, 8)))
+            else:
+                pool.add(round(rng.uniform(-10.0, 10.0), 2))
+        values = sorted(pool)
+        agents = []
+        for _ in range(n_agents):
+            i = rng.randrange(len(values) - 1)
+            j = rng.randrange(i + 1, len(values))
+            agents.append(Interval(values[i], values[j]))
+        return Profile(agents)
+    agents = []
+    for _ in range(n_agents):
+        lo = rng.randint(-10, 9)
+        hi = rng.randint(lo + 1, 10)
+        agents.append(Interval(lo, hi))
+    return Profile(agents)

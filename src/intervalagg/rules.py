@@ -29,11 +29,18 @@ of ``2**-1074`` (every finite float is a multiple) with a single correctly
 rounded division, so the output is invariant under reordering the agents
 and reproduces unanimous input endpoints bit-exactly, which the exact
 anonymity and unanimity checks rely on.
+
+The identification probe, :func:`identify_endpoint_rule`, inverts
+:func:`endpoint_rule_handle`.  An order-statistic rule's output on the
+staircase profile ``((1,2), (3,4), ..., (2n-1, 2n))`` is
+``(2p - 1, 2(n + 1 - q))``, so the quotas are read off it and then
+confirmed against the reconstructed rule on seeded random profiles.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -45,6 +52,7 @@ from .core import (
     Profile,
     _check_agent,
     _check_int,
+    _sample_profile,
 )
 
 __all__ = [
@@ -59,6 +67,8 @@ __all__ = [
     "averaging_rule_handle",
     "phantom_rule_handle",
     "valid_quota_pairs",
+    "staircase_profile",
+    "identify_endpoint_rule",
 ]
 
 
@@ -485,3 +495,60 @@ def valid_quota_pairs(n_agents: int) -> list[tuple[int, int]]:
         for lower in range(1, n_agents + 1)
         for upper in range(1, n_agents + 2 - lower)
     ]
+
+
+def staircase_profile(n_agents: int) -> Profile:
+    """The disjoint probe profile ((1,2), (3,4), ..., (2n-1, 2n)).
+
+    Agent k occupies (2k-1, 2k), so all 2n endpoint values are distinct
+    and every order statistic is attained by exactly one agent.  An
+    order-statistic rule with quotas (p, q) therefore outputs exactly
+    (2p - 1, 2(n + 1 - q)), which makes the quotas readable from a
+    single evaluation.
+    """
+    _check_int("n_agents", n_agents, 1)
+    return Profile(
+        Interval(float(2 * k - 1), float(2 * k)) for k in range(1, n_agents + 1)
+    )
+
+
+def identify_endpoint_rule(
+    rule: RuleHandle,
+    n_agents: int,
+    confirmations: int = 200,
+    seed: int = 0,
+) -> Optional[tuple[int, int]]:
+    """Recover (lower_quota, upper_quota) if the rule is an order-statistic
+    rule for this profile size; None otherwise.
+
+    Phase one reads candidate quotas off the staircase profile; phase
+    two confirms against the reconstructed rule on ``confirmations``
+    seeded random profiles (exact comparison).  A read-off that is not
+    integral or violates the quota constraint short-circuits to None.
+    The probe can only certify behavioral equality on the sampled set;
+    for genuine order-statistic rules the confirmation is exact by
+    construction.  ``n_agents`` and ``confirmations`` must be ints (not
+    bools) >= 1 and ``seed`` an int; they are checked before the rule is
+    evaluated.
+    """
+    _check_int("confirmations", confirmations, 1)
+    _check_int("seed", seed)
+    probe = staircase_profile(n_agents)
+    output = rule(probe)
+    lower_guess = (output.lo + 1.0) / 2.0
+    upper_guess = n_agents + 1.0 - output.hi / 2.0
+    if not (float(lower_guess).is_integer() and float(upper_guess).is_integer()):
+        return None
+    lower_quota = int(lower_guess)
+    upper_quota = int(upper_guess)
+    if lower_quota < 1 or upper_quota < 1:
+        return None
+    if lower_quota + upper_quota > n_agents + 1:
+        return None
+    reference = endpoint_rule_handle(lower_quota, upper_quota)
+    rng = random.Random(seed)
+    for _ in range(confirmations):
+        trial = _sample_profile(rng, n_agents)
+        if rule(trial) != reference(trial):
+            return None
+    return (lower_quota, upper_quota)

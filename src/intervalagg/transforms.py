@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def _points(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """``points`` as float pairs; each coordinate must be a finite number."""
+    return tuple(
+        (float(_check_number("breakpoint", x)), float(_check_number("breakpoint", y)))
+        for x, y in points
+    )
+
+
 @dataclass(frozen=True)
 class MonotoneMap:
     """Piecewise-linear strictly monotone bijection of the real line.
@@ -59,9 +67,7 @@ class MonotoneMap:
     )
 
     def __post_init__(self) -> None:
-        points = tuple(
-            (float(x), float(y)) for x, y in self.breakpoints
-        )
+        points = _points(self.breakpoints)
         if len(points) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
         xs = tuple(x for x, _ in points)
@@ -80,9 +86,6 @@ class MonotoneMap:
                 raise ValueError(
                     f"decreasing map needs strictly decreasing y, got {a} then {b}"
                 )
-        # Strictly monotone, so the ends bound every other coordinate.
-        for end in (xs[0], xs[-1], ys[0], ys[-1]):
-            _check_number("breakpoint", end)
         _check_number("left_slope", self.left_slope, _LEAST_POSITIVE)
         _check_number("right_slope", self.right_slope, _LEAST_POSITIVE)
         if not isinstance(self.affine, bool):
@@ -111,7 +114,7 @@ class MonotoneMap:
         segment slopes, so e.g. the doubling map through (0, 0) and
         (1, 2) doubles everywhere, not just between its breakpoints.
         """
-        pts = tuple((float(x), float(y)) for x, y in points)
+        pts = _points(points)
         if len(pts) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
         increasing = pts[1][1] > pts[0][1]
@@ -132,14 +135,10 @@ class MonotoneMap:
         direct endpoint shift would.  The second breakpoint is at x = 1,
         or at the first power of two x where slope * x + b != b.
         """
-        slope = float(slope)
-        intercept = float(intercept)
-        if not slope == slope or slope == 0 or abs(slope) == float("inf"):
-            raise ValueError(
-                f"affine slope must be finite and nonzero, got {slope!r}"
-            )
-        if not abs(intercept) < float("inf"):
-            raise ValueError(f"affine intercept must be finite, got {intercept!r}")
+        slope = float(_check_number("affine slope", slope))
+        intercept = float(_check_number("affine intercept", intercept))
+        if slope == 0:
+            raise ValueError(f"affine slope must be nonzero, got {slope!r}")
         x = 1.0
         while intercept + slope * x == intercept:
             x *= 2.0
@@ -240,10 +239,7 @@ def map_from_data(data: Mapping) -> MonotoneMap:
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"unknown map direction: {direction!r}")
     return MonotoneMap(
-        tuple(
-            (_check_number("breakpoint", x), _check_number("breakpoint", y))
-            for x, y in data["breakpoints"]
-        ),
+        data["breakpoints"],
         direction == "increasing",
         data["left_slope"],
         data["right_slope"],

@@ -37,7 +37,7 @@ from intervalagg import (
     sample_profile,
     staircase_profile,
 )
-from intervalagg.audit import _AXIOM_CODES, _AXIOMS
+from intervalagg.axioms import _AXIOM_CODES, _AXIOMS
 
 from .conftest import BENCHMARK_PROFILE
 
@@ -174,10 +174,10 @@ class TestAnonymity:
     # Each sorts equal to [0, 1, 2]; none can index a profile as given.
     @pytest.mark.parametrize("permutation", [[1.0, 0, 2], [True, False, 2]])
     def test_non_int_entries_rejected(self, permutation):
-        with pytest.raises(ValueError, match="not a permutation"):
+        with pytest.raises(ValueError, match="permutation entry must be an int"):
             check_anonymity(median_rule_handle(), BENCHMARK_PROFILE, permutation)
         witness = dict(GOLDEN_WITNESSES["Anonymity"], permutation=permutation)
-        with pytest.raises(ValueError, match="not a permutation"):
+        with pytest.raises(ValueError, match="permutation entry must be an int"):
             replay_witness(dictatorial_rule(), json.loads(json.dumps(witness)))
 
 
@@ -795,7 +795,7 @@ class TestReplayInput:
     # One malformed value per case, put into a golden witness.
     @pytest.mark.parametrize("axiom,field,value,detail", [
         ("Anonymity", "permutation", 5, "5 is not a permutation"),
-        ("Anonymity", "permutation", [0, "1", 2], "is not a permutation"),
+        ("Anonymity", "permutation", [0, "1", 2], "permutation entry must be an int, got '1'"),
         ("TranslationEquivariance", "offset", "3", "offset must be a finite number, got '3'"),
         ("TranslationEquivariance", "offset", True, "offset must be a finite number, got True"),
         ("TranslationEquivariance", "offset", 10**400, "offset must be a finite number"),

@@ -40,8 +40,8 @@ sys.stderr.write("\\n".join(sys.modules))
 sys.exit(code)
 """
 
-AUDIT, PREFERENCES, TRANSFORMS = (
-    "intervalagg.audit", "intervalagg.preferences", "intervalagg.transforms"
+AXIOMS, PREFERENCES, TRANSFORMS = (
+    "intervalagg.axioms", "intervalagg.preferences", "intervalagg.transforms"
 )
 
 
@@ -50,28 +50,41 @@ AUDIT, PREFERENCES, TRANSFORMS = (
         ["aggregate", "--rule", "median", "--profile", "{profile}"],
         0,
         set(),
-        {AUDIT, PREFERENCES, TRANSFORMS, "csv", "subprocess"},
+        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess"},
     ),
     (
         ["sweep", "--profile", "{profile}", "--out", "{csv}"],
         0,
         {"csv"},
-        {AUDIT, PREFERENCES, TRANSFORMS},
+        {AXIOMS, PREFERENCES, TRANSFORMS},
     ),
     (
         ["manipulate", "--rule", "averaging", "--profile", "{profile}", "--agent", "1"],
         1,
         {PREFERENCES},
-        {AUDIT, TRANSFORMS},
+        {AXIOMS, TRANSFORMS},
     ),
-    (["--help"], 0, set(), {AUDIT, PREFERENCES, TRANSFORMS}),
-], ids=["aggregate", "sweep", "manipulate", "help"])
+    (
+        ["identify", "--rule", "median", "--n", "3"],
+        0,
+        set(),
+        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess"},
+    ),
+    (
+        ["audit", "--rule", "median", "--n", "3", "--samples", "5", "--out", "{report}"],
+        0,
+        {AXIOMS},
+        {"csv", "subprocess"},
+    ),
+    (["--help"], 0, set(), {AXIOMS, PREFERENCES, TRANSFORMS}),
+], ids=["aggregate", "sweep", "manipulate", "identify", "audit", "help"])
 def test_subcommand_loads_only_what_it_runs(
     tmp_path, write_profile, bare_modules, argv, exit_code, loaded, unloaded
 ):
     paths = {
         "profile": str(write_profile(BENCHMARK_PROFILE)),
         "csv": str(tmp_path / "s.csv"),
+        "report": str(tmp_path / "report.json"),
     }
     proc = run_python(RUN_MAIN, *(arg.format(**paths) for arg in argv))
     assert proc.returncode == exit_code, proc.stderr
@@ -82,18 +95,18 @@ def test_subcommand_loads_only_what_it_runs(
 
 
 @pytest.mark.parametrize("code", [
-    # The import system binds a loaded submodule onto its package; the
-    # public ``audit`` must stay the function all the same.
-    "import intervalagg.audit\nfrom intervalagg import audit",
-    "from intervalagg.audit import _AXIOMS\nfrom intervalagg import audit",
-    "import intervalagg\nintervalagg.AuditConfig\nimport intervalagg.audit\n"
+    # The import system binds a loaded submodule onto its package; loading
+    # the module that defines ``audit`` must leave it the function.
+    "import intervalagg.axioms\nfrom intervalagg import audit",
+    "from intervalagg.axioms import _AXIOMS\nfrom intervalagg import audit",
+    "import intervalagg\nintervalagg.AuditConfig\nimport intervalagg.axioms\n"
     "audit = intervalagg.audit",
 ], ids=["import-submodule", "from-submodule", "name-then-submodule"])
 def test_audit_stays_the_function(code):
     proc = run_python(code + """
 import types
 assert callable(audit) and not isinstance(audit, types.ModuleType), audit
-assert audit.__module__ == "intervalagg.audit"
+assert audit.__module__ == "intervalagg.axioms"
 """)
     assert proc.returncode == 0, proc.stderr
 
@@ -128,7 +141,7 @@ for module, name in ((core, "core"), (rules, "rules"), (transforms, "transforms"
 def test_dir_lists_every_public_name_before_any_is_loaded():
     proc = run_python("""
 import sys, intervalagg
-assert "intervalagg.audit" not in sys.modules
+assert "intervalagg.axioms" not in sys.modules
 missing = set(intervalagg.__all__) - set(dir(intervalagg))
 assert not missing, missing
 """)
@@ -176,7 +189,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert old.cli.main(["identify", "--rule", "median", "--n", "3"]) == 0
 assert sys.modules["intervalagg"] is new
 assert sys.modules["intervalagg.core"] is new.core
-assert "intervalagg.audit" not in sys.modules
+assert "intervalagg.axioms" not in sys.modules
 new.Profile(list(new.sample_profile(random.Random(0), 3)))
 """, str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr

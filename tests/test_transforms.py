@@ -83,6 +83,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="breakpoint must be a finite number"):
             MonotoneMap(points, True, 1.0, 1.0)
 
+    # Each built a map from a value float() coerced, one a witness could
+    # not replay: a bool slope, a string slope, string and bool breakpoints.
+    @pytest.mark.parametrize("build", [
+        lambda: MonotoneMap.affine_map(True),
+        lambda: MonotoneMap.affine_map("2"),
+        lambda: MonotoneMap((("0", 0), (True, "1")), True, 1, 1),
+        lambda: MonotoneMap.through([(0, 0), ("1", 1)]),
+    ], ids=["bool-slope", "string-slope", "breakpoints", "through"])
+    def test_non_numbers_are_not_coerced(self, build):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            build()
+
     def test_affine_flag_must_be_a_bool(self):
         with pytest.raises(ValueError, match="affine must be a bool, got 1"):
             MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, 1.0, 1.0, affine=1)
@@ -181,7 +193,7 @@ class TestAffineMapAtScale:
         float("nan"), float("inf"), float("-inf"),
     ])
     def test_nonfinite_intercept_named(self, intercept):
-        with pytest.raises(ValueError, match="affine intercept must be finite"):
+        with pytest.raises(ValueError, match="affine intercept must be a finite number"):
             MonotoneMap.affine_map(1.0, intercept)
 
     @pytest.mark.parametrize("slope,intercept", [
