@@ -21,7 +21,9 @@ import types
 
 __version__ = "0.1.0"
 
-# Each public name, grouped under the submodule that defines it.
+# The one list of public names, each under the submodule that defines it.
+# Each submodule reads its ``__all__`` off this table; the table cannot be
+# read off the submodules, since ``dir()`` must know it before any loads.
 _EXPORTS = {
     name: module
     for module, names in (

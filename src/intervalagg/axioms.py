@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
+from . import _EXPORTS
 from .core import (
     Interval,
     Profile,
@@ -63,29 +64,7 @@ from .transforms import (
     map_to_data,
 )
 
-__all__ = [
-    "DEFAULT_AUDIT_AXIOMS",
-    "ALL_AXIOM_IDS",
-    "TRANSFORM_TOL",
-    "AxiomCheck",
-    "AxiomTally",
-    "AuditConfig",
-    "AuditReport",
-    "check_responsiveness",
-    "check_anonymity",
-    "check_weak_neutrality",
-    "check_strong_neutrality",
-    "check_translation_equivariance",
-    "check_continuity_lipschitz",
-    "check_independent_endpoints",
-    "check_out_betweenness",
-    "check_lower_property",
-    "check_upper_property",
-    "check_unanimity",
-    "check_manipulation",
-    "audit",
-    "replay_witness",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "axioms"]
 
 RESPONSIVENESS = "Responsiveness"
 ANONYMITY = "Anonymity"

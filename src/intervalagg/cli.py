@@ -25,7 +25,7 @@ import shlex
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core import ExtendedInterval, Interval, Profile
+from .core import _LEAST_POSITIVE, ExtendedInterval, Interval, Profile, _check_number
 from .rules import (
     PhantomVector,
     RuleEvaluationError,
@@ -168,19 +168,15 @@ def load_profile_document(path: str) -> Profile:
     return Profile(entries)
 
 
-def profile_to_document(
-    profile: Profile, labels: Optional[Sequence[str]] = None
-) -> dict:
-    """Inverse of :func:`load_profile_document` up to number formatting."""
-    document = {
+def profile_to_document(profile: Profile) -> dict:
+    """Inverse of :func:`load_profile_document` up to number formatting;
+    the document has no labels."""
+    return {
         "agents": [
             {"lo": _json_number(entry.lo), "hi": _json_number(entry.hi)}
             for entry in profile
         ]
     }
-    if labels is not None:
-        document["labels"] = list(labels)
-    return document
 
 
 def load_phantom_file(path: str) -> PhantomVector:
@@ -214,11 +210,14 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
         raise CommandError(f"cannot parse extern rule command: {error}") from error
     if not argv:
         raise CommandError("extern rule command is empty")
-    if not 0 < timeout <= _MAX_TIMEOUT_S:
+    try:
+        if _check_number("timeout", timeout, _LEAST_POSITIVE) > _MAX_TIMEOUT_S:
+            raise ValueError
+    except ValueError:
         raise CommandError(
             f"--timeout must be positive and at most {_MAX_TIMEOUT_S:g} s, "
-            f"got {timeout}"
-        )
+            f"got {timeout!r}"
+        ) from None
 
     def evaluate(profile: Profile) -> Interval:
         payload = json.dumps(profile_to_document(profile))

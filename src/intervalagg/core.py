@@ -25,25 +25,15 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from typing import Iterable, Optional, Sequence
 
+from . import _EXPORTS
+
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 _FLOAT_MAX = sys.float_info.max
 # The least positive float: least=_LEAST_POSITIVE asks for a number > 0.
 _LEAST_POSITIVE = math.ulp(0.0)
 
-__all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "Interval",
-    "ExtendedInterval",
-    "Profile",
-    "ext_precedes",
-    "scalar_between",
-    "between",
-    "subset",
-    "endpoint_distance",
-    "sample_profile",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "core"]
 
 
 # The one input checker: every size, seed, index, weight, slope, offset and
@@ -290,10 +280,10 @@ def endpoint_distance(a: Interval, b: Interval) -> float:
     return abs(a.lo - b.lo) + abs(a.hi - b.hi)
 
 
-def _sample_interval(rng: random.Random, low: float = -10.0, high: float = 10.0) -> Interval:
+def _sample_interval(rng: random.Random) -> Interval:
     while True:
-        a = rng.uniform(low, high)
-        b = rng.uniform(low, high)
+        a = rng.uniform(-10.0, 10.0)
+        b = rng.uniform(-10.0, 10.0)
         if a != b:
             return Interval(a, b) if a < b else Interval(b, a)
 

@@ -32,6 +32,7 @@ from functools import partial
 from itertools import combinations
 from typing import Optional, Union
 
+from . import _EXPORTS
 from .core import (
     _FLOAT_MAX,
     _LEAST_POSITIVE,
@@ -45,16 +46,7 @@ from .core import (
 )
 from .rules import RuleHandle
 
-__all__ = [
-    "WeightedL1Preference",
-    "PenaltyPreference",
-    "Preference",
-    "GridConfig",
-    "ManipulationResult",
-    "candidate_misreports",
-    "find_manipulation",
-    "STRICT_IMPROVEMENT_EPS",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "preferences"]
 
 # A misreport only counts as profitable when the cost drop clears this.
 STRICT_IMPROVEMENT_EPS = 1e-12
@@ -117,7 +109,8 @@ class GridConfig:
     ``margin_deltas`` are outward offsets added below the smallest and
     above the largest profile endpoint; ``random_candidates`` seeded
     extra intervals widen the net beyond the deterministic grid;
-    ``extra_candidates`` lets callers force specific intervals in.
+    ``extra_candidates`` lets callers force specific intervals in.  Both
+    sequences are stored as the tuples that were checked.
     """
 
     margin_deltas: tuple[float, ...] = (1.0, 10.0, 100.0)
@@ -137,11 +130,14 @@ class GridConfig:
             _check_number(f"margin_deltas entry {pos}", delta)
         _check_int("seed", self.seed)
         _check_int("random_candidates", self.random_candidates, 0)
-        for pos, entry in enumerate(self.extra_candidates):
+        extras = tuple(self.extra_candidates)
+        for pos, entry in enumerate(extras):
             if not isinstance(entry, Interval):
                 raise TypeError(
                     f"extra_candidates entry {pos} is not an Interval: {entry!r}"
                 )
+        object.__setattr__(self, "margin_deltas", deltas)
+        object.__setattr__(self, "extra_candidates", extras)
 
 
 @dataclass(frozen=True)

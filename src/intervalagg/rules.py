@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import _EXPORTS
 from .core import (
     NEG_INF,
     POS_INF,
@@ -55,21 +56,7 @@ from .core import (
     _sample_profile,
 )
 
-__all__ = [
-    "RuleEvaluationError",
-    "PhantomVector",
-    "validate_phantoms",
-    "endpoint_rule_phantoms",
-    "RuleHandle",
-    "endpoint_rule_handle",
-    "median_rule_handle",
-    "maximal_rule_handle",
-    "averaging_rule_handle",
-    "phantom_rule_handle",
-    "valid_quota_pairs",
-    "staircase_profile",
-    "identify_endpoint_rule",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "rules"]
 
 
 class RuleEvaluationError(Exception):
@@ -85,13 +72,11 @@ def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float
     """The ``k``-th smallest (1-based) of two sorted lists pooled.
 
     The one order-statistic kernel: every order-statistic rule,
-    generalized medians included, selects its endpoints through it.  With
-    an empty ``pool`` it is one index; otherwise a binary search over how
-    many of the first ``k`` pooled values come from ``ranked``, in
-    O(log n).
+    generalized medians included, selects its endpoints through it.  A
+    binary search over how many of the first ``k`` pooled values come
+    from ``ranked``, in O(log n); with an empty ``pool`` the search
+    starts and ends at ``k``, so it is one index.
     """
-    if not pool:
-        return ranked[k - 1]
     # The smallest split i with ranked[i] >= pool[k - i - 1]: then the first
     # k pooled values are ranked[:i] plus pool[:k - i].
     low = k - len(pool) if k > len(pool) else 0
@@ -457,8 +442,9 @@ def averaging_rule_handle() -> RuleHandle:
     return RuleHandle("averaging", _averaging, _vary_averaging)
 
 
-def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> RuleHandle:
-    """Handle for the generalized median over a fixed phantom vector.
+def phantom_rule_handle(vector: PhantomVector) -> RuleHandle:
+    """Handle, named ``phantoms[k]`` for ``k`` phantoms, for the
+    generalized median over a fixed phantom vector.
 
     The coordinatewise median of the ``n`` judgments pooled with the
     phantoms.  A profile size the vector fails :func:`validate_phantoms`
@@ -466,8 +452,6 @@ def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> Ru
     """
     if not isinstance(vector, PhantomVector):
         raise TypeError(f"vector must be a PhantomVector, got {vector!r}")
-    if name is None:
-        name = f"phantoms[{len(vector)}]"
     valid_sizes: set[int] = set()
 
     def ranks(n: int) -> tuple[int, int]:
@@ -480,7 +464,7 @@ def phantom_rule_handle(vector: PhantomVector, name: Optional[str] = None) -> Ru
         return n + 1, n + 1
 
     return _order_statistic_handle(
-        name,
+        f"phantoms[{len(vector)}]",
         ranks,
         tuple(sorted([ph.lo for ph in vector.phantoms])),
         tuple(sorted([ph.hi for ph in vector.phantoms])),
@@ -524,7 +508,7 @@ def identify_endpoint_rule(
     Phase one reads candidate quotas off the staircase profile; phase
     two confirms against the reconstructed rule on ``confirmations``
     seeded random profiles (exact comparison).  A read-off that is not
-    integral or violates the quota constraint short-circuits to None.
+    integral or has a quota below 1 short-circuits to None.
     The probe can only certify behavioral equality on the sampled set;
     for genuine order-statistic rules the confirmation is exact by
     construction.  ``n_agents`` and ``confirmations`` must be ints (not
@@ -541,9 +525,8 @@ def identify_endpoint_rule(
         return None
     lower_quota = int(lower_guess)
     upper_quota = int(upper_guess)
+    # output.lo < output.hi, i.e. 2p - 1 < 2(n + 1 - q), already gives p + q <= n + 1.
     if lower_quota < 1 or upper_quota < 1:
-        return None
-    if lower_quota + upper_quota > n_agents + 1:
         return None
     reference = endpoint_rule_handle(lower_quota, upper_quota)
     rng = random.Random(seed)

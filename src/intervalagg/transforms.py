@@ -18,18 +18,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .core import _LEAST_POSITIVE, Interval, Profile, _check_int, _check_number
 
-__all__ = [
-    "MonotoneMap",
-    "apply_map_interval",
-    "apply_map_profile",
-    "random_increasing_map",
-    "map_to_data",
-    "map_from_data",
-]
+__all__ = [name for name, home in _EXPORTS.items() if home == "transforms"]
 
 
 def _points(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -49,8 +43,8 @@ class MonotoneMap:
     ``increasing``).  ``left_slope`` and ``right_slope`` are positive
     slope *magnitudes* for the tails beyond the first and last
     breakpoint; the sign is determined by the direction.  Use
-    :meth:`through` to build a map from points alone, with tail slopes
-    defaulting to the adjacent segment slopes.
+    :meth:`through` to build a map from points alone; it infers both
+    tail slopes from the adjacent segments.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -67,6 +61,8 @@ class MonotoneMap:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.increasing, bool):
+            raise ValueError(f"increasing must be a bool, got {self.increasing!r}")
         points = _points(self.breakpoints)
         if len(points) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
@@ -102,29 +98,24 @@ class MonotoneMap:
         object.__setattr__(self, "_xs", xs)
 
     @classmethod
-    def through(
-        cls,
-        points: Iterable[tuple[float, float]],
-        left_slope: Optional[float] = None,
-        right_slope: Optional[float] = None,
-    ) -> "MonotoneMap":
-        """Build a map through ``points``, inferring direction.
+    def through(cls, points: Iterable[tuple[float, float]]) -> "MonotoneMap":
+        """Build a map through ``points``, inferring direction and tails.
 
-        Tail slopes default to the magnitudes of the first and last
-        segment slopes, so e.g. the doubling map through (0, 0) and
-        (1, 2) doubles everywhere, not just between its breakpoints.
+        The tail slopes are the magnitudes of the first and last segment
+        slopes, so e.g. the doubling map through (0, 0) and (1, 2)
+        doubles everywhere, not just between its breakpoints.
         """
         pts = _points(points)
         if len(pts) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
-        increasing = pts[1][1] > pts[0][1]
-        if left_slope is None:
-            (x0, y0), (x1, y1) = pts[0], pts[1]
-            left_slope = abs((y1 - y0) / (x1 - x0))
-        if right_slope is None:
-            (x0, y0), (x1, y1) = pts[-2], pts[-1]
-            right_slope = abs((y1 - y0) / (x1 - x0))
-        return cls(pts, increasing, left_slope, right_slope)
+        (x0, y0), (x1, y1) = pts[0], pts[1]
+        (u0, v0), (u1, v1) = pts[-2], pts[-1]
+        return cls(
+            pts,
+            y1 > y0,
+            abs((y1 - y0) / (x1 - x0)),
+            abs((v1 - v0) / (u1 - u0)),
+        )
 
     @classmethod
     def affine_map(cls, slope: float, intercept: float = 0.0) -> "MonotoneMap":
@@ -217,8 +208,11 @@ def random_increasing_map(seed: int, anchors: Sequence[float]) -> MonotoneMap:
     Same seed and anchors give the identical map on every platform; the
     y gaps, extra outer kinks and tail slopes all come from the seeded
     stream, so distinct seeds give genuinely different nonlinear maps.
+    Each anchor must be a finite number, as every other map input.
     """
-    return _random_increasing_from_rng(random.Random(_check_int("seed", seed)), anchors)
+    rng = random.Random(_check_int("seed", seed))
+    anchors = [_check_number(f"anchors entry {pos}", a) for pos, a in enumerate(anchors)]
+    return _random_increasing_from_rng(rng, anchors)
 
 
 def map_to_data(mapping: MonotoneMap) -> dict:

@@ -20,6 +20,31 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", {})
 
 
+def test_each_submodule_all_is_its_group_in_the_package_table():
+    for home in set(intervalagg._EXPORTS.values()):
+        module = importlib.import_module(f"intervalagg.{home}")
+        group = [name for name, where in intervalagg._EXPORTS.items() if where == home]
+        assert module.__all__ == group, home
+    # Pruned from the package surface, still importable from their module.
+    from intervalagg.axioms import TRANSFORM_TOL, AxiomTally  # noqa: F401
+
+
+# Parameters that no caller set are gone: passing one is a TypeError.
+@pytest.mark.parametrize("call", [
+    lambda: intervalagg.MonotoneMap.through([(0, 0), (1, 1)], left_slope=1.0),
+    lambda: intervalagg.MonotoneMap.through([(0, 0), (1, 1)], right_slope=1.0),
+    lambda: intervalagg.phantom_rule_handle(
+        intervalagg.endpoint_rule_phantoms(1, 1, 1), name="custom"
+    ),
+    lambda: importlib.import_module("intervalagg.cli").profile_to_document(
+        intervalagg.Profile([intervalagg.Interval(0, 1)]), labels=["a"]
+    ),
+], ids=["left_slope", "right_slope", "name", "labels"])
+def test_removed_parameters_are_type_errors(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
+
+
 def test_no_submodule_is_named_after_a_public_name():
     submodules = {info.name for info in pkgutil.iter_modules(intervalagg.__path__)}
     assert "axioms" in submodules

@@ -957,6 +957,14 @@ class TestIdentification:
 
         assert identify_endpoint_rule(RuleHandle("window", window), 3) is None
 
+    # On the staircase (1, 2), (3, 4) a fixed output (-1, 4) reads as lower
+    # quota 0 and (1, 6) as upper quota 0.
+    @pytest.mark.parametrize("output", [Interval(-1, 4), Interval(1, 6)],
+                             ids=["lower", "upper"])
+    def test_quota_below_one_rejected(self, output):
+        fixed = RuleHandle("fixed", lambda profile: output)
+        assert identify_endpoint_rule(fixed, 2) is None
+
     def test_confirmation_count_validated(self):
         with pytest.raises(ValueError):
             identify_endpoint_rule(median_rule_handle(), 3, confirmations=0)

@@ -65,7 +65,7 @@ def run_cli(capsys, *argv):
 
 class TestDocuments:
     def test_profile_round_trip(self, tmp_path):
-        document = profile_to_document(BENCHMARK_PROFILE, labels=["a", "b", "c"])
+        document = profile_to_document(BENCHMARK_PROFILE)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(document))
         assert load_profile_document(str(path)) == BENCHMARK_PROFILE
@@ -471,6 +471,12 @@ class TestExternAdapter:
         adapter = extern_rule_adapter(extern_command("hang.py"), timeout=0.5)
         with pytest.raises(RuleEvaluationError, match="timed out"):
             adapter(BENCHMARK_PROFILE)
+
+    # True was a 1 s timeout and "5" a bare TypeError.
+    @pytest.mark.parametrize("timeout", [True, "5", None])
+    def test_timeout_must_be_a_number(self, timeout):
+        with pytest.raises(CommandError, match="timeout must be positive"):
+            extern_rule_adapter(extern_command("hang.py"), timeout=timeout)
 
     def test_missing_program_is_evaluation_error(self):
         adapter = extern_rule_adapter("/no/such/binary")

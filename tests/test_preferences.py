@@ -267,6 +267,24 @@ class TestCandidateGrid:
             preference = WeightedL1Preference(profile[index])
             find_manipulation(averaging_rule_handle(), profile, index, preference)
 
+    # A one-shot iterable was used up by the check (a generator of margins
+    # left 21 of 78 candidates) and a list made the frozen config
+    # unhashable; the config keeps the tuples it checked.
+    @pytest.mark.parametrize("make", [lambda values: (v for v in values), list],
+                             ids=["generator", "list"])
+    def test_sequences_are_stored_as_checked_tuples(self, make):
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        deltas, extras = (1.0, 10.0, 100.0), (Interval(-2, -1),)
+        config = GridConfig(
+            random_candidates=0, margin_deltas=make(deltas),
+            extra_candidates=make(extras),
+        )
+        assert config.margin_deltas == deltas
+        assert config.extra_candidates == extras
+        assert hash(config) == hash(replace(config))
+        grid = candidate_misreports(profile, config)
+        assert len(grid) == 79 and Interval(-2, -1) in grid
+
     def test_extra_candidates_included(self):
         profile = Profile((Interval(0, 1), Interval(2, 3)))
         wanted = Interval(-2, -1)

@@ -376,7 +376,6 @@ class TestRuleHandles:
         assert averaging_rule_handle().name == "averaging"
         vector = endpoint_rule_phantoms(1, 1, 3)
         assert phantom_rule_handle(vector).name == "phantoms[4]"
-        assert phantom_rule_handle(vector, name="custom").name == "custom"
 
     def test_handles_are_callable(self):
         assert endpoint_rule_handle(2, 2)(BENCHMARK_PROFILE) == Interval(2, 5)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -98,6 +101,13 @@ class TestValidation:
     def test_affine_flag_must_be_a_bool(self):
         with pytest.raises(ValueError, match="affine must be a bool, got 1"):
             MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, 1.0, 1.0, affine=1)
+
+    # Each built a map whose witness read "increasing" for a non-bool flag.
+    @pytest.mark.parametrize("increasing", ["no", 1, None])
+    def test_direction_flag_must_be_a_bool(self, increasing):
+        message = f"increasing must be a bool, got {increasing!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), increasing, 1.0, 1.0)
 
     def test_scaling_rejects_degenerate_factors(self):
         for factor in (0.0, float("nan"), float("inf")):
@@ -222,6 +232,26 @@ class TestRandomMaps:
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ValueError, match=f"seed must be an int, got {seed!r}"):
             random_increasing_map(seed, [0.0, 1.0])
+
+    # Each anchor is checked like every other map input, not coerced.
+    @pytest.mark.parametrize("anchors,position", [
+        (["1", 2.5], 0),
+        ([1.0, True], 1),
+        ([0.0, math.nan], 1),
+        ([10**400], 0),
+    ])
+    def test_anchors_must_be_numbers(self, anchors, position):
+        message = f"anchors entry {position} must be a finite number"
+        with pytest.raises(ValueError, match=message):
+            random_increasing_map(0, anchors)
+
+    def test_no_anchor_and_one_anchor(self):
+        # No anchor anchors at 0; one anchor x adds x - 1 and x + 1.
+        for anchors, inner in (([], [-1.0, 0.0, 1.0]), ([3.0], [2.0, 3.0, 4.0])):
+            mapping = random_increasing_map(1, anchors)
+            xs = [x for x, _ in mapping.breakpoints]
+            assert len(xs) == 5 and xs[1:4] == inner
+            assert mapping.increasing
 
     def test_seeds_give_distinct_maps(self):
         maps = {random_increasing_map(seed, [0.0, 1.0]) for seed in range(100)}
