@@ -30,7 +30,7 @@ Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
@@ -101,8 +101,12 @@ class AxiomCheck:
     """
 
     axiom: str
-    passed: bool
+    _: KW_ONLY
     witness: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 # Witness field decoders: each reads one field's JSON value and raises on
@@ -133,6 +137,11 @@ def _close(a: Sequence[float], b: Sequence[float]) -> bool:
     return abs(a[0] - b[0]) <= TRANSFORM_TOL and abs(a[1] - b[1]) <= TRANSFORM_TOL
 
 
+def _same_size(profile: Profile, other: Profile) -> None:
+    if len(profile) != len(other):
+        raise ValueError("profiles must have the same number of agents")
+
+
 def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> AxiomCheck:
     """Nested inputs give nested outputs.
 
@@ -140,8 +149,7 @@ def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> 
     the corresponding judgment of ``wider``.  Pass iff the aggregate of
     ``profile`` is contained in the aggregate of ``wider``.
     """
-    if len(profile) != len(wider):
-        raise ValueError("profiles must have the same number of agents")
+    _same_size(profile, wider)
     for pos, (narrow, wide) in enumerate(zip(profile, wider)):
         if not subset(narrow, wide):
             raise ValueError(
@@ -150,7 +158,7 @@ def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> 
     output = rule(profile)
     wider_output = rule(wider)
     if subset(output, wider_output):
-        return AxiomCheck(RESPONSIVENESS, True)
+        return AxiomCheck(RESPONSIVENESS)
     return _failure(
         RESPONSIVENESS,
         profile=profile,
@@ -178,7 +186,7 @@ def _anonymity_check(
     output = rule(profile)
     permuted_output = rule(permuted)
     if output == permuted_output:
-        return AxiomCheck(ANONYMITY, True)
+        return AxiomCheck(ANONYMITY)
     return _failure(
         ANONYMITY,
         profile=profile,
@@ -205,7 +213,7 @@ def _neutrality_check(
     mapped_profile = apply_map_profile(mapping, profile)
     actual = rule(mapped_profile)
     if _close(expected, actual):
-        return AxiomCheck(axiom, True)
+        return AxiomCheck(axiom)
     return _failure(
         axiom,
         profile=profile,
@@ -257,7 +265,7 @@ def check_translation_equivariance(
     # spacing at the shifted scale, so its shift need not be an Interval.
     expected = [output.lo + offset, output.hi + offset]
     if _close(expected, shifted_output):
-        return AxiomCheck(TRANSLATION_EQUIVARIANCE, True)
+        return AxiomCheck(TRANSLATION_EQUIVARIANCE)
     return _failure(
         TRANSLATION_EQUIVARIANCE,
         profile=profile,
@@ -285,7 +293,7 @@ def _check_lipschitz(
                 perturbed_output=moved,
                 movement=movement,
             )
-    return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
+    return AxiomCheck(CONTINUITY_LIPSCHITZ)
 
 
 def check_continuity_lipschitz(
@@ -309,7 +317,7 @@ def check_continuity_lipschitz(
     _check_int("seed", seed)
     epsilon = float(_check_number("epsilon", epsilon, 0.0))
     if epsilon == 0:
-        return AxiomCheck(CONTINUITY_LIPSCHITZ, True)
+        return AxiomCheck(CONTINUITY_LIPSCHITZ)
     return _check_lipschitz(
         rule, profile, epsilon, *_perturbations(profile, epsilon, samples, seed)
     )
@@ -343,8 +351,7 @@ def check_independent_endpoints(
     endpoints (or both); the aggregate endpoint on every agreeing side
     must then be exactly identical.
     """
-    if len(profile) != len(other):
-        raise ValueError("profiles must have the same number of agents")
+    _same_size(profile, other)
     lower_agree = all(a.lo == b.lo for a, b in zip(profile, other))
     upper_agree = all(a.hi == b.hi for a, b in zip(profile, other))
     if not lower_agree and not upper_agree:
@@ -362,7 +369,7 @@ def check_independent_endpoints(
         sides.append("upper")
         ok = ok and output.hi == other_output.hi
     if ok:
-        return AxiomCheck(INDEPENDENT_ENDPOINTS, True)
+        return AxiomCheck(INDEPENDENT_ENDPOINTS)
     return _failure(
         INDEPENDENT_ENDPOINTS,
         profile=profile,
@@ -388,7 +395,7 @@ def check_out_betweenness(
     output = rule(profile)
     deviated_output = rule(deviated)
     if between(profile[agent_index], output, deviated_output):
-        return AxiomCheck(OUT_BETWEENNESS, True)
+        return AxiomCheck(OUT_BETWEENNESS)
     return _failure(
         OUT_BETWEENNESS,
         profile=profile,
@@ -400,8 +407,7 @@ def check_out_betweenness(
 
 
 def _one_agent_difference(profile: Profile, other: Profile, agent_index: int) -> None:
-    if len(profile) != len(other):
-        raise ValueError("profiles must have the same number of agents")
+    _same_size(profile, other)
     _check_agent(profile, agent_index, "agent_index")
     for pos, (a, b) in enumerate(zip(profile, other)):
         if pos != agent_index and a != b:
@@ -432,7 +438,7 @@ def _side_property_check(
         scalar_between(own, a, b) and scalar_between(own_other, b, a)
     )
     if ok:
-        return AxiomCheck(axiom, True)
+        return AxiomCheck(axiom)
     return _failure(
         axiom,
         profile=profile,
@@ -474,7 +480,7 @@ def check_unanimity(rule: RuleHandle, judgment: Interval, n_agents: int) -> Axio
     profile = Profile((judgment,) * n_agents)
     output = rule(profile)
     if output == judgment:
-        return AxiomCheck(UNANIMITY, True)
+        return AxiomCheck(UNANIMITY)
     return _failure(
         UNANIMITY, judgment=judgment, n_agents=n_agents, output=output
     )
@@ -490,7 +496,7 @@ def check_manipulation(
     """Misreport search wrapped as a check; passes when nothing is found."""
     result = find_manipulation(rule, profile, agent_index, preference, grid)
     if not result.found:
-        return AxiomCheck(MANIPULATION, True)
+        return AxiomCheck(MANIPULATION)
     return _failure(
         MANIPULATION,
         profile=profile,
@@ -549,7 +555,7 @@ def _draw_neutrality(rule, rng, sample_index, n, strong=False):
     else:
         rising = _random_increasing_from_rng(rng, anchors)
         falling = tuple((x, -y) for x, y in rising.breakpoints)
-        mapping = MonotoneMap(falling, False, rising.left_slope, rising.right_slope)
+        mapping = MonotoneMap(falling, rising.left_slope, rising.right_slope)
     return profile, mapping, output
 
 
@@ -692,9 +698,13 @@ class AuditReport:
     rule_name: str
     config: AuditConfig
     tallies: dict[str, AxiomTally]
-    aborted: bool = False
+    _: KW_ONLY
     abort_axiom: Optional[str] = None
     abort_reason: Optional[str] = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_axiom is not None
 
     @property
     def total_failures(self) -> int:
@@ -794,14 +804,13 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
                 tally.eval_errors += 1
                 consecutive_errors += 1
                 if consecutive_errors >= _MAX_CONSECUTIVE_ERRORS:
-                    report.aborted = True
                     report.abort_axiom = axiom
                     report.abort_reason = str(error)
                     return report
                 continue
             consecutive_errors = 0
             tally.samples += 1
-            if not check.passed:
+            if check.witness is not None:
                 tally.failures += 1
                 if tally.first_witness is None:
                     tally.first_witness = check.witness
@@ -855,7 +864,7 @@ def _failure(axiom: str, **fields) -> AxiomCheck:
         elif isinstance(value, (WeightedL1Preference, PenaltyPreference)):
             value = _pref_data(value)
         witness[name] = value
-    return AxiomCheck(axiom, False, witness)
+    return AxiomCheck(axiom, witness=witness)
 
 
 # How each witness field a row of _AXIOMS lists is read back and checked.

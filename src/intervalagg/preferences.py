@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -102,66 +103,69 @@ class PenaltyPreference:
 Preference = Union[WeightedL1Preference, PenaltyPreference]
 
 
+# Outward offsets added below the smallest and above the largest profile
+# endpoint.  At most 100 cannot overflow: past float max, -max - 100
+# rounds back to -max.
+_MARGIN_DELTAS = (1.0, 10.0, 100.0)
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Knobs for the misreport candidate grid.
+    """Settings of the misreport candidate grid.
 
-    ``margin_deltas`` are outward offsets added below the smallest and
-    above the largest profile endpoint; ``random_candidates`` seeded
-    extra intervals widen the net beyond the deterministic grid;
-    ``extra_candidates`` lets callers force specific intervals in.  Both
-    sequences are stored as the tuples that were checked.
+    ``random_candidates`` seeded extra intervals, drawn from ``seed``,
+    widen the net beyond the deterministic grid; ``extra_candidates``
+    lets callers force specific intervals in, and is stored as the tuple
+    that was checked.
     """
 
-    margin_deltas: tuple[float, ...] = (1.0, 10.0, 100.0)
     random_candidates: int = 200
     seed: int = 0
     extra_candidates: tuple[Interval, ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            deltas = tuple(self.margin_deltas)
-        except TypeError:
-            raise TypeError(
-                f"margin_deltas must be a sequence of numbers, got "
-                f"{self.margin_deltas!r}"
-            ) from None
-        for pos, delta in enumerate(deltas):
-            _check_number(f"margin_deltas entry {pos}", delta)
         _check_int("seed", self.seed)
         _check_int("random_candidates", self.random_candidates, 0)
+        if not isinstance(self.extra_candidates, Iterable):
+            raise TypeError(
+                "extra_candidates must be a sequence of Intervals, got "
+                f"{self.extra_candidates!r}"
+            )
         extras = tuple(self.extra_candidates)
         for pos, entry in enumerate(extras):
             if not isinstance(entry, Interval):
                 raise TypeError(
                     f"extra_candidates entry {pos} is not an Interval: {entry!r}"
                 )
-        object.__setattr__(self, "margin_deltas", deltas)
         object.__setattr__(self, "extra_candidates", extras)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ManipulationResult:
     """Outcome of a misreport search for one agent.
 
-    When ``found``, ``misreport`` is the lexicographically smallest
-    candidate achieving the largest cost drop, ``manipulated_outcome`` is
-    the rule's output under it, and ``cost_drop`` is the strict
-    improvement over the truthful outcome's cost.
+    ``found`` says whether there is a ``misreport``: the
+    lexicographically smallest candidate achieving the largest cost drop.
+    ``manipulated_outcome`` is then the rule's output under it, and
+    ``cost_drop`` is the strict improvement over the truthful outcome's
+    cost.
     """
 
-    found: bool
     truthful_outcome: Interval
     misreport: Optional[Interval] = None
     manipulated_outcome: Optional[Interval] = None
     cost_drop: float = 0.0
+
+    @property
+    def found(self) -> bool:
+        return self.misreport is not None
 
 
 def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]:
     """Deterministic misreport grid for a profile.
 
     Grid values: every profile endpoint, midpoints of adjacent distinct
-    values, and outward margins at each configured delta.  Candidates are
+    values, and outward margins of 1, 10 and 100.  Candidates are
     all increasing pairs of grid values, plus a seeded uniform cloud over
     a box reaching twice the profile span beyond each side of it, plus
     any ``extra_candidates``.  The returned list is sorted and
@@ -172,9 +176,8 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
     of two grid values is already on the grid) and merged in with one
     sort of the two sorted runs.
 
-    Near float max, midpoints are taken as half-sums, margins that
-    overflow are dropped and the random box is clipped to the finite
-    floats, so every candidate stays finite.
+    Near float max, midpoints are taken as half-sums and the random box
+    is clipped to the finite floats, so every candidate stays finite.
     """
     return _candidates(profile, config, None)
 
@@ -186,7 +189,7 @@ def _candidates(
 ) -> list[Interval]:
     """:func:`candidate_misreports`, with the grid pairs cut to one per
     outcome class of a clamp when its ``bounds`` are given."""
-    points, grid = _grid_values(profile, config)
+    points, grid = _grid_values(profile)
     if bounds is None:
         candidates = [Interval(a, b) for a, b in combinations(points, 2)]
     else:
@@ -196,7 +199,7 @@ def _candidates(
     return candidates
 
 
-def _grid_values(profile: Profile, config: GridConfig) -> tuple[list[float], set[float]]:
+def _grid_values(profile: Profile) -> tuple[list[float], set[float]]:
     """The grid values of :func:`candidate_misreports`, sorted, and their set."""
     values = sorted({v for entry in profile for v in (entry.lo, entry.hi)})
     lowest, highest = values[0], values[-1]
@@ -204,12 +207,8 @@ def _grid_values(profile: Profile, config: GridConfig) -> tuple[list[float], set
     for a, b in zip(values, values[1:]):
         mid = (a + b) / 2.0
         grid.add(mid if math.isfinite(mid) else a / 2.0 + b / 2.0)
-    for delta in config.margin_deltas:
-        grid.update(
-            point
-            for point in (lowest - delta, highest + delta)
-            if math.isfinite(point)
-        )
+    for delta in _MARGIN_DELTAS:
+        grid.update((lowest - delta, highest + delta))
     return sorted(grid), grid
 
 
@@ -344,10 +343,7 @@ def find_manipulation(
             best_drop = drop
             best_misreport = candidate
             best_outcome = outcome
-    if best_misreport is None:
-        return ManipulationResult(found=False, truthful_outcome=truthful_outcome)
     return ManipulationResult(
-        found=True,
         truthful_outcome=truthful_outcome,
         misreport=best_misreport,
         manipulated_outcome=best_outcome,

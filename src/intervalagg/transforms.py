@@ -15,6 +15,7 @@ configured tail slopes.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -39,30 +40,27 @@ class MonotoneMap:
     """Piecewise-linear strictly monotone bijection of the real line.
 
     ``breakpoints`` is a tuple of ``(x, y)`` pairs with strictly
-    increasing ``x`` and strictly monotone ``y`` (direction given by
-    ``increasing``).  ``left_slope`` and ``right_slope`` are positive
-    slope *magnitudes* for the tails beyond the first and last
-    breakpoint; the sign is determined by the direction.  Use
-    :meth:`through` to build a map from points alone; it infers both
-    tail slopes from the adjacent segments.
+    increasing ``x`` and strictly monotone ``y``; the first two ``y``
+    values decide the direction, read back as ``increasing``.
+    ``left_slope`` and ``right_slope`` are positive slope *magnitudes*
+    for the tails beyond the first and last breakpoint; the sign is
+    determined by the direction.  Use :meth:`through` to build a map
+    from points alone; it infers both tail slopes from the end segments.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    increasing: bool
     left_slope: float
     right_slope: float
-    # Affine maps (x -> slope * x + intercept) evaluate in point-slope
-    # form everywhere, one rounding per call, so translation by b agrees
-    # bit-exactly with adding b to each endpoint.  Set by the affine
-    # factory only; general maps interpolate between breakpoints.
+    # Affine maps evaluate in point-slope form everywhere, one rounding
+    # per call; general maps interpolate between breakpoints.  Set by
+    # the affine factory, or by a decoded two-point affine witness.
     affine: bool = False
+    increasing: bool = field(init=False, compare=False)
     _xs: tuple[float, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.increasing, bool):
-            raise ValueError(f"increasing must be a bool, got {self.increasing!r}")
         points = _points(self.breakpoints)
         if len(points) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
@@ -73,14 +71,11 @@ class MonotoneMap:
                 raise ValueError(
                     f"breakpoint x values must strictly increase, got {a} then {b}"
                 )
+        increasing = ys[0] < ys[1]
         for a, b in zip(ys, ys[1:]):
-            if self.increasing and not a < b:
+            if not (a < b if increasing else a > b):
                 raise ValueError(
-                    f"increasing map needs strictly increasing y, got {a} then {b}"
-                )
-            if not self.increasing and not a > b:
-                raise ValueError(
-                    f"decreasing map needs strictly decreasing y, got {a} then {b}"
+                    f"breakpoint y values must be strictly monotone, got {a} then {b}"
                 )
         _check_number("left_slope", self.left_slope, _LEAST_POSITIVE)
         _check_number("right_slope", self.right_slope, _LEAST_POSITIVE)
@@ -95,11 +90,12 @@ class MonotoneMap:
         object.__setattr__(self, "breakpoints", points)
         object.__setattr__(self, "left_slope", float(self.left_slope))
         object.__setattr__(self, "right_slope", float(self.right_slope))
+        object.__setattr__(self, "increasing", increasing)
         object.__setattr__(self, "_xs", xs)
 
     @classmethod
     def through(cls, points: Iterable[tuple[float, float]]) -> "MonotoneMap":
-        """Build a map through ``points``, inferring direction and tails.
+        """Build a map through ``points``, inferring both tails.
 
         The tail slopes are the magnitudes of the first and last segment
         slopes, so e.g. the doubling map through (0, 0) and (1, 2)
@@ -108,61 +104,56 @@ class MonotoneMap:
         pts = _points(points)
         if len(pts) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
-        (x0, y0), (x1, y1) = pts[0], pts[1]
-        (u0, v0), (u1, v1) = pts[-2], pts[-1]
-        return cls(
-            pts,
-            y1 > y0,
-            abs((y1 - y0) / (x1 - x0)),
-            abs((v1 - v0) / (u1 - u0)),
-        )
+        return cls(pts, _end_slope("first", *pts[:2]), _end_slope("last", *pts[-2:]))
 
     @classmethod
-    def affine_map(cls, slope: float, intercept: float = 0.0) -> "MonotoneMap":
-        """The map x -> slope * x + intercept, one rounding per call.
-
-        Unlike a map built from breakpoints, the slope here is stored
-        verbatim, so affine_map(1.0, b) adds b bit-for-bit the way a
-        direct endpoint shift would.  The second breakpoint is at x = 1,
-        or at the first power of two x where slope * x + b != b.
-        """
+    def affine_map(cls, slope: float) -> "MonotoneMap":
+        """The map x -> slope * x through (0, 0) and (1, slope); the slope
+        is stored verbatim and a call rounds once."""
         slope = float(_check_number("affine slope", slope))
-        intercept = float(_check_number("affine intercept", intercept))
         if slope == 0:
             raise ValueError(f"affine slope must be nonzero, got {slope!r}")
-        x = 1.0
-        while intercept + slope * x == intercept:
-            x *= 2.0
-        points = ((0.0, intercept), (x, intercept + slope * x))
-        if not abs(points[1][1]) < float("inf"):
-            raise ValueError(
-                f"affine map {slope!r} * x + {intercept!r} is constant on the floats"
-            )
-        return cls(points, slope > 0, abs(slope), abs(slope), affine=True)
+        return cls(((0.0, 0.0), (1.0, slope)), abs(slope), abs(slope), affine=True)
 
     def __call__(self, x: float) -> float:
         """Evaluate the map; exact at breakpoints."""
-        if self.affine:
-            slope = self.left_slope if self.increasing else -self.left_slope
-            x0, y0 = self.breakpoints[0]
-            return y0 + (x - x0) * slope
-        xs = self._xs
         points = self.breakpoints
-        pos = bisect_left(xs, x)
-        if pos < len(xs) and xs[pos] == x:
-            return points[pos][1]
-        if pos == 0:
-            slope = self.left_slope if self.increasing else -self.left_slope
-            x0, y0 = points[0]
-            return y0 + (x - x0) * slope
-        if pos == len(xs):
-            slope = self.right_slope if self.increasing else -self.right_slope
-            x0, y0 = points[-1]
-            return y0 + (x - x0) * slope
-        x0, y0 = points[pos - 1]
-        x1, y1 = points[pos]
-        t = (x - x0) / (x1 - x0)
-        return y0 + t * (y1 - y0)
+        if not self.affine:
+            xs = self._xs
+            pos = bisect_left(xs, x)
+            if pos < len(xs) and xs[pos] == x:
+                return points[pos][1]
+            if pos == len(xs):
+                slope = self.right_slope if self.increasing else -self.right_slope
+                x0, y0 = points[-1]
+                return y0 + (x - x0) * slope
+            if pos:
+                x0, y0 = points[pos - 1]
+                x1, y1 = points[pos]
+                t = (x - x0) / (x1 - x0)
+                return y0 + t * (y1 - y0)
+        # An affine map everywhere; a general one left of its first breakpoint.
+        slope = self.left_slope if self.increasing else -self.left_slope
+        x0, y0 = points[0]
+        return y0 + (x - x0) * slope
+
+
+def _end_slope(end: str, p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Slope magnitude of the end segment ``p`` to ``q``; differences that
+    overflow are taken at half scale, so finite points give a finite slope."""
+    (x0, y0), (x1, y1) = p, q
+    if not x0 < x1 or y0 == y1:
+        return 1.0  # not strictly monotone: the constructor names the defect
+    dx, dy = x1 - x0, y1 - y0
+    if math.isinf(dx) or math.isinf(dy):
+        dx, dy = x1 / 2.0 - x0 / 2.0, y1 / 2.0 - y0 / 2.0
+    slope = abs(dy / dx) if dx else math.inf
+    if slope == 0.0 or slope == math.inf:
+        raise ValueError(
+            f"the {end} segment, {p} to {q}, has a slope that "
+            f"{'underflows to 0' if slope == 0.0 else 'overflows'}"
+        )
+    return slope
 
 
 def apply_map_interval(mapping: MonotoneMap, interval: Interval) -> Interval:
@@ -199,7 +190,7 @@ def _random_increasing_from_rng(
         y += rng.uniform(0.1, 3.0)
     left = rng.uniform(0.25, 4.0)
     right = rng.uniform(0.25, 4.0)
-    return MonotoneMap(tuple(points), True, left, right)
+    return MonotoneMap(tuple(points), left, right)
 
 
 def random_increasing_map(seed: int, anchors: Sequence[float]) -> MonotoneMap:
@@ -228,14 +219,17 @@ def map_to_data(mapping: MonotoneMap) -> dict:
 
 def map_from_data(data: Mapping) -> MonotoneMap:
     """Inverse of :func:`map_to_data`; no value is coerced, so a breakpoint
-    must be a JSON number and ``affine`` a JSON bool."""
+    must be a JSON number and ``affine`` a JSON bool, and ``direction``
+    must agree with the breakpoints."""
     direction = data["direction"]
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"unknown map direction: {direction!r}")
-    return MonotoneMap(
+    mapping = MonotoneMap(
         data["breakpoints"],
-        direction == "increasing",
         data["left_slope"],
         data["right_slope"],
         data.get("affine", False),
     )
+    if direction != ("increasing" if mapping.increasing else "decreasing"):
+        raise ValueError(
+            f"map direction {direction!r} disagrees with its breakpoints"
+        )
+    return mapping

@@ -39,10 +39,45 @@ def test_each_submodule_all_is_its_group_in_the_package_table():
     lambda: importlib.import_module("intervalagg.cli").profile_to_document(
         intervalagg.Profile([intervalagg.Interval(0, 1)]), labels=["a"]
     ),
-], ids=["left_slope", "right_slope", "name", "labels"])
+    lambda: intervalagg.MonotoneMap.affine_map(1.0, intercept=0.5),
+    lambda: intervalagg.GridConfig(margin_deltas=(1.0,)),
+    lambda: intervalagg.MonotoneMap(((0, 0), (1, 1)), 1.0, 1.0, increasing=True),
+    lambda: intervalagg.AxiomCheck("X", passed=True),
+    lambda: intervalagg.ManipulationResult(
+        found=False, truthful_outcome=intervalagg.Interval(0, 1)
+    ),
+], ids=["left_slope", "right_slope", "name", "labels", "intercept", "margin_deltas",
+        "increasing", "passed", "found"])
 def test_removed_parameters_are_type_errors(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
+
+
+# A result flag is read off its payload; a call that still passes the flag
+# in its old place must fail, not bind it to the next field.
+@pytest.mark.parametrize("call", [
+    lambda: intervalagg.AxiomCheck("X", True),
+    lambda: intervalagg.ManipulationResult(False, intervalagg.Interval(0, 1)),
+    lambda: importlib.import_module("intervalagg.axioms").AuditReport(
+        "rule", None, {}, True
+    ),
+], ids=["AxiomCheck", "ManipulationResult", "AuditReport"])
+def test_old_positional_flags_are_type_errors(call):
+    with pytest.raises(TypeError, match="positional argument"):
+        call()
+
+
+def test_result_flags_follow_their_payloads():
+    interval = intervalagg.Interval(0, 1)
+    assert intervalagg.AxiomCheck("X").passed
+    assert not intervalagg.AxiomCheck("X", witness={"axiom": "X"}).passed
+    assert not intervalagg.ManipulationResult(truthful_outcome=interval).found
+    assert intervalagg.ManipulationResult(
+        truthful_outcome=interval, misreport=interval
+    ).found
+    report = importlib.import_module("intervalagg.axioms").AuditReport
+    assert not report("rule", None, {}).aborted
+    assert report("rule", None, {}, abort_axiom="Anonymity").aborted
 
 
 def test_no_submodule_is_named_after_a_public_name():

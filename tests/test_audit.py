@@ -191,7 +191,7 @@ class TestNeutrality:
 
     def test_identity_passes_everything(self):
         check = check_weak_neutrality(
-            averaging_rule_handle(), BENCHMARK_PROFILE, MonotoneMap.affine_map(1.0, 0.0)
+            averaging_rule_handle(), BENCHMARK_PROFILE, MonotoneMap.affine_map(1.0)
         )
         assert check.passed
 
@@ -822,6 +822,12 @@ class TestReplayInput:
          "affine must be a bool, got 'false'"),
         ("WeakNeutrality", "map", dict(IDENTITY_MAP, breakpoints=[[-5, -5], [5, 1e400]]),
          "breakpoint must be a finite number, got inf"),
+        # The breakpoints decide the direction; a stored one must agree.
+        ("WeakNeutrality", "map", dict(IDENTITY_MAP, direction="decreasing"),
+         "map direction 'decreasing' disagrees with its breakpoints"),
+        ("StrongNeutrality", "map",
+         dict(GOLDEN_WITNESSES["StrongNeutrality"]["map"], direction="increasing"),
+         "map direction 'increasing' disagrees with its breakpoints"),
         ("Manipulation", "grid_seed", "7", "grid_seed must be an int, got '7'"),
         ("Manipulation", "preference", {"peak": [0, 1]}, "missing key 'kind'"),
         ("Manipulation", "preference", [0, 1], "expected a preference object"),

@@ -251,8 +251,11 @@ def reference_search(rule, profile, agent_index, preference, config) -> Manipula
             best_drop = drop
             best = (candidate, outcome)
     if best is None:
-        return ManipulationResult(found=False, truthful_outcome=truthful)
-    return ManipulationResult(True, truthful, best[0], best[1], best_drop)
+        return ManipulationResult(truthful_outcome=truthful)
+    return ManipulationResult(
+        truthful_outcome=truthful, misreport=best[0], manipulated_outcome=best[1],
+        cost_drop=best_drop,
+    )
 
 
 def test_find_manipulation_matches_reference_loop():
@@ -306,9 +309,6 @@ def search_intervals(draw):
 @st.composite
 def grid_configs(draw):
     return GridConfig(
-        margin_deltas=tuple(draw(st.lists(
-            st.sampled_from([0.0, 0.5, 1.0, 2.5, 100.0, 1e300]), max_size=3
-        ))),
         random_candidates=draw(st.sampled_from([0, 5, 200])),
         seed=draw(st.integers(0, 2**31)),
         extra_candidates=tuple(draw(st.lists(search_intervals(), max_size=3))),

@@ -60,22 +60,29 @@ class TestEvaluation:
 class TestValidation:
     def test_too_few_breakpoints(self):
         with pytest.raises(ValueError):
-            MonotoneMap(((0.0, 0.0),), True, 1.0, 1.0)
+            MonotoneMap(((0.0, 0.0),), 1.0, 1.0)
 
     def test_x_must_strictly_increase(self):
         with pytest.raises(ValueError):
-            MonotoneMap(((0.0, 0.0), (0.0, 1.0)), True, 1.0, 1.0)
+            MonotoneMap(((0.0, 0.0), (0.0, 1.0)), 1.0, 1.0)
 
-    def test_y_direction_enforced(self):
-        with pytest.raises(ValueError):
-            MonotoneMap(((0.0, 0.0), (1.0, -1.0)), True, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), False, 1.0, 1.0)
+    # The first segment decides the direction; a flat one decides no
+    # direction, so it is the same error as a turn further on.
+    @pytest.mark.parametrize("build,a,b", [
+        (lambda: MonotoneMap(((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)), 1.0, 1.0), 1.0, 0.5),
+        (lambda: MonotoneMap(((0.0, 0.0), (1.0, -1.0), (2.0, 0.0)), 1.0, 1.0), -1.0, 0.0),
+        (lambda: MonotoneMap(((0, 0), (1, 0), (2, 1)), 1, 1), 0.0, 0.0),
+        (lambda: MonotoneMap.through([(0, 0), (1, 0)]), 0.0, 0.0),
+    ], ids=["rise-then-fall", "fall-then-rise", "flat-first", "through-flat"])
+    def test_y_must_be_strictly_monotone(self, build, a, b):
+        message = f"breakpoint y values must be strictly monotone, got {a} then {b}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, float("inf"), float("nan")])
     def test_tail_slopes_must_be_positive_finite(self, slope):
         with pytest.raises(ValueError):
-            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, slope, 1.0)
+            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), slope, 1.0)
 
     # A map the API accepts must write a witness that replay accepts.
     @pytest.mark.parametrize("points", [
@@ -84,14 +91,14 @@ class TestValidation:
     ])
     def test_breakpoints_must_be_finite(self, points):
         with pytest.raises(ValueError, match="breakpoint must be a finite number"):
-            MonotoneMap(points, True, 1.0, 1.0)
+            MonotoneMap(points, 1.0, 1.0)
 
     # Each built a map from a value float() coerced, one a witness could
     # not replay: a bool slope, a string slope, string and bool breakpoints.
     @pytest.mark.parametrize("build", [
         lambda: MonotoneMap.affine_map(True),
         lambda: MonotoneMap.affine_map("2"),
-        lambda: MonotoneMap((("0", 0), (True, "1")), True, 1, 1),
+        lambda: MonotoneMap((("0", 0), (True, "1")), 1, 1),
         lambda: MonotoneMap.through([(0, 0), ("1", 1)]),
     ], ids=["bool-slope", "string-slope", "breakpoints", "through"])
     def test_non_numbers_are_not_coerced(self, build):
@@ -100,29 +107,17 @@ class TestValidation:
 
     def test_affine_flag_must_be_a_bool(self):
         with pytest.raises(ValueError, match="affine must be a bool, got 1"):
-            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), True, 1.0, 1.0, affine=1)
-
-    # Each built a map whose witness read "increasing" for a non-bool flag.
-    @pytest.mark.parametrize("increasing", ["no", 1, None])
-    def test_direction_flag_must_be_a_bool(self, increasing):
-        message = f"increasing must be a bool, got {increasing!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), increasing, 1.0, 1.0)
+            MonotoneMap(((0.0, 0.0), (1.0, 1.0)), 1.0, 1.0, affine=1)
 
     def test_scaling_rejects_degenerate_factors(self):
         for factor in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 MonotoneMap.affine_map(factor)
 
-    def test_translation_rejects_nonfinite_offsets(self):
-        for offset in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError):
-                MonotoneMap.affine_map(1.0, offset)
-
     def test_affine_flag_requires_canonical_shape(self):
         with pytest.raises(ValueError):
             MonotoneMap(
-                ((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)), True, 1.0, 1.0,
+                ((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)), 1.0, 1.0,
                 affine=True,
             )
 
@@ -133,87 +128,53 @@ class TestInverse:
             assert reflection()(reflection()(x)) == x
 
 
-class TestTranslationExactness:
-    @given(
-        intervals(),
-        st.floats(
-            min_value=-100.0, max_value=100.0,
-            allow_nan=False, allow_infinity=False,
-        ),
-    )
-    def test_translation_map_matches_shift_bitwise(self, iv, offset):
-        mapped = apply_map_interval(MonotoneMap.affine_map(1.0, offset), iv)
-        assert mapped == iv.shift(offset)
-
-    def test_awkward_offsets_interior_points(self):
-        # 0.1 has no exact binary representation; interpolation through
-        # breakpoints would drift by an ulp on interior points, the
-        # point-slope affine path must not.
-        mapping = MonotoneMap.affine_map(1.0, 0.1)
-        for x in (0.5, -2.25, 3.14159, 0.1):
-            assert mapping(x) == x + 0.1
-
-    def test_inverse_of_translation_is_exact_back_shift(self):
-        inverse = MonotoneMap.affine_map(1.0, -0.1)
-        assert inverse.affine
-        for x in (0.6, -1.4, 12.0):
-            assert inverse(x) == x + (-0.1)
-
-
-class TestAffineMapAtScale:
-    # b + slope rounds back to b once |b| is far past |slope| * 2**53; the
-    # second breakpoint then moves out to a power of two where y changes.
-    @pytest.mark.parametrize("slope,intercept", [
-        (1.0, 1e17),
-        (-1.0, 1e17),
-        (1.0, -1e300),
-        (1e-300, 1.0),
-        (-5e-324, 1.0),
-    ])
-    def test_far_intercept_builds_and_evaluates(self, slope, intercept):
-        mapping = MonotoneMap.affine_map(slope, intercept)
-        for x in (-3.0, 0.0, 2.0, 1e6):
-            assert mapping(x) == intercept + x * slope
-        (x0, y0), (x1, y1) = mapping.breakpoints
-        assert (x0, y0) == (0.0, intercept)
-        assert y1 != y0 and y1 == intercept + slope * x1
+class TestAffineMap:
+    # The slope is stored verbatim, at every magnitude, and the map
+    # evaluates as one product.
+    @pytest.mark.parametrize("slope", [1.0, -1.0, 2.5, 0.1, 1e300, -5e-324])
+    def test_breakpoints_and_evaluation(self, slope):
+        mapping = MonotoneMap.affine_map(slope)
+        assert mapping.breakpoints == ((0.0, 0.0), (1.0, slope))
+        assert mapping.increasing == (slope > 0)
+        for x in (-3.0, 0.0, 0.5, 2.0, 1e6):
+            assert mapping(x) == x * slope
         assert map_from_data(map_to_data(mapping)) == mapping
 
-    def test_translation_by_1e17(self):
-        mapping = MonotoneMap.affine_map(1.0, 1e17)
-        assert mapping(2.0) == 2.0 + 1e17
-        assert mapping.breakpoints == ((0.0, 1e17), (16.0, 1e17 + 16.0))
-        iv = Interval(0, 64)
-        assert apply_map_interval(mapping, iv) == iv.shift(1e17)
+    # A decoded two-point affine witness keeps point-slope evaluation:
+    # (1.0 + 1.3) - 1.3 rounds below 1, so interpolation between these
+    # breakpoints drifts by an ulp on interior points.
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_decoded_affine_witness_evaluates_point_slope(self, affine):
+        mapping = map_from_data({
+            "breakpoints": [[0.0, 1.3], [1.0, 1.0 + 1.3]],
+            "direction": "increasing", "left_slope": 1.0, "right_slope": 1.0,
+            "affine": affine,
+        })
+        exact = [mapping(x) == x + 1.3 for x in (0.1, 0.5, 0.9)]
+        assert exact == [affine] * 3
 
-    @pytest.mark.parametrize("slope,intercept", [
-        (-1.0, 0.0),
-        (1.0, 0.1),
-        (2.5, -7.0),
-    ])
-    def test_breakpoints_unchanged_when_intercept_plus_slope_moves(
-        self, slope, intercept
-    ):
-        assert MonotoneMap.affine_map(slope, intercept).breakpoints == (
-            (0.0, intercept),
-            (1.0, intercept + slope),
-        )
 
-    @pytest.mark.parametrize("intercept", [
-        float("nan"), float("inf"), float("-inf"),
-    ])
-    def test_nonfinite_intercept_named(self, intercept):
-        with pytest.raises(ValueError, match="affine intercept must be a finite number"):
-            MonotoneMap.affine_map(1.0, intercept)
+class TestThrough:
+    def test_tails_continue_the_end_segments(self):
+        mapping = MonotoneMap.through([(0.0, 0.0), (1.0, -2.0), (3.0, -3.0)])
+        assert not mapping.increasing
+        assert (mapping.left_slope, mapping.right_slope) == (2.0, 0.5)
 
-    @pytest.mark.parametrize("slope,intercept", [
-        (5e-324, 1e308),
-        (1.0, 1.7976931348623157e308),
-        (-1.0, -1.7976931348623157e308),
+    # The differences of these points overflow; the slope does not.
+    def test_overflowing_differences_give_a_finite_slope(self):
+        mapping = MonotoneMap.through([(-1e308, -1e308), (1e308, 1e308)])
+        assert (mapping.left_slope, mapping.right_slope) == (1.0, 1.0)
+        assert mapping(1.5e308) == 1.5e308 and mapping(-1.5e308) == -1.5e308
+
+    @pytest.mark.parametrize("points,end,detail", [
+        ([(0.0, 0.0), (1e300, 1e-300)], "first", "underflows to 0"),
+        ([(0.0, 0.0), (1e-300, 1e300)], "first", "overflows"),
+        ([(0.0, -1e308), (5e-324, 1e308)], "first", "overflows"),
+        ([(0.0, 0.0), (1.0, 1e-300), (1e300, 2e-300)], "last", "underflows to 0"),
     ])
-    def test_map_constant_on_the_floats_rejected(self, slope, intercept):
-        with pytest.raises(ValueError, match="constant on the floats"):
-            MonotoneMap.affine_map(slope, intercept)
+    def test_slope_outside_the_floats_names_the_segment(self, points, end, detail):
+        with pytest.raises(ValueError, match=f"the {end} segment, .* {detail}"):
+            MonotoneMap.through(points)
 
 
 class TestRandomMaps:
@@ -287,14 +248,22 @@ class TestSerialization:
         assert map_from_data(data) == mapping
 
     def test_roundtrip_preserves_affine_evaluation(self):
-        mapping = MonotoneMap.affine_map(1.0, 0.1)
+        mapping = MonotoneMap.affine_map(0.1)
         clone = map_from_data(map_to_data(mapping))
-        assert clone == mapping
-        assert clone(0.5) == 0.6
+        assert clone == mapping and clone.affine
+        assert clone(3.0) == 3.0 * 0.1
 
     def test_direction_string_validated(self):
         data = map_to_data(reflection())
         assert data["direction"] == "decreasing"
         data["direction"] = "sideways"
         with pytest.raises(ValueError):
+            map_from_data(data)
+
+    @pytest.mark.parametrize("mapping", [reflection(), random_increasing_map(3, [0.0])],
+                             ids=["decreasing", "increasing"])
+    def test_direction_must_agree_with_breakpoints(self, mapping):
+        data = map_to_data(mapping)
+        data["direction"] = "decreasing" if mapping.increasing else "increasing"
+        with pytest.raises(ValueError, match="disagrees with its breakpoints"):
             map_from_data(data)
