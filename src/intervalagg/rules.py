@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import _EXPORTS
@@ -96,19 +97,20 @@ def _kth_of_two(ranked: Sequence[float], pool: Sequence[float], k: int) -> float
 
 
 def _select(
+    ranks: Callable[[int], tuple[int, int]],
+    pool_lows: Sequence[float],
+    pool_highs: Sequence[float],
     profile: Profile,
-    lo_rank: int,
-    hi_rank: int,
-    pool_lows: Sequence[float] = (),
-    pool_highs: Sequence[float] = (),
 ) -> Interval:
     """Interval of the ``lo_rank``-th smallest lower and the ``hi_rank``-th
-    smallest upper endpoint, over the judgments pooled with extra
-    (phantom) bounds.  An upper quota ``q`` is the rank ``n + 1 - q``.
+    smallest upper endpoint, ``(lo_rank, hi_rank) = ranks(n)``, over the
+    judgments pooled with extra (phantom) bounds.  An upper quota ``q`` is
+    the rank ``n + 1 - q``.
 
     Reads the profile's ranked endpoints, so after a profile's first
     evaluation each call costs O(1) for quota rules and O(log n) for
     generalized medians.  The pools must be sorted ascending."""
+    lo_rank, hi_rank = ranks(len(profile))
     lows, highs = profile._ranked()
     return Interval(
         _kth_of_two(lows, pool_lows, lo_rank),
@@ -130,20 +132,20 @@ def _rank_bounds(
 
 
 def _vary_select(
+    ranks: Callable[[int], tuple[int, int]],
+    pool_lows: Sequence[float],
+    pool_highs: Sequence[float],
     profile: Profile,
     index: int,
-    lo_rank: int,
-    hi_rank: int,
-    pool_lows: Sequence[float] = (),
-    pool_highs: Sequence[float] = (),
 ) -> Callable[[Interval], Interval]:
-    """``report -> _select(profile.replace_agent(index, report), ...)``,
+    """``report -> _select(..., profile.replace_agent(index, report))``,
     with the other agents' endpoints ranked once instead of per report.
 
     The returned clamp carries ``bounds = (lo_floor, lo_ceiling,
     hi_floor, hi_ceiling)``: each outcome endpoint is its report endpoint
     clamped alone, so the lower one depends only on ``report.lo`` and the
     upper one only on ``report.hi``."""
+    lo_rank, hi_rank = ranks(len(profile))
     lows, highs = profile._ranked_without(index)
     lo_floor, lo_ceiling = _rank_bounds(lows, pool_lows, lo_rank)
     hi_floor, hi_ceiling = _rank_bounds(highs, pool_highs, hi_rank)
@@ -334,6 +336,13 @@ class RuleHandle:
     ``incremental``, when given, backs :meth:`vary_agent` with a faster
     path that must agree with ``evaluate`` bit for bit; handles built
     without it fall back to full evaluation.
+
+    Every built-in handle pickles: its ``evaluate`` and ``incremental``
+    are module-level functions or ``functools.partial`` objects of them.
+    :func:`~intervalagg.axioms.audit` shares the samples of a handle that
+    pickles with a forked child.  A handle around a closure or a lambda,
+    such as an ``extern:`` rule, does not pickle, and audits of it run
+    in-process.
     """
 
     name: str
@@ -384,18 +393,44 @@ def endpoint_rule_handle(lower_quota: int, upper_quota: int) -> RuleHandle:
     """
     _check_int("lower_quota", lower_quota, 1)
     _check_int("upper_quota", upper_quota, 1)
-
-    def ranks(n: int) -> tuple[int, int]:
-        if lower_quota + upper_quota > n + 1:
-            raise ValueError(
-                f"quotas ({lower_quota}, {upper_quota}) invalid for "
-                f"{n} agents"
-            )
-        return lower_quota, n + 1 - upper_quota
-
     return _order_statistic_handle(
-        f"endpoint:{lower_quota},{upper_quota}", ranks
+        f"endpoint:{lower_quota},{upper_quota}",
+        partial(_quota_ranks, lower_quota, upper_quota),
     )
+
+
+# Rank functions: n -> (lower rank, upper rank) among the pooled values.
+# Module-level, with their parameters bound by partial, so handles pickle.
+
+
+def _quota_ranks(lower_quota: int, upper_quota: int, n: int) -> tuple[int, int]:
+    if lower_quota + upper_quota > n + 1:
+        raise ValueError(
+            f"quotas ({lower_quota}, {upper_quota}) invalid for {n} agents"
+        )
+    return lower_quota, n + 1 - upper_quota
+
+
+def _median_ranks(n: int) -> tuple[int, int]:
+    mid = (n + 1) // 2
+    return mid, n + 1 - mid
+
+
+def _maximal_ranks(n: int) -> tuple[int, int]:
+    return 1, n
+
+
+def _phantom_ranks(
+    vector: PhantomVector, valid_sizes: set[int], n: int
+) -> tuple[int, int]:
+    # valid_sizes belongs to one handle: each size is validated once.
+    if n not in valid_sizes:
+        reason = validate_phantoms(vector, n)
+        if reason is not None:
+            raise ValueError(f"invalid phantom vector: {reason}")
+        valid_sizes.add(n)
+    # 2n + 1 pooled values: the (n+1)-th smallest is the (n+1)-th largest.
+    return n + 1, n + 1
 
 
 def _order_statistic_handle(
@@ -406,33 +441,23 @@ def _order_statistic_handle(
 ) -> RuleHandle:
     """Handle selecting the endpoint ranks ``ranks(n)`` from the judgments
     pooled with fixed extra bounds, with the one-agent fast path."""
-
-    def evaluate(profile: Profile) -> Interval:
-        return _select(profile, *ranks(len(profile)), pool_lows, pool_highs)
-
-    def incremental(profile: Profile, index: int) -> Callable[[Interval], Interval]:
-        return _vary_select(
-            profile, index, *ranks(len(profile)), pool_lows, pool_highs
-        )
-
-    return RuleHandle(name, evaluate, incremental)
+    return RuleHandle(
+        name,
+        partial(_select, ranks, pool_lows, pool_highs),
+        partial(_vary_select, ranks, pool_lows, pool_highs),
+    )
 
 
 def median_rule_handle() -> RuleHandle:
     """Both quotas at ``(n + 1) // 2``: for odd ``n`` the coordinatewise
     medians, for even ``n`` the lower of the two middle lower endpoints and
     the upper of the two middle upper endpoints."""
-
-    def ranks(n: int) -> tuple[int, int]:
-        mid = (n + 1) // 2
-        return mid, n + 1 - mid
-
-    return _order_statistic_handle("median", ranks)
+    return _order_statistic_handle("median", _median_ranks)
 
 
 def maximal_rule_handle() -> RuleHandle:
     """Quota pair (1, 1): the smallest interval containing every judgment."""
-    return _order_statistic_handle("maximal", lambda n: (1, n))
+    return _order_statistic_handle("maximal", _maximal_ranks)
 
 
 def averaging_rule_handle() -> RuleHandle:
@@ -452,20 +477,9 @@ def phantom_rule_handle(vector: PhantomVector) -> RuleHandle:
     """
     if not isinstance(vector, PhantomVector):
         raise TypeError(f"vector must be a PhantomVector, got {vector!r}")
-    valid_sizes: set[int] = set()
-
-    def ranks(n: int) -> tuple[int, int]:
-        if n not in valid_sizes:
-            reason = validate_phantoms(vector, n)
-            if reason is not None:
-                raise ValueError(f"invalid phantom vector: {reason}")
-            valid_sizes.add(n)
-        # 2n + 1 pooled values: the (n+1)-th smallest is the (n+1)-th largest.
-        return n + 1, n + 1
-
     return _order_statistic_handle(
         f"phantoms[{len(vector)}]",
-        ranks,
+        partial(_phantom_ranks, vector, set()),
         tuple(sorted([ph.lo for ph in vector.phantoms])),
         tuple(sorted([ph.hi for ph in vector.phantoms])),
     )

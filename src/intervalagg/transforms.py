@@ -22,17 +22,29 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
-from .core import _LEAST_POSITIVE, Interval, Profile, _check_int, _check_number
+from .core import (
+    _FLOAT_MAX,
+    _LEAST_POSITIVE,
+    Interval,
+    Profile,
+    _check_int,
+    _check_number,
+)
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "transforms"]
 
 
 def _points(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """``points`` as float pairs; each coordinate must be a finite number."""
-    return tuple(
-        (float(_check_number("breakpoint", x)), float(_check_number("breakpoint", y)))
-        for x, y in points
-    )
+    pairs = []
+    for x, y in points:
+        # Two finite floats pass one test; anything else goes through the
+        # checker, which converts an int and names a bad coordinate.
+        if not (type(x) is float and type(y) is float and abs(x) <= _FLOAT_MAX >= abs(y)):
+            x = float(_check_number("breakpoint", x))
+            y = float(_check_number("breakpoint", y))
+        pairs.append((x, y))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -130,8 +142,12 @@ class MonotoneMap:
             if pos:
                 x0, y0 = points[pos - 1]
                 x1, y1 = points[pos]
-                t = (x - x0) / (x1 - x0)
-                return y0 + t * (y1 - y0)
+                dx, dy = x1 - x0, y1 - y0
+                if math.isinf(dx) or math.isinf(dy):
+                    # A difference overflowed: interpolate at half scale.
+                    t = (x / 2.0 - x0 / 2.0) / (x1 / 2.0 - x0 / 2.0)
+                    return 2.0 * (y0 / 2.0 + t * (y1 / 2.0 - y0 / 2.0))
+                return y0 + (x - x0) / dx * dy
         # An affine map everywhere; a general one left of its first breakpoint.
         slope = self.left_slope if self.increasing else -self.left_slope
         x0, y0 = points[0]

@@ -540,6 +540,25 @@ class TestAuditCommand:
         data = json.loads(report_path.read_text())
         assert data["results"]["WeakNeutrality"]["failures"] > 0
 
+    # A child process audits in two processes; the audit's own forked
+    # child must neither keep the output pipe open nor flush stdio again.
+    def test_audit_child_exits_promptly_and_prints_once(self, capsys, tmp_path):
+        argv = ["audit", "--rule", "averaging", "--n", "3", "--samples", "200",
+                "--seed", "3", "--out"]
+        child_report = tmp_path / "child.json"
+        child = subprocess.run(
+            [sys.executable, "-m", "intervalagg", *argv, str(child_report)],
+            capture_output=True, text=True, timeout=60, env=src_env(),
+        )
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, *argv, str(report))
+        assert child.returncode == code == 1
+        assert child.stdout == out.replace(str(report), str(child_report))
+        assert child.stdout.count("rule averaging:") == 1
+        assert child.stdout.count("report written to") == 1
+        assert child.stderr == err == ""
+        assert child_report.read_text() == report.read_text()
+
     def test_zero_samples_exit_0(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -21,6 +22,7 @@ from intervalagg import (
     maximal_rule_handle,
     median_rule_handle,
     phantom_rule_handle,
+    sample_profile,
     valid_quota_pairs,
     validate_phantoms,
 )
@@ -415,6 +417,44 @@ class TestRuleHandles:
         handle = endpoint_rule_handle(1, 2)
         outputs = {handle(BENCHMARK_PROFILE) for _ in range(5)}
         assert len(outputs) == 1
+
+    # Built-in handles pickle, so their audits shard; a pickled copy must
+    # evaluate, clamp and bound exactly as the original does.
+    @pytest.mark.parametrize("handle,sizes", [
+        (endpoint_rule_handle(2, 3), range(4, 8)),
+        (median_rule_handle(), range(1, 8)),
+        (maximal_rule_handle(), range(1, 8)),
+        (averaging_rule_handle(), range(1, 8)),
+        (phantom_rule_handle(endpoint_rule_phantoms(2, 1, 4)), (4,)),
+        (phantom_rule_handle(PhantomVector((TOP, WHOLE, BOTTOM))), (2,)),
+    ], ids=lambda value: getattr(value, "name", None))
+    def test_handles_survive_pickle(self, handle, sizes):
+        copy = pickle.loads(pickle.dumps(handle))
+        assert copy.name == handle.name
+        rng = random.Random(17)
+        for _ in range(200):
+            profile = sample_profile(rng, rng.choice(sizes))
+            assert copy(profile) == handle(profile)
+            index = rng.randrange(len(profile))
+            clamp = handle.vary_agent(profile, index)
+            copied = copy.vary_agent(profile, index)
+            assert getattr(copied, "bounds", None) == getattr(clamp, "bounds", None)
+            for report in sample_profile(rng, 3):
+                assert copied(report) == clamp(report)
+
+    def test_pickled_phantom_handle_rejects_the_same_sizes(self):
+        handle = phantom_rule_handle(endpoint_rule_phantoms(1, 1, 3))
+        handle(INTERLEAVED_PROFILE)  # size 3 now validated in the original
+        copy = pickle.loads(pickle.dumps(handle))
+        assert copy(INTERLEAVED_PROFILE) == handle(INTERLEAVED_PROFILE)
+        four = Profile(INTERLEAVED_PROFILE + (Interval(0, 1),))
+        messages = []
+        for rule in (handle, copy):
+            with pytest.raises(ValueError) as error:
+                rule(four)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("invalid phantom vector: phantom vector has 4")
 
 
 class TestExhaustiveSmallCases:

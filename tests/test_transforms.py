@@ -16,6 +16,9 @@ from intervalagg import (
     random_increasing_map,
 )
 
+from intervalagg.core import _check_number
+from intervalagg.transforms import _points
+
 from .strategies import intervals
 
 
@@ -122,6 +125,38 @@ class TestValidation:
             )
 
 
+class Float(float):
+    pass
+
+
+# Any value a caller may pass as a breakpoint coordinate.
+coordinates = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), True, False, "1", None, -0.0, Float(2.5)]),
+)
+
+
+# The breakpoint check takes one test per pair of plain floats and the
+# per-coordinate checker otherwise; it must accept, convert and name
+# exactly what checking every coordinate does.
+@given(st.lists(st.tuples(coordinates, coordinates), max_size=4))
+def test_breakpoint_check_matches_per_coordinate_check(pairs):
+    def outcome(check):
+        try:
+            return repr(check(pairs))
+        except ValueError as error:
+            return f"ValueError: {error}"
+
+    def reference(points):
+        return tuple(
+            (float(_check_number("breakpoint", x)), float(_check_number("breakpoint", y)))
+            for x, y in points
+        )
+
+    assert outcome(_points) == outcome(reference)
+
+
 class TestInverse:
     def test_reflection_is_an_involution(self):
         for x in (-3.5, 0.0, 2.0, 11.25):
@@ -165,6 +200,18 @@ class TestThrough:
         mapping = MonotoneMap.through([(-1e308, -1e308), (1e308, 1e308)])
         assert (mapping.left_slope, mapping.right_slope) == (1.0, 1.0)
         assert mapping(1.5e308) == 1.5e308 and mapping(-1.5e308) == -1.5e308
+
+    # Between its breakpoints such a map interpolates at half scale; the
+    # differences at full scale are infinite and gave nan.
+    @pytest.mark.parametrize("mapping,x,y", [
+        (MonotoneMap.through([(-1e308, -1e308), (1e308, 1e308)]), 0.0, 0.0),
+        (MonotoneMap.through([(-1e308, -1e308), (1e308, 1e308)]), 5e307, 5e307),
+        (MonotoneMap.through([(-1e308, 1e308), (1e308, -1e308)]), -2.5e307, 2.5e307),
+        (MonotoneMap(((0.0, -1e308), (1.0, 1e308)), 1.0, 1.0), 0.5, 0.0),
+        (MonotoneMap(((-1e308, 0.0), (1e308, 1.0)), 1.0, 1.0), 0.0, 0.5),
+    ])
+    def test_overflowing_segment_interpolates(self, mapping, x, y):
+        assert math.isclose(mapping(x), y, rel_tol=1e-15, abs_tol=0.0)
 
     @pytest.mark.parametrize("points,end,detail", [
         ([(0.0, 0.0), (1e300, 1e-300)], "first", "underflows to 0"),
