@@ -22,13 +22,14 @@ of positions.  :func:`_run_samples` decides any contiguous part of it and
 :func:`_merge` folds the parts, in order, into the report, replaying the
 abort after ten consecutive evaluation errors, keeping each axiom's first
 witness and raising the first exception the rule raised before any
-abort; the in-process audit is one part.  A rule that pickles, in a
-single-threaded process that can fork and may run on two CPUs, is
-audited in sixteen equal chunks instead.  A child forked for the audit
-decides the odd chunks from the first on and writes each result back on
-a pipe; this process decides the even ones, then each odd one the child
-has not answered yet, from the last back, merges them all, and reaps the
-child.  The report is the same byte for byte.
+abort; the in-process audit is one part.  A built-in handle, in a
+process that may run on two CPUs, is audited in sixteen equal chunks
+instead (:mod:`intervalagg._worker`).  A worker process, started at the
+first such audit and kept until this process exits, decides the odd
+chunks from the first on and writes each result back on a pipe; this
+process decides the even ones, then each odd one the worker has not
+answered yet, from the last back, and merges them all.  The report is
+the same byte for byte.
 
 Checks compare untransformed rule outputs exactly.  After a map or a
 translation has touched the numbers, endpoint comparisons allow 1e-9
@@ -42,14 +43,12 @@ Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 
 from __future__ import annotations
 
-import os
 import random
-import sys
 from dataclasses import KW_ONLY, dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from . import _EXPORTS
+from . import _EXPORTS, _worker
 from .core import (
     Interval,
     Profile,
@@ -803,15 +802,14 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     errors the campaign aborts (the rule binary is considered broken,
     not non-compliant).
 
-    A rule that pickles, in a single-threaded process that can fork and
-    may run on two CPUs, is audited in two processes: this one and a
-    child forked for this audit share the samples in chunks, as the
-    module docstring describes, and the child is gone when ``audit``
-    returns.  The report is the same byte for byte either way, and an
-    exception the rule raises reaches the caller as it would in-process.
+    A built-in handle, in a process that may run on two CPUs, is audited
+    in two processes: this one and a sample worker share the samples in
+    chunks, as the module docstring describes.  The report is the same
+    byte for byte either way, and an exception the rule raises reaches
+    the caller as it would in-process.
     """
     total = len(config.axioms) * config.samples
-    parts = _sharded_parts(rule, config, total) if _can_shard(rule) else None
+    parts = _worker.parts(rule, config, total)
     if parts is None:
         parts = [(0, _run_samples(rule, config, 0, total))]
     return _merge(rule.name, config, parts)
@@ -896,172 +894,6 @@ def _merge(name: str, config: AuditConfig, parts) -> AuditReport:
         if raised is not None:
             raise raised
     return report
-
-
-# The sharded schedule: an audit's samples, axiom by axiom in config order,
-# form one flat range cut into _CHUNKS equal chunks.  A child forked for the
-# audit decides the odd ones from the first on, while this process decides
-# the even ones and then, from the last back, every odd one the child has
-# not answered yet; so a slow child costs no waiting, only its own chunks.
-# Sixteen chunks keep the part of an audit that both may decide small.
-_CHUNKS = 16
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_shard(rule: RuleHandle) -> bool:
-    """Whether an audit of ``rule`` may share its samples with a forked
-    child: ``os.fork`` exists, two CPUs are usable, no second thread runs
-    (a fork copies only the calling one) and the handle pickles.  A handle
-    that pickles is plain data over module-level functions.  One built
-    around a closure, such as an ``extern:`` handle with its subprocess or
-    a wrapper that counts calls, may keep state that the child's copy
-    would change out of the caller's sight, so it stays in this process."""
-    threading = sys.modules.get("threading")
-    if (
-        not hasattr(os, "fork")
-        or _usable_cpus() < 2
-        or (threading is not None and threading.active_count() > 1)
-    ):
-        return False
-    import pickle
-
-    try:
-        pickle.dumps(rule)
-    except Exception:  # closures, lambdas, open files: whatever pickle refuses
-        return False
-    return True
-
-
-def _sharded_parts(
-    rule: RuleHandle, config: AuditConfig, total: int
-) -> Optional[list[tuple[int, tuple]]]:
-    """``(start, result)`` for each chunk in order, up to the first that
-    ends early, where the merge stops at the latest; None if the fork
-    fails.  A child forked here decides the odd chunks.  Any it has not
-    answered when this process gets to it, or could not decide, is
-    decided here.  The child is reaped, killed first if it is still
-    busy, before this returns."""
-    import pickle
-
-    bounds = [total * k // _CHUNKS for k in range(_CHUNKS + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    replies, reply_write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(replies)
-        os.close(reply_write)
-        return None
-    if pid == 0:
-        try:
-            os.close(replies)
-            _decide_odd_chunks(rule, config, ranges, reply_write)
-        finally:
-            os._exit(0)
-    os.close(reply_write)
-    results: list = [None] * len(ranges)
-    limit = len(ranges)
-
-    def take(k: int, result: Optional[tuple] = None) -> None:
-        nonlocal limit
-        if result is None:
-            result = _run_samples(rule, config, *ranges[k])
-        results[k] = result
-        if result[3] < ranges[k][1]:
-            limit = min(limit, k + 1)
-
-    try:
-        for k in range(0, len(ranges), 2):
-            if k < limit:
-                take(k)
-        child_alive = True
-        while True:
-            theirs = [k for k in range(1, limit, 2) if results[k] is None]
-            if not theirs:
-                break
-            reply = None
-            if child_alive:
-                try:
-                    reply = _reply(replies)
-                except (EOFError, OSError, pickle.UnpicklingError):
-                    child_alive = False
-            if reply is None:
-                take(theirs[-1])
-            elif reply[0] in theirs:
-                take(*reply)
-    finally:
-        os.close(replies)
-        _reap(pid)
-    return [(ranges[k][0], results[k]) for k in range(limit)]
-
-
-def _decide_odd_chunks(
-    rule: RuleHandle, config: AuditConfig, ranges: list[tuple[int, int]], replies: int
-) -> None:
-    """The child's part of a sharded audit: the odd chunks of ``ranges``
-    from the first on, each answered on ``replies`` with an ``(index,
-    result of _run_samples)`` frame.  The result is None for a chunk that
-    raised, which asks the parent to decide the chunk itself."""
-    import gc
-
-    # Leave inherited objects out of collections: walking them would copy
-    # their pages from the parent for nothing.
-    gc.freeze()
-    for k in range(1, len(ranges), 2):
-        result = _run_samples(rule, config, *ranges[k])
-        frame = _frame((k, result if result[4] is None else None))
-        while frame:
-            frame = frame[os.write(replies, frame):]
-
-
-def _frame(message: object) -> memoryview:
-    """``message`` pickled, after its length: one message on a pipe."""
-    import pickle
-
-    data = pickle.dumps(message)
-    return memoryview(len(data).to_bytes(8, "little") + data)
-
-
-def _reply(fd: int) -> Optional[tuple[int, Optional[tuple]]]:
-    """The next ``(index, result)`` the child wrote on ``fd`` as a
-    :func:`_frame`, None if no reply has arrived yet; EOFError once the
-    child is gone."""
-    import pickle
-    import select
-
-    if not select.select([fd], [], [], 0)[0]:
-        return None
-
-    def read(size: int) -> bytes:
-        parts = []
-        while size:
-            part = os.read(fd, size)
-            if not part:
-                raise EOFError("audit child pipe closed")
-            parts.append(part)
-            size -= len(part)
-        return b"".join(parts)
-
-    return pickle.loads(read(int.from_bytes(read(8), "little")))
-
-
-def _reap(pid: int) -> None:
-    """Reap the audit child ``pid``, killing it first if it is still
-    deciding a chunk that this process no longer needs."""
-    import signal
-
-    try:
-        if os.waitpid(pid, os.WNOHANG)[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped elsewhere, by a SIGCHLD handler say
-        pass
 
 
 def _pref_data(preference: Preference) -> dict:

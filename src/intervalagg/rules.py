@@ -339,10 +339,10 @@ class RuleHandle:
 
     Every built-in handle pickles: its ``evaluate`` and ``incremental``
     are module-level functions or ``functools.partial`` objects of them.
-    :func:`~intervalagg.axioms.audit` shares the samples of a handle that
-    pickles with a forked child.  A handle around a closure or a lambda,
-    such as an ``extern:`` rule, does not pickle, and audits of it run
-    in-process.
+    :func:`~intervalagg.axioms.audit` shares the samples of a built-in
+    handle with a sample worker process, which rebuilds the handle from
+    its pickle.  A handle around a closure, a lambda or a function of the
+    caller's own, such as an ``extern:`` rule, is audited in-process.
     """
 
     name: str

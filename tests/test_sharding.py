@@ -1,16 +1,16 @@
-"""Sharded audits: a rule that pickles is audited in this process and a
-child forked for the audit, and the report is the one the in-process
-audit writes, byte for byte.  Each path is forced by patching the CPU
-count."""
+"""Sharded audits: a built-in handle is audited in this process and the
+sample worker, and the report is the one the in-process audit writes,
+byte for byte.  Each path is forced by patching the CPU count; rules of
+the tests' own shard when the worker is started with their module."""
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
 import threading
 import time
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -19,99 +19,112 @@ import hypothesis.strategies as st
 from intervalagg import (
     ALL_AXIOM_IDS,
     AuditConfig,
-    RuleEvaluationError,
     RuleHandle,
+    _worker,
     audit,
     averaging_rule_handle,
-    axioms,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
     median_rule_handle,
     phantom_rule_handle,
+    rules,
     valid_quota_pairs,
 )
-from intervalagg.axioms import _can_shard, _merge, _run_samples
+from intervalagg.axioms import _merge, _run_samples
 from intervalagg.cli import extern_rule_adapter
 
+from . import sharded_rules
 from .conftest import ROOT, extern_command, src_env
+from .sharded_rules import MEDIAN, flaky_rule
 from .test_audit import GOLDEN_DIR
-
-MEDIAN = median_rule_handle()
-
-
-# Module-level rules, so they pickle and their audits shard.
-
-
-def _refusing(profile):
-    raise RuleEvaluationError(f"no outcome for {profile[0]!r}")
-
-
-def _flaky(threshold, profile, ceiling=None):
-    """Median, or an evaluation error when the first lower endpoint is
-    below ``threshold`` (never at -20, always at 20), or a ValueError
-    when the first upper endpoint is above ``ceiling``."""
-    if profile[0].lo < threshold:
-        raise RuleEvaluationError(f"refused {profile[0].lo!r}")
-    if ceiling is not None and profile[0].hi > ceiling:
-        raise ValueError(f"too high: {profile[0].hi!r}")
-    return MEDIAN(profile)
-
-
-def _bounded(profile):
-    """Median on endpoints within 50 of 0, else a ValueError.  Only
-    translated profiles reach that far."""
-    if any(abs(entry.lo) > 50 or abs(entry.hi) > 50 for entry in profile):
-        raise ValueError(f"endpoint beyond 50 in {profile!r}")
-    return MEDIAN(profile)
-
-
-def flaky_rule(threshold, ceiling=None):
-    return RuleHandle(f"flaky<{threshold}", partial(_flaky, threshold, ceiling=ceiling))
 
 
 def report_text(rule, config):
     return json.dumps(audit(rule, config).to_json_dict(), indent=2) + "\n"
 
 
+def ready():
+    """The worker, once it has said it runs this process's code; tiny
+    audits start it if need be."""
+    deadline = time.monotonic() + 60
+    while True:
+        audit(MEDIAN, AuditConfig(n_agents=2, samples=2, seed=0))
+        worker = _worker._live()
+        if worker is not None and worker.fingerprint == _worker._fingerprint():
+            return worker
+        assert time.monotonic() < deadline, "the sample worker never became ready"
+        time.sleep(0.02)
+
+
+def gone(pid):
+    """Whether process ``pid`` has exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return state in ("Z", "X")
+
+
+def eventually(condition, timeout=30):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+
+
 @pytest.fixture
-def paths(monkeypatch):
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def paths(monkeypatch, two_cpus):
     """Run a callable on the sharded path, then in-process.
 
-    Each range decided in this process waits 5 ms first, so the child
-    answers its ranges before this process can take them over; unless
-    ``answered`` is False, the sharded run must use one of its answers.
+    Each poll for the worker's replies waits 5 ms first, so the worker
+    answers its chunks before this process can take them over; unless
+    ``answered`` is False, the sharded run must get one of its answers.
     """
-    main = os.getpid()
-    run_samples = axioms._run_samples
-    reply = axioms._reply
+    reply = _worker._reply
     answers = []
 
-    def slow_here(*args):
-        if os.getpid() == main:
-            time.sleep(0.005)
-        return run_samples(*args)
-
-    def counted_reply(fd):
+    def slow_reply(fd):
+        time.sleep(0.005)
         answer = reply(fd)
-        if answer is not None:
-            answers.append(answer[0])
+        if isinstance(answer, tuple) and answer[0] == _worker._live().sequence:
+            answers.append(answer[1])
         return answer
 
-    monkeypatch.setattr(axioms, "_run_samples", slow_here)
-    monkeypatch.setattr(axioms, "_reply", counted_reply)
+    monkeypatch.setattr(_worker, "_reply", slow_reply)
 
     def run(call, answered=True):
-        monkeypatch.setattr(axioms, "_usable_cpus", lambda: 2)
+        ready()
         before = len(answers)
         sharded = call()
         assert len(answers) > before or not answered
-        monkeypatch.setattr(axioms, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
         before = len(answers)
         in_process = call()
         assert len(answers) == before
+        monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
         return sharded, in_process
 
     return run
+
+
+@pytest.fixture
+def rule_paths(monkeypatch, paths):
+    """``paths``, with the worker started on the tests' own rules too."""
+    monkeypatch.setattr(_worker, "_MODULES", (*_worker._MODULES, "tests.sharded_rules"))
+    monkeypatch.setattr(_worker, "_import_paths", lambda: [*IMPORT_PATHS, str(ROOT)])
+    return paths
+
+
+IMPORT_PATHS = _worker._import_paths()
 
 
 def rules_at(n):
@@ -143,10 +156,10 @@ def test_sharded_report_matches_golden_bytes(paths):
 # Two or three samples per axiom make chunks of one or two, so the ten
 # errors that abort span chunks of both processes.
 @pytest.mark.parametrize("samples", [2, 3])
-def test_abort_across_a_chunk_boundary(paths, samples):
+def test_abort_across_a_chunk_boundary(rule_paths, samples):
     config = AuditConfig(n_agents=3, samples=samples, seed=1)
-    rule = RuleHandle("refusing", _refusing)
-    sharded, in_process = paths(lambda: audit(rule, config))
+    rule = RuleHandle("refusing", sharded_rules.refusing)
+    sharded, in_process = rule_paths(lambda: audit(rule, config))
     assert sharded.aborted and sharded.abort_axiom == ALL_AXIOM_IDS[9 // samples]
     assert (sharded.abort_axiom, sharded.abort_reason) == (
         in_process.abort_axiom, in_process.abort_reason
@@ -158,22 +171,22 @@ def test_abort_across_a_chunk_boundary(paths, samples):
 
 
 @pytest.mark.parametrize("threshold", [-20, 0, 5, 8, 20])
-def test_evaluation_errors_match_in_process(paths, threshold):
+def test_evaluation_errors_match_in_process(rule_paths, threshold):
     config = AuditConfig(n_agents=3, samples=30, seed=threshold + 50)
-    # An early abort leaves nothing for the child to answer.
+    # An early abort leaves nothing for the worker to answer.
     call = lambda: report_text(flaky_rule(threshold), config)  # noqa: E731
-    sharded, in_process = paths(call, answered=threshold < 5)
+    sharded, in_process = rule_paths(call, answered=threshold < 5)
     assert sharded == in_process
 
 
-def test_value_error_in_the_child_range_is_raised_again(paths):
+def test_value_error_in_the_worker_range_is_raised_again(rule_paths):
     config = AuditConfig(n_agents=3, samples=20, seed=1)
-    rule = RuleHandle("bounded", _bounded)
+    rule = RuleHandle("bounded", sharded_rules.bounded)
     # The first sample that raises, a TranslationEquivariance one, lies in
-    # an odd chunk, one of the child's.
+    # an odd chunk, one of the worker's.
     *_, first, raised = _run_samples(rule, config, 0, 200)
     assert isinstance(raised, ValueError)
-    chunk = next(k for k in range(axioms._CHUNKS) if 200 * (k + 1) // axioms._CHUNKS > first)
+    chunk = next(k for k in range(_worker._CHUNKS) if 200 * (k + 1) // _worker._CHUNKS > first)
     assert 60 <= first < 80 and chunk % 2 == 1
     errors = []
 
@@ -182,103 +195,187 @@ def test_value_error_in_the_child_range_is_raised_again(paths):
             audit(rule, config)
         errors.append(error)
 
-    paths(failing_audit)
+    rule_paths(failing_audit)
     assert [error.type for error in errors] == [ValueError, ValueError]
     assert str(errors[0].value) == str(errors[1].value)
     config = AuditConfig(n_agents=3, samples=20, seed=3)
-    assert paths(lambda: report_text(MEDIAN, config)) == (report_text(MEDIAN, config),) * 2
+    assert rule_paths(lambda: report_text(MEDIAN, config)) == (report_text(MEDIAN, config),) * 2
 
 
-def _interrupted_here(main, profile):
-    """Median in a forked child; a KeyboardInterrupt in process ``main``."""
-    if os.getpid() == main:
-        raise KeyboardInterrupt
-    return MEDIAN(profile)
+def serial_text(monkeypatch, rule, config):
+    monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
+    text = report_text(rule, config)
+    monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
+    return text
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids of the children that sharded audits fork."""
-    pids = []
-    fork = os.fork
-
-    def recorded_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(axioms, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    return pids
-
-
-def reaped(pid):
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def test_no_child_outlives_its_audit(forked):
+def test_worker_killed_between_audits(monkeypatch, two_cpus):
     config = AuditConfig(n_agents=4, samples=30, seed=6)
-    report_text(averaging_rule_handle(), config)
-    with pytest.raises(ValueError):
-        audit(RuleHandle("bounded", _bounded), AuditConfig(n_agents=3, samples=20, seed=1))
-    # Interrupted while the child may still be busy.
-    with pytest.raises(KeyboardInterrupt):
-        audit(RuleHandle("interrupted", partial(_interrupted_here, os.getpid())), config)
-    assert len(forked) == 3
-    assert all(reaped(pid) for pid in forked)
+    expected = serial_text(monkeypatch, averaging_rule_handle(), config)
+    first = ready()
+    os.kill(first.pid, signal.SIGKILL)
+    texts = []
+
+    def replaced():
+        texts.append(report_text(averaging_rule_handle(), config))
+        return _worker._live() is not first
+
+    eventually(replaced)
+    assert texts == [expected] * len(texts)
+    assert _worker._live() is None or _worker._live().pid != first.pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(first.pid, os.WNOHANG)  # reaped when it was found dead
+    assert ready().pid != first.pid
+    assert report_text(averaging_rule_handle(), config) == expected
 
 
 @pytest.mark.parametrize("answers", [0, 1, 3])
-def test_child_that_dies_leaves_the_report_unchanged(forked, monkeypatch, answers):
+def test_worker_that_dies_during_an_audit(monkeypatch, two_cpus, answers):
     config = AuditConfig(n_agents=4, samples=30, seed=6)
-    decide = axioms._decide_odd_chunks
+    expected = serial_text(monkeypatch, averaging_rule_handle(), config)
+    worker = ready()
+    reply = _worker._reply
+    seen = []
 
-    def dying(rule, config, ranges, replies):
-        decide(rule, config, ranges[: 2 * answers], replies)
-        os.kill(os.getpid(), signal.SIGKILL)
+    def dying(fd):
+        time.sleep(0.005)  # so that the worker answers first
+        if len(seen) == answers:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            seen.append("killed")
+        answer = reply(fd)
+        if isinstance(answer, tuple) and answer[0] == worker.sequence:
+            seen.append(answer)
+        return answer
 
-    expected = report_text(averaging_rule_handle(), config)
-    monkeypatch.setattr(axioms, "_decide_odd_chunks", dying)
+    monkeypatch.setattr(_worker, "_reply", dying)
     assert report_text(averaging_rule_handle(), config) == expected
-    assert len(forked) == 2 and all(reaped(pid) for pid in forked)
+    assert seen[answers] == "killed" and _worker._live() is None
+    monkeypatch.setattr(_worker, "_reply", reply)
+    assert ready().pid != worker.pid
 
 
-def test_open_pipe_to_another_process_sees_eof_after_an_audit(forked):
-    # The audit's child inherits the write end of this pipe; it must be
-    # gone by the time the caller closes its own end.
-    reader = subprocess.Popen(
-        [sys.executable, "-c", "import sys; sys.stdin.buffer.read()"],
-        stdin=subprocess.PIPE,
-    )
+def test_interrupt_during_an_audit_ends_the_worker(monkeypatch, two_cpus):
+    config = AuditConfig(n_agents=4, samples=30, seed=6)
+    expected = serial_text(monkeypatch, averaging_rule_handle(), config)
+    worker = ready()
+    reply = _worker._reply
+
+    def interrupted(fd):
+        time.sleep(0.005)  # so that the worker answers first
+        answer = reply(fd)
+        if isinstance(answer, tuple):
+            raise KeyboardInterrupt
+        return answer
+
+    monkeypatch.setattr(_worker, "_reply", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        audit(averaging_rule_handle(), config)
+    monkeypatch.setattr(_worker, "_reply", reply)
+    assert _worker._live() is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker.pid, os.WNOHANG)  # killed and reaped
+    assert report_text(averaging_rule_handle(), config) == expected
+
+
+def test_worker_holds_no_descriptor_of_its_caller(two_cpus):
+    # A descriptor the caller lets children inherit, open when the worker
+    # starts: the worker closes it, so the read end sees EOF once the
+    # caller closes its own write end.
+    _worker._stop()
+    read_end, write_end = os.pipe()
+    os.set_inheritable(write_end, True)
     try:
-        report_text(averaging_rule_handle(), AuditConfig(n_agents=3, samples=30, seed=2))
-        assert len(forked) == 1
-        reader.communicate(timeout=30)
+        ready()
+        os.close(write_end)
+        assert select.select([read_end], [], [], 30)[0]
+        assert os.read(read_end, 1) == b""
     finally:
-        reader.kill()
-        reader.wait()
-    assert reader.returncode == 0
+        os.close(read_end)
+
+
+EXITING = """
+import os, sys, time
+from intervalagg import AuditConfig, _worker, audit, median_rule_handle
+
+_worker._usable_cpus = lambda: 2
+deadline = time.monotonic() + 60
+while _worker._live() is None or _worker._live().fingerprint is None:
+    audit(median_rule_handle(), AuditConfig(n_agents=3, samples=4, seed=1))
+    assert time.monotonic() < deadline
+    time.sleep(0.02)
+print(_worker._live().pid, flush=True)
+if sys.argv[1] == "killed":
+    os.kill(os.getpid(), 9)
+"""
+
+
+@needs_proc
+@pytest.mark.parametrize("how", ["exits", "killed"])
+def test_worker_ends_with_its_caller(how):
+    child = subprocess.run(
+        [sys.executable, "-c", EXITING, how],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert child.returncode == (0 if how == "exits" else -9), child.stderr
+    pid = int(child.stdout)
+    if how == "exits":
+        assert gone(pid)  # killed and reaped at exit
+    else:
+        eventually(lambda: gone(pid))  # saw EOF on its requests
+
+
+REIMPORTED = """
+import json, sys, time
+
+pids, texts = [], set()
+for _ in range(3):
+    for name in [m for m in sys.modules if m == "intervalagg" or m.startswith("intervalagg.")]:
+        del sys.modules[name]
+    import intervalagg
+    from intervalagg import _worker
+
+    _worker._usable_cpus = lambda: 2
+    rule = intervalagg.median_rule_handle()
+    config = intervalagg.AuditConfig(n_agents=4, samples=20, seed=5)
+    deadline = time.monotonic() + 60
+    while True:
+        texts.add(json.dumps(intervalagg.audit(rule, config).to_json_dict()))
+        worker = _worker._live()
+        if worker is not None and worker.fingerprint == _worker._fingerprint():
+            break
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+    pids.append(worker.pid)
+print(json.dumps([pids, len(texts)]))
+"""
+
+
+def test_one_worker_across_fresh_imports():
+    child = subprocess.run(
+        [sys.executable, "-c", REIMPORTED],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    pids, distinct = json.loads(child.stdout)
+    assert len(set(pids)) == 1 and distinct == 1
 
 
 # A rule in __main__, redefined between audits, and a global it reads,
-# reassigned between them: each audit's child must see them as they are.
+# reassigned between them: the worker cannot run them as they are now,
+# so each audit runs in-process and sees them as they are.
 REDEFINED = """
 import json
-from intervalagg import AuditConfig, RuleHandle, audit, axioms, median_rule_handle
+from intervalagg import AuditConfig, RuleHandle, _worker, audit, median_rule_handle
 
 MEDIAN = median_rule_handle()
 config = AuditConfig(n_agents=3, samples=30, seed=4)
 
 def texts(rule):
-    axioms._usable_cpus = lambda: 2
-    assert axioms._can_shard(rule)
+    assert _worker._request(rule, config, [(0, 300)]) is None
+    _worker._usable_cpus = lambda: 2
     sharded = json.dumps(audit(rule, config).to_json_dict())
-    axioms._usable_cpus = lambda: 1
+    _worker._usable_cpus = lambda: 1
     return sharded, json.dumps(audit(rule, config).to_json_dict())
 
 def rule(profile):
@@ -295,7 +392,7 @@ second = texts(RuleHandle("r", rule))
 SCALE = 3
 third = texts(RuleHandle("r", rule))
 print(first[0] == first[1], second[0] == second[1], third[0] == third[1],
-      len({first[1], second[1], third[1]}))
+      len({first[1], second[1], third[1]}), _worker._live() is None)
 """
 
 
@@ -305,26 +402,59 @@ def test_rule_redefined_in_main_between_audits(tmp_path):
         capture_output=True, text=True, timeout=120, env=src_env(), cwd=tmp_path,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["True", "True", "True", "3"]
+    assert child.stdout.split() == ["True", "True", "True", "3", "True"]
 
 
-def test_audits_that_cannot_shard_run_in_process(monkeypatch):
-    monkeypatch.setattr(axioms, "_usable_cpus", lambda: 2)
-    assert _can_shard(MEDIAN)
-    closure = RuleHandle("closure", lambda profile: MEDIAN(profile))
-    assert not _can_shard(closure)
-    assert not _can_shard(extern_rule_adapter(extern_command("widest_wins.py")))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(30,))
-    thread.start()
-    try:
-        assert not _can_shard(MEDIAN)
-    finally:
-        release.set()
-        thread.join(timeout=30)
-    assert not thread.is_alive()
-    monkeypatch.setattr(axioms, "_usable_cpus", lambda: 1)
-    assert not _can_shard(MEDIAN)
+def test_patched_package_code_is_not_left_to_the_worker(monkeypatch, two_cpus):
+    # Only this process sees the patch, so the fingerprints differ and
+    # every sample is decided here, by the patched code.
+    config = AuditConfig(n_agents=4, samples=20, seed=8)
+    rule = endpoint_rule_handle(2, 2)
+    ready()
+    clean = report_text(rule, config)
+    kth = rules._kth_of_two
+    monkeypatch.setattr(rules, "_kth_of_two", lambda ranked, pool, k: kth(ranked, pool, k) + 1.0)
+    expected = serial_text(monkeypatch, rule, config)
+    assert expected != clean
+    for _ in range(5):
+        assert report_text(rule, config) == expected
+        time.sleep(0.1)
+    monkeypatch.setattr(rules, "_kth_of_two", kth)
+    assert ready().fingerprint == _worker._fingerprint()
+    assert report_text(rule, config) == clean
+
+
+def test_audits_that_cannot_shard_run_in_process(monkeypatch, two_cpus):
+    config = AuditConfig(n_agents=3, samples=2, seed=1)
+    ranges = [(0, 20)]
+    assert _worker._request(MEDIAN, config, ranges) is not None
+    for rule in (
+        RuleHandle("closure", lambda profile: MEDIAN(profile)),
+        extern_rule_adapter(extern_command("widest_wins.py")),
+        RuleHandle("first", sharded_rules.first_agent),  # not started with this module
+    ):
+        assert _worker._request(rule, config, ranges) is None
+        assert _worker.parts(rule, config, 20) is None
+    monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
+    assert _worker.parts(MEDIAN, config, 20) is None
+
+
+def test_audits_from_two_threads(monkeypatch, two_cpus):
+    configs = [AuditConfig(n_agents=5, samples=30, seed=seed) for seed in range(6)]
+    expected = [serial_text(monkeypatch, averaging_rule_handle(), c) for c in configs]
+    ready()
+    results = {}
+
+    def run(offset):
+        for k in range(offset, len(configs), 2):
+            results[k] = report_text(averaging_rule_handle(), configs[k])
+
+    threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert [results[k] for k in range(len(configs))] == expected
 
 
 # The merge on any cut of the samples into ranges gives what one range
@@ -363,34 +493,40 @@ def test_merge_of_any_cut_matches_one_range(threshold, ceiling, samples, seed, d
     assert audited == whole
 
 
-# A rule failing with witnesses that outgrow a pipe: the child blocks on
-# each reply until this process reads it, and must still be reaped when
-# the audit ends.  Run in a subprocess, so a deadlock is a timeout.
+# A rule failing with witnesses that outgrow a pipe: the worker blocks on
+# each reply until this process reads it.  Run in a subprocess, so a
+# deadlock is a timeout.
 LARGE_PIPES = """
-import json, sys
-from intervalagg import AuditConfig, RuleHandle, audit, axioms
-from tests.test_sharding import _first_agent
+import json, sys, time
+from intervalagg import AuditConfig, RuleHandle, _worker, audit
+from tests.sharded_rules import first_agent
 
-rule = RuleHandle("first", _first_agent)
+_worker._usable_cpus = lambda: 2
+_worker._MODULES = (*_worker._MODULES, "tests.sharded_rules")
+paths = _worker._import_paths()
+_worker._import_paths = lambda: [*paths, sys.argv[1]]
+rule = RuleHandle("first", first_agent)
 config = AuditConfig(n_agents=3000, samples=16, seed=1, axioms=("Anonymity",))
-sharded = [json.dumps(audit(rule, config).to_json_dict()) for _ in range(4)]
-axioms._usable_cpus = lambda: 1
+sharded = [json.dumps(audit(rule, config).to_json_dict())]
+while _worker._live().fingerprint is None:
+    time.sleep(0.05)
+    sharded.append(json.dumps(audit(rule, config).to_json_dict()))
+sharded += [json.dumps(audit(rule, config).to_json_dict()) for _ in range(3)]
+ready = _worker._live().fingerprint == _worker._fingerprint()
+_worker._usable_cpus = lambda: 1
 in_process = json.dumps(audit(rule, config).to_json_dict())
-print(sharded == [in_process] * 4, json.loads(in_process)["results"]["Anonymity"]["failures"])
+print(ready, sharded == [in_process] * len(sharded),
+      json.loads(in_process)["results"]["Anonymity"]["failures"])
 """
-
-
-def _first_agent(profile):
-    return profile[0]
 
 
 def test_replies_larger_than_a_pipe(tmp_path):
     env = src_env()
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT), env["PYTHONPATH"]])
     child = subprocess.run(
-        [sys.executable, "-c", LARGE_PIPES],
+        [sys.executable, "-c", LARGE_PIPES, str(ROOT)],
         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
     assert child.returncode == 0, child.stderr
-    identical, failures = child.stdout.split()
-    assert identical == "True" and int(failures) > 0
+    ready, identical, failures = child.stdout.split()
+    assert ready == "True" and identical == "True" and int(failures) > 0
