@@ -161,6 +161,7 @@ def _spawn(fingerprint: str) -> Optional[_Worker]:
         atexit.register(_stop)
         os.register_at_fork(after_in_child=_forget)
         _hooks_registered = True
+    os.set_blocking(requests, False)
     worker = _Worker(pid, requests, replies, fingerprint)
     setattr(sys, _HOME, worker)
     return worker
@@ -212,7 +213,7 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
     results: list = [None] * len(ranges)
     answered = set()
     limit = len(ranges)
-    alive = _send(worker, _frame((sequence, request)))
+    _send(worker, _frame((sequence, request)))
 
     def take(k: int, result: Optional[tuple] = None) -> None:
         nonlocal limit
@@ -223,13 +224,11 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
             limit = min(limit, k + 1)
 
     def collect() -> None:
-        nonlocal alive
-        while alive:
+        while worker.replies >= 0:
             try:
                 reply = _reply(worker.replies)
             except Exception:  # EOF, a broken frame: the worker is gone
                 _stop(worker)
-                alive = False
                 return
             if reply is None:
                 return
@@ -251,7 +250,7 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
         if not theirs:
             break
         take(theirs[-1])
-    if alive and not answered.issuperset(range(1, len(ranges), 2)):
+    if worker.requests >= 0 and not answered.issuperset(range(1, len(ranges), 2)):
         _send(worker, _frame(None))
     return [(ranges[k][0], results[k]) for k in range(limit)]
 
@@ -262,10 +261,13 @@ _pickler = None
 def _request(rule, config, ranges) -> Optional[bytes]:
     """``(rule, config, ranges)`` pickled for the worker; None if ``rule``
     reaches a function or a class from outside :data:`_MODULES`, which
-    the worker would not run as this process does, or does not pickle."""
+    the worker would not run as this process does, does not pickle, or
+    pickles too large to be sent in one write (a phantom handle of some
+    hundred agents, say)."""
     global _pickler
     import io
     import pickle
+    import select
 
     if _pickler is None:
         import types
@@ -284,7 +286,9 @@ def _request(rule, config, ranges) -> Optional[bytes]:
         pickler.dump((rule, config, ranges))
     except Exception:  # closures, lambdas, open files, a rule of the caller's
         return None
-    return buffer.getvalue()
+    request = buffer.getvalue()
+    # Room for the sequence number and the framing in one PIPE_BUF write.
+    return request if len(request) <= select.PIPE_BUF - 64 else None
 
 
 def _frame(message: object) -> memoryview:
@@ -295,26 +299,17 @@ def _frame(message: object) -> memoryview:
     return memoryview(len(data).to_bytes(8, "little") + data)
 
 
-def _send(worker: _Worker, frame: memoryview) -> bool:
-    """Write ``frame`` to the worker, reading and dropping its replies
-    meanwhile so that neither process blocks on a full pipe; False once
-    the worker is gone."""
-    import select
-
+def _send(worker: _Worker, frame: memoryview) -> None:
+    """Write ``frame`` to the worker if its request pipe has room for it.
+    The pipe does not block and ``frame`` holds at most ``PIPE_BUF``
+    bytes, so the write is whole or nothing: a stopped or starved worker
+    leaves its requests unread, never this process waiting."""
     try:
-        while frame:
-            readable, writable, _ = select.select([worker.replies], [worker.requests], [])
-            if readable:
-                reply = _reply(worker.replies)
-                if worker.fingerprint is None:
-                    worker.fingerprint = reply
-            if writable:
-                # select promises room for PIPE_BUF bytes, so this never blocks.
-                frame = frame[os.write(worker.requests, frame[: select.PIPE_BUF]):]
-    except Exception:  # EOF, a broken pipe or frame: the worker is gone
+        os.write(worker.requests, frame)
+    except BlockingIOError:
+        pass  # the worker has not read the earlier ones; it gets no answer here
+    except OSError:  # a broken pipe: the worker is gone
         _stop(worker)
-        return False
-    return True
 
 
 def _reply(fd: int):
@@ -362,12 +357,10 @@ def _fingerprint() -> str:
 
 
 def _unchanged(entry) -> bool:
-    container, items = entry
-    if isinstance(items, list):
-        return len(container) == len(items) and all(
-            container.get(key, _unchanged) is value for key, value in items
-        )
-    return sys.modules.get(items) is container
+    container, content = entry
+    if isinstance(content, str):
+        return sys.modules.get(content) is container
+    return container == content
 
 
 def _code_fingerprint(modules: tuple, seen: list) -> str:
@@ -385,7 +378,7 @@ def _code_fingerprint(modules: tuple, seen: list) -> str:
     visited: set = set()
 
     def record(mapping) -> None:
-        seen.append((mapping, list(mapping.items())))
+        seen.append((mapping, dict(mapping)))
 
     def token(value) -> None:
         if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):

@@ -832,7 +832,7 @@ def _run_samples(
     errors, failures, witnesses = [], [], {}
     samples, n_agents = config.samples, config.n_agents
     consecutive_errors = 0
-    rng = random.Random()
+    rng = random.Random(0)  # reseeded for every sample
     for index, axiom in enumerate(config.axioms):
         base = index * samples
         decide, _, draw, _ = _AXIOMS[axiom]

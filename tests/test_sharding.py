@@ -278,6 +278,39 @@ def test_interrupt_during_an_audit_ends_the_worker(monkeypatch, two_cpus):
     assert report_text(averaging_rule_handle(), config) == expected
 
 
+# A worker that stops reading, stopped here or starved by the scheduler:
+# requests fill its pipe, and the caller must go on deciding every chunk
+# itself rather than wait.  Run in a subprocess, so a hang is a timeout.
+STOPPED = """
+import json, os, signal, time
+from intervalagg import AuditConfig, _worker, audit, averaging_rule_handle
+
+_worker._usable_cpus = lambda: 2
+rule, config = averaging_rule_handle(), AuditConfig(n_agents=3, samples=10, seed=2)
+texts = {json.dumps(audit(rule, config).to_json_dict())}
+while _worker._live().fingerprint is None:
+    time.sleep(0.02)
+    texts.add(json.dumps(audit(rule, config).to_json_dict()))
+worker = _worker._live()
+os.kill(worker.pid, signal.SIGSTOP)
+for _ in range(300):
+    texts.add(json.dumps(audit(rule, config).to_json_dict()))
+os.kill(worker.pid, signal.SIGCONT)
+_worker._usable_cpus = lambda: 1
+texts.add(json.dumps(audit(rule, config).to_json_dict()))
+print(len(texts), _worker._live() is worker)
+"""
+
+
+def test_stopped_worker_leaves_the_caller_deciding():
+    child = subprocess.run(
+        [sys.executable, "-c", STOPPED],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1", "True"]
+
+
 def test_worker_holds_no_descriptor_of_its_caller(two_cpus):
     # A descriptor the caller lets children inherit, open when the worker
     # starts: the worker closes it, so the read end sees EOF once the
@@ -435,6 +468,9 @@ def test_audits_that_cannot_shard_run_in_process(monkeypatch, two_cpus):
     ):
         assert _worker._request(rule, config, ranges) is None
         assert _worker.parts(rule, config, 20) is None
+    # Too large to send in one write: a phantom handle of 300 agents.
+    big = phantom_rule_handle(endpoint_rule_phantoms(2, 3, 300))
+    assert _worker._request(big, AuditConfig(n_agents=300, samples=2, seed=1), ranges) is None
     monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
     assert _worker.parts(MEDIAN, config, 20) is None
 
