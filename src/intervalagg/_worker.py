@@ -13,8 +13,9 @@ first audit that can use it and kept until this process exits.  It
 inherits no descriptor but its two pipes and no state: it imports the
 package from the directory this process imported it from.  It can
 therefore decide only what a fresh import can: handles whose every
-function and class is a built-in of the package (:func:`_request`), and
-only while this process runs the same package code as the worker.  That
+function and class is a built-in of the package and that pickle small
+enough for one pipe write (:func:`_request`), and only while this
+process runs the same package code as the worker.  That
 code is compared by fingerprint, the code objects and plain values of
 every module the worker runs (:data:`_MODULES`): the worker sends its
 fingerprint first, and this process recomputes its own whenever a module
@@ -24,7 +25,9 @@ an ``extern:`` rule, a closure or a rule of the caller's own, run in this
 process, as do all audits on one CPU.
 
 The worker runs at the lowest scheduling priority, so it only takes a
-CPU that would otherwise idle.  Sixteen chunks keep the part of an audit
+CPU that would otherwise idle, and this process never waits on it: a
+request the worker has no room for yet is not sent, and its chunks are
+decided here.  Sixteen chunks keep the part of an audit
 that both processes may decide small.  When the audit ends, a worker
 that is still deciding its chunks is told to stop at the next chunk
 boundary.
