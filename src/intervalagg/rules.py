@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import _EXPORTS
 from .core import (
@@ -220,20 +220,21 @@ def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interv
     return outcome
 
 
-@dataclass(frozen=True)
 class PhantomVector:
     """Fixed tuple of ``n + 1`` phantom intervals for a generalized median.
 
     Construction only checks shape (a nonempty tuple of
     :class:`ExtendedInterval`); whether the vector is *valid* for a given
     number of agents, i.e. guarantees a bounded nonempty aggregate on
-    every profile, is the job of :func:`validate_phantoms`.
+    every profile, is the job of :func:`validate_phantoms`.  The vector is
+    frozen and compares and hashes by ``phantoms``; unpickling and copying
+    build it anew, so they check the shape again.
     """
 
-    phantoms: tuple[ExtendedInterval, ...]
+    __slots__ = ("phantoms",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.phantoms)
+    def __init__(self, phantoms: Iterable[ExtendedInterval]) -> None:
+        entries = tuple(phantoms)
         if not entries:
             raise ValueError("phantom vector must be nonempty")
         for pos, entry in enumerate(entries):
@@ -242,6 +243,25 @@ class PhantomVector:
                     f"phantom {pos} is not an ExtendedInterval: {entry!r}"
                 )
         object.__setattr__(self, "phantoms", entries)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"PhantomVector is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.phantoms == other.phantoms
+
+    def __hash__(self) -> int:
+        return hash((self.phantoms,))
+
+    def __repr__(self) -> str:
+        return f"PhantomVector(phantoms={self.phantoms!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.phantoms,)
 
     def __len__(self) -> int:
         return len(self.phantoms)
@@ -325,8 +345,9 @@ def endpoint_rule_phantoms(
     return PhantomVector(entries)
 
 
-@dataclass(frozen=True)
-class RuleHandle:
+class RuleHandle(
+    namedtuple("RuleHandle", ["name", "evaluate", "incremental"], defaults=[None])
+):
     """A rule's one face: a named callable from a profile to an interval.
 
     ``evaluate`` maps a :class:`Profile` to an :class:`Interval`; the
@@ -343,13 +364,12 @@ class RuleHandle:
     handle with a sample worker process, which rebuilds the handle from
     its pickle.  A handle around a closure, a lambda or a function of the
     caller's own, such as an ``extern:`` rule, is audited in-process.
+
+    A handle is a named tuple, as :class:`Interval` is: frozen, equal to
+    and hashed as the tuple of its fields.
     """
 
-    name: str
-    evaluate: Callable[[Profile], Interval]
-    incremental: Optional[
-        Callable[[Profile, int], Callable[[Interval], Interval]]
-    ] = None
+    __slots__ = ()
 
     def __call__(self, profile: Sequence[Interval]) -> Interval:
         if not isinstance(profile, Profile):

@@ -130,16 +130,15 @@ class MonotoneMap:
     def __call__(self, x: float) -> float:
         """Evaluate the map; exact at breakpoints."""
         points = self.breakpoints
+        end = 0  # an affine map is its left tail everywhere
         if not self.affine:
             xs = self._xs
             pos = bisect_left(xs, x)
             if pos < len(xs) and xs[pos] == x:
                 return points[pos][1]
             if pos == len(xs):
-                slope = self.right_slope if self.increasing else -self.right_slope
-                x0, y0 = points[-1]
-                return y0 + (x - x0) * slope
-            if pos:
+                end = -1
+            elif pos:
                 x0, y0 = points[pos - 1]
                 x1, y1 = points[pos]
                 dx, dy = x1 - x0, y1 - y0
@@ -148,10 +147,15 @@ class MonotoneMap:
                     t = (x / 2.0 - x0 / 2.0) / (x1 / 2.0 - x0 / 2.0)
                     return 2.0 * (y0 / 2.0 + t * (y1 / 2.0 - y0 / 2.0))
                 return y0 + (x - x0) / dx * dy
-        # An affine map everywhere; a general one left of its first breakpoint.
-        slope = self.left_slope if self.increasing else -self.left_slope
-        x0, y0 = points[0]
-        return y0 + (x - x0) * slope
+        slope = self.right_slope if end else self.left_slope
+        if not self.increasing:
+            slope = -slope
+        x0, y0 = points[end]
+        dx = x - x0
+        if math.isinf(dx):
+            # The distance overflowed: extrapolate at half scale.
+            return 2.0 * (y0 / 2.0 + (x / 2.0 - x0 / 2.0) * slope)
+        return y0 + dx * slope
 
 
 def _end_slope(end: str, p: tuple[float, float], q: tuple[float, float]) -> float:

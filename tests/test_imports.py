@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from .conftest import BENCHMARK_PROFILE, src_env
+from .conftest import BENCHMARK_PROFILE, extern_command, src_env
 
 
 def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -43,6 +43,8 @@ sys.exit(code)
 AXIOMS, PREFERENCES, TRANSFORMS = (
     "intervalagg.axioms", "intervalagg.preferences", "intervalagg.transforms"
 )
+# What ``dataclasses`` costs a child to import, with ``inspect`` under it.
+DATACLASSES = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv,exit_code,loaded,unloaded", [
@@ -50,13 +52,19 @@ AXIOMS, PREFERENCES, TRANSFORMS = (
         ["aggregate", "--rule", "median", "--profile", "{profile}"],
         0,
         set(),
-        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess"},
+        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess", *DATACLASSES},
+    ),
+    (
+        ["aggregate", "--rule", "{extern}", "--profile", "{profile}"],
+        0,
+        {"subprocess"},
+        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", *DATACLASSES},
     ),
     (
         ["sweep", "--profile", "{profile}", "--out", "{csv}"],
         0,
         {"csv"},
-        {AXIOMS, PREFERENCES, TRANSFORMS},
+        {AXIOMS, PREFERENCES, TRANSFORMS, *DATACLASSES},
     ),
     (
         ["manipulate", "--rule", "averaging", "--profile", "{profile}", "--agent", "1"],
@@ -68,16 +76,16 @@ AXIOMS, PREFERENCES, TRANSFORMS = (
         ["identify", "--rule", "median", "--n", "3"],
         0,
         set(),
-        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess"},
+        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess", *DATACLASSES},
     ),
     (
         ["audit", "--rule", "median", "--n", "3", "--samples", "5", "--out", "{report}"],
         0,
-        {AXIOMS},
+        {AXIOMS, "dataclasses"},
         {"csv", "subprocess"},
     ),
-    (["--help"], 0, set(), {AXIOMS, PREFERENCES, TRANSFORMS}),
-], ids=["aggregate", "sweep", "manipulate", "identify", "audit", "help"])
+    (["--help"], 0, set(), {AXIOMS, PREFERENCES, TRANSFORMS, *DATACLASSES}),
+], ids=["aggregate", "aggregate-extern", "sweep", "manipulate", "identify", "audit", "help"])
 def test_subcommand_loads_only_what_it_runs(
     tmp_path, write_profile, bare_modules, argv, exit_code, loaded, unloaded
 ):
@@ -85,6 +93,7 @@ def test_subcommand_loads_only_what_it_runs(
         "profile": str(write_profile(BENCHMARK_PROFILE)),
         "csv": str(tmp_path / "s.csv"),
         "report": str(tmp_path / "report.json"),
+        "extern": "extern:" + extern_command("midpoint_window.py"),
     }
     proc = run_python(RUN_MAIN, *(arg.format(**paths) for arg in argv))
     assert proc.returncode == exit_code, proc.stderr

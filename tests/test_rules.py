@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import pickle
@@ -11,10 +12,12 @@ import hypothesis.strategies as st
 from intervalagg import (
     NEG_INF,
     POS_INF,
+    AuditConfig,
     ExtendedInterval,
     Interval,
     PhantomVector,
     Profile,
+    RuleHandle,
     averaging_rule_handle,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
@@ -26,6 +29,7 @@ from intervalagg import (
     valid_quota_pairs,
     validate_phantoms,
 )
+from intervalagg import _worker
 
 from .conftest import BENCHMARK_PROFILE, INTERLEAVED_PROFILE
 from .strategies import intervals, profiles, profiles_with_quotas
@@ -455,6 +459,115 @@ class TestRuleHandles:
             messages.append(str(error.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("invalid phantom vector: phantom vector has 4")
+
+
+# Copies a handle or a vector as pickling, the sample worker's request,
+# copy.copy and copy.deepcopy make them.
+ROUND_TRIPS = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "worker-request": lambda value: pickle.loads(
+        _worker._request(value, AuditConfig(n_agents=4), [(0, 1)])
+    )[0],
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestValueContract:
+    """Handles and phantom vectors are frozen values: fields fixed at
+    construction, equality, hash and repr by fields, and copies rebuilt
+    through the constructor."""
+
+    @pytest.mark.parametrize("value,field", [
+        (median_rule_handle(), "name"),
+        (median_rule_handle(), "evaluate"),
+        (median_rule_handle(), "incremental"),
+        (median_rule_handle(), "other"),
+        (PhantomVector((TOP, BOTTOM)), "phantoms"),
+        (PhantomVector((TOP, BOTTOM)), "other"),
+    ])
+    def test_fields_cannot_be_assigned_or_deleted(self, value, field):
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert repr(value) == before
+
+    def test_incremental_defaults_to_none(self):
+        handle = RuleHandle("length", len)
+        assert handle.incremental is None
+        assert (handle.name, handle.evaluate) == ("length", len)
+
+    def test_handle_equality_and_hash_go_by_fields(self):
+        handle = RuleHandle("length", len)
+        assert handle == RuleHandle("length", len, None)
+        assert hash(handle) == hash(RuleHandle("length", len))
+        assert handle != RuleHandle("size", len)
+        assert handle != RuleHandle("length", abs)
+        assert handle != RuleHandle("length", len, abs)
+        # The partials of two factory calls are distinct objects.
+        assert median_rule_handle() != median_rule_handle()
+
+    def test_vector_equality_and_hash_go_by_phantoms(self):
+        vector = PhantomVector((TOP, BOTTOM))
+        assert vector == PhantomVector([TOP, BOTTOM])
+        assert hash(vector) == hash(PhantomVector(iter((TOP, BOTTOM))))
+        assert vector != PhantomVector((BOTTOM, TOP))
+        assert vector != (TOP, BOTTOM)
+        assert len({vector, PhantomVector((TOP, BOTTOM))}) == 1
+
+    # The reprs a dataclass wrote for both classes, byte for byte.
+    def test_repr_lists_the_fields(self):
+        assert repr(RuleHandle("length", len)) == (
+            "RuleHandle(name='length', evaluate=<built-in function len>, "
+            "incremental=None)"
+        )
+        handle = median_rule_handle()
+        assert repr(handle) == (
+            f"RuleHandle(name='median', evaluate={handle.evaluate!r}, "
+            f"incremental={handle.incremental!r})"
+        )
+        assert repr(PhantomVector((TOP, WHOLE))) == (
+            "PhantomVector(phantoms=(ExtendedInterval(inf, inf), "
+            "ExtendedInterval(-inf, inf)))"
+        )
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    @pytest.mark.parametrize("handle", [
+        endpoint_rule_handle(2, 3),
+        median_rule_handle(),
+        maximal_rule_handle(),
+        averaging_rule_handle(),
+        phantom_rule_handle(endpoint_rule_phantoms(2, 1, 4)),
+    ], ids=lambda handle: handle.name)
+    def test_built_in_handles_round_trip(self, handle, trip):
+        copied = trip(handle)
+        assert type(copied) is RuleHandle and copied.name == handle.name
+        rng = random.Random(5)
+        for _ in range(20):
+            profile = sample_profile(rng, 4)
+            assert copied(profile) == handle(profile)
+            clamp = copied.vary_agent(profile, 1)
+            report = sample_profile(rng, 1)[0]
+            assert clamp(report) == handle.vary_agent(profile, 1)(report)
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    def test_vector_round_trips(self, trip):
+        vector = endpoint_rule_phantoms(2, 1, 4)
+        copied = trip(vector)
+        assert type(copied) is PhantomVector
+        assert copied == vector and hash(copied) == hash(vector)
+
+    def test_bad_entry_fails_when_built_and_when_unpickled(self):
+        message = "phantom 1 is not an ExtendedInterval: (0.0, 1.0)"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            PhantomVector((TOP, (0.0, 1.0)))
+        forged = object.__new__(PhantomVector)
+        object.__setattr__(forged, "phantoms", (TOP, (0.0, 1.0)))
+        data = pickle.dumps(forged)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            pickle.loads(data)
 
 
 class TestExhaustiveSmallCases:

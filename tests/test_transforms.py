@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -212,6 +213,40 @@ class TestThrough:
     ])
     def test_overflowing_segment_interpolates(self, mapping, x, y):
         assert math.isclose(mapping(x), y, rel_tol=1e-15, abs_tol=0.0)
+
+    # A tail whose distance x - x0 overflows extrapolates at half scale,
+    # where it gave +-inf: exactly what the map through the halved points
+    # gives at x / 2, doubled.  A finite distance keeps the one formula.
+    @pytest.mark.parametrize("points,x", [
+        ([(-1e308, -1e308), (-9e307, -9e307)], 1.5e308),
+        ([(9e307, 9e307), (1e308, 1e308)], -1.5e308),
+        ([(-1e308, -1e308), (-9e307, -9e307)], 5e307),
+        ([(9e307, 9e307), (1e308, 1e308)], -5e307),
+    ], ids=["right-overflows", "left-overflows", "right-finite", "left-finite"])
+    def test_far_tail_extrapolates_at_half_scale(self, points, x):
+        mapping = MonotoneMap.through(points)
+        halved = MonotoneMap.through([(a / 2.0, b / 2.0) for a, b in points])
+        assert mapping(x) == 2.0 * halved(x / 2.0)
+        assert math.isclose(mapping(x), x, rel_tol=1e-15, abs_tol=0.0)
+
+    def test_finite_tail_distance_keeps_the_formula(self):
+        mapping = MonotoneMap.through([(0.0, 1.0), (1.0, 4.0), (2.0, 5.0)])
+        for x in (2.5, 1e300, 1.7e308):
+            assert mapping(x) == 5.0 + (x - 2.0) * 1.0
+        for x in (-0.1, -1e300, -5e307):
+            assert mapping(x) == 1.0 + (x - 0.0) * 3.0
+
+    def test_tail_stays_monotone_where_the_distance_overflows(self):
+        mapping = MonotoneMap.through([(-1e308, -1e308), (-9e307, -9e307)])
+        x = math.nextafter(sys.float_info.max + -9e307, 0.0)
+        xs = []
+        for _ in range(64):
+            xs.append(x)
+            x = math.nextafter(x, math.inf)
+        assert any(math.isinf(x - -9e307) for x in xs)
+        assert not all(math.isinf(x - -9e307) for x in xs)
+        ys = [mapping(x) for x in xs]
+        assert ys == sorted(ys) and all(math.isfinite(y) for y in ys)
 
     @pytest.mark.parametrize("points,end,detail", [
         ([(0.0, 0.0), (1e300, 1e-300)], "first", "underflows to 0"),
