@@ -9,34 +9,38 @@ yet, so it never waits on the worker.  A slow or busy worker only costs
 its own chunks, and a worker that dies costs nothing but the restart.
 
 The worker is a fresh interpreter, started with ``os.posix_spawn`` at the
-first audit that can use it and kept until this process exits.  It
-inherits no descriptor but its two pipes and no state: it imports the
-package from the directory this process imported it from.  It can
-therefore decide only what a fresh import can: handles whose every
-function and class is a built-in of the package and that pickle small
-enough for one pipe write (:func:`_request`), and only while this
-process runs the same package code as the worker.  That
-code is compared by fingerprint, the code objects and plain values of
-every module the worker runs (:data:`_MODULES`): the worker sends its
-fingerprint first, and this process recomputes its own whenever a module
-of the package was replaced, reloaded or patched.  Until the two agree
-the worker's answers are not used.  Audits of any other handle, such as
-an ``extern:`` rule, a closure or a rule of the caller's own, run in this
-process, as do all audits on one CPU.
+first audit that can use it and kept until this process exits; a child
+forked from this process lets go of it and starts its own.  It inherits
+no descriptor but its two pipes and no state: it imports the package
+from the directory this process imported it from.  It can therefore
+decide only what a fresh import can: handles whose every function and
+class is a built-in of the package and that pickle small enough for one
+pipe write (:func:`_request`), and only while this process runs the same
+package code as the worker.  That code is compared by fingerprint, the
+code objects and plain values of every module the worker runs
+(:data:`_MODULES`): the worker sends its fingerprint first, and this
+process recomputes its own whenever a module of the package was
+replaced, reloaded or patched.  Until the two agree the worker's answers
+are not used.  Audits of any other handle, such as an ``extern:`` rule,
+a closure or a rule of the caller's own, run in this process, as do all
+audits on one CPU and audits with no samples.
 
 The worker runs at the lowest scheduling priority, so it only takes a
 CPU that would otherwise idle, and this process never waits on it: a
 request the worker has no room for yet is not sent, and its chunks are
-decided here.  Sixteen chunks keep the part of an audit
-that both processes may decide small.  When the audit ends, a worker
-that is still deciding its chunks is told to stop at the next chunk
-boundary.
+decided here.  Sixteen chunks keep the part of an audit that both
+processes may decide small.  When the audit ends, a worker that is still
+deciding its chunks is told to stop at the next chunk boundary.
 """
 
 from __future__ import annotations
 
+import atexit
+import io
 import os
+import pickle
 import sys
+import types
 from typing import Optional
 
 _CHUNKS = 16
@@ -130,12 +134,14 @@ def _forget() -> None:
         worker.close(kill=False)
 
 
-_hooks_registered = False
+# This process ends its worker at exit; a child forked from it lets go.
+atexit.register(_stop)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget)
 
 
 def _spawn(fingerprint: str) -> Optional[_Worker]:
     """Start a worker, None if that fails."""
-    global _hooks_registered
     requests_in, requests = os.pipe()
     replies, replies_out = os.pipe()
     try:
@@ -158,12 +164,6 @@ def _spawn(fingerprint: str) -> Optional[_Worker]:
         os.close(requests)
         os.close(replies)
         return None
-    if not _hooks_registered:
-        import atexit
-
-        atexit.register(_stop)
-        os.register_at_fork(after_in_child=_forget)
-        _hooks_registered = True
     os.set_blocking(requests, False)
     worker = _Worker(pid, requests, replies, fingerprint)
     setattr(sys, _HOME, worker)
@@ -174,7 +174,7 @@ def parts(rule, config, total: int) -> Optional[list[tuple[int, tuple]]]:
     """``(start, result of _run_samples)`` for each chunk of the audit in
     order, up to the first that ends early, where the merge stops at the
     latest; None if the audit runs in this process instead."""
-    if _usable_cpus() < 2 or not hasattr(os, "posix_spawn") or not sys.executable:
+    if not total or _usable_cpus() < 2 or not hasattr(os, "posix_spawn") or not sys.executable:
         return None
     bounds = [total * k // _CHUNKS for k in range(_CHUNKS + 1)]
     ranges = list(zip(bounds, bounds[1:]))
@@ -258,7 +258,13 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
     return [(ranges[k][0], results[k]) for k in range(limit)]
 
 
-_pickler = None
+class _Pickler(pickle.Pickler):
+    """Refuses any function or class whose module is not in ``shared``."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (types.FunctionType, type)) and obj.__module__ not in self.shared:
+            raise pickle.PicklingError(f"{obj!r} is not in {self.shared}")
+        return NotImplemented
 
 
 def _request(rule, config, ranges) -> Optional[bytes]:
@@ -267,23 +273,10 @@ def _request(rule, config, ranges) -> Optional[bytes]:
     the worker would not run as this process does, does not pickle, or
     pickles too large to be sent in one write (a phantom handle of some
     hundred agents, say)."""
-    global _pickler
-    import io
-    import pickle
     import select
 
-    if _pickler is None:
-        import types
-
-        class Pickler(pickle.Pickler):
-            def reducer_override(self, obj):
-                if isinstance(obj, (types.FunctionType, type)) and obj.__module__ not in self.shared:
-                    raise pickle.PicklingError(f"{obj!r} is not in {self.shared}")
-                return NotImplemented
-
-        _pickler = Pickler
     buffer = io.BytesIO()
-    pickler = _pickler(buffer)
+    pickler = _Pickler(buffer)
     pickler.shared = {*_MODULES, "builtins", "copyreg", "functools"}
     try:
         pickler.dump((rule, config, ranges))
@@ -296,8 +289,6 @@ def _request(rule, config, ranges) -> Optional[bytes]:
 
 def _frame(message: object) -> memoryview:
     """``message`` pickled, after its length: one message on a pipe."""
-    import pickle
-
     data = pickle.dumps(message)
     return memoryview(len(data).to_bytes(8, "little") + data)
 
@@ -326,8 +317,6 @@ def _reply(fd: int):
 def _read(fd: int):
     """The next :func:`_frame` on ``fd``, unpickled, waiting for it;
     EOFError once the writer is gone."""
-    import pickle
-
     def exactly(size: int) -> bytes:
         chunks = []
         while size:
@@ -450,18 +439,12 @@ def _serve(modules: tuple) -> None:
     ``os._exit``, so it writes nothing else anywhere."""
     try:
         try:
-            inherited = [int(fd) for fd in os.listdir("/proc/self/fd")]
+            top = max(int(fd) for fd in os.listdir("/proc/self/fd"))
         except OSError:
-            inherited = range(1 << 16)
-        for fd in inherited:
-            if fd > 2:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass  # the listing's own descriptor, closed already
+            top = 1 << 16
+        os.closerange(3, top + 1)
         replies = os.dup(1)
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        import pickle
         import select
         import signal
 

@@ -22,14 +22,10 @@ of positions.  :func:`_run_samples` decides any contiguous part of it and
 :func:`_merge` folds the parts, in order, into the report, replaying the
 abort after ten consecutive evaluation errors, keeping each axiom's first
 witness and raising the first exception the rule raised before any
-abort; the in-process audit is one part.  A built-in handle, in a
-process that may run on two CPUs, is audited in sixteen equal chunks
-instead (:mod:`intervalagg._worker`).  A worker process, started at the
-first such audit and kept until this process exits, decides the odd
-chunks from the first on and writes each result back on a pipe; this
-process decides the even ones, then each odd one the worker has not
-answered yet, from the last back, and merges them all.  The report is
-the same byte for byte.
+abort; the in-process audit is one part.  A built-in handle may be
+audited in parts shared with a second process, a sample worker
+(:mod:`intervalagg._worker` describes how); the report is the same byte
+for byte either way.
 
 Checks compare untransformed rule outputs exactly.  After a map or a
 translation has touched the numbers, endpoint comparisons allow 1e-9
@@ -802,11 +798,10 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     errors the campaign aborts (the rule binary is considered broken,
     not non-compliant).
 
-    A built-in handle, in a process that may run on two CPUs, is audited
-    in two processes: this one and a sample worker share the samples in
-    chunks, as the module docstring describes.  The report is the same
-    byte for byte either way, and an exception the rule raises reaches
-    the caller as it would in-process.
+    A built-in handle may be audited in two processes, this one and a
+    sample worker (see :mod:`intervalagg._worker`).  The report is the
+    same byte for byte either way, and an exception the rule raises
+    reaches the caller as it would in-process.
     """
     total = len(config.axioms) * config.samples
     parts = _worker.parts(rule, config, total)

@@ -360,10 +360,11 @@ class RuleHandle(
 
     Every built-in handle pickles: its ``evaluate`` and ``incremental``
     are module-level functions or ``functools.partial`` objects of them.
-    :func:`~intervalagg.axioms.audit` shares the samples of a built-in
-    handle with a sample worker process, which rebuilds the handle from
-    its pickle.  A handle around a closure, a lambda or a function of the
-    caller's own, such as an ``extern:`` rule, is audited in-process.
+    So :func:`~intervalagg.axioms.audit` may audit a built-in handle in a
+    second process (see :mod:`intervalagg._worker`), with a report that
+    is byte-identical either way.  A handle around a closure, a lambda or
+    a function of the caller's own, such as an ``extern:`` rule, is
+    audited in-process.
 
     A handle is a named tuple, as :class:`Interval` is: frozen, equal to
     and hashed as the tuple of its fields.

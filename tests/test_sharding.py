@@ -311,6 +311,10 @@ def test_stopped_worker_leaves_the_caller_deciding():
     assert child.stdout.split() == ["1", "True"]
 
 
+# Below the soft limit of descriptors on any usual host (1024).
+HIGH_FD = 1000
+
+
 def test_worker_holds_no_descriptor_of_its_caller(two_cpus):
     # A descriptor the caller lets children inherit, open when the worker
     # starts: the worker closes it, so the read end sees EOF once the
@@ -318,13 +322,21 @@ def test_worker_holds_no_descriptor_of_its_caller(two_cpus):
     _worker._stop()
     read_end, write_end = os.pipe()
     os.set_inheritable(write_end, True)
+    # One more, far above the others, inheritable as dup2 makes it.
+    high_read, high_write = os.pipe()
+    os.dup2(high_write, HIGH_FD)
+    os.close(high_write)
     try:
         ready()
         os.close(write_end)
         assert select.select([read_end], [], [], 30)[0]
         assert os.read(read_end, 1) == b""
+        os.close(HIGH_FD)
+        assert select.select([high_read], [], [], 30)[0]
+        assert os.read(high_read, 1) == b""
     finally:
         os.close(read_end)
+        os.close(high_read)
 
 
 EXITING = """
@@ -356,6 +368,62 @@ def test_worker_ends_with_its_caller(how):
         assert gone(pid)  # killed and reaped at exit
     else:
         eventually(lambda: gone(pid))  # saw EOF on its requests
+
+
+# A child forked from a caller with a live worker lets go of it: the
+# child audits on its own, and the caller keeps its worker, which still
+# answers it, until it exits.
+FORKED = """
+import json, os, sys, time
+from intervalagg import AuditConfig, _worker, audit, median_rule_handle
+
+rule, config = median_rule_handle(), AuditConfig(n_agents=3, samples=8, seed=1)
+expected = json.dumps(audit(rule, config).to_json_dict())
+_worker._usable_cpus = lambda: 2
+deadline = time.monotonic() + 60
+while _worker._live() is None or _worker._live().fingerprint is None:
+    audit(rule, config)
+    assert time.monotonic() < deadline
+    time.sleep(0.02)
+worker = _worker._live()
+print(worker.pid, flush=True)
+child = os.fork()
+if child == 0:
+    let_go = getattr(sys, _worker._HOME, None) is None and worker.requests < 0
+    same = json.dumps(audit(rule, config).to_json_dict()) == expected
+    mine = _worker._live() is None or _worker._live().pid != worker.pid
+    print("child", let_go, same, mine, flush=True)
+    sys.exit(0)
+assert os.waitpid(child, 0)[1] == 0
+reply, answered = _worker._reply, []
+
+def slow_reply(fd):
+    time.sleep(0.005)
+    answer = reply(fd)
+    if isinstance(answer, tuple) and answer[0] == worker.sequence:
+        answered.append(answer)
+    return answer
+
+_worker._reply = slow_reply
+while not answered:
+    assert json.dumps(audit(rule, config).to_json_dict()) == expected
+    assert time.monotonic() < deadline
+print("parent", _worker._live() is worker, flush=True)
+"""
+
+
+@needs_proc
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks")
+def test_forked_child_lets_go_of_the_worker():
+    child = subprocess.run(
+        [sys.executable, "-c", FORKED],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    pid, forked, caller = child.stdout.splitlines()
+    assert forked.split() == ["child", "True", "True", "True"]
+    assert caller.split() == ["parent", "True"]
+    assert gone(int(pid))  # killed and reaped when the caller exited
 
 
 REIMPORTED = """
@@ -473,6 +541,12 @@ def test_audits_that_cannot_shard_run_in_process(monkeypatch, two_cpus):
     assert _worker._request(big, AuditConfig(n_agents=300, samples=2, seed=1), ranges) is None
     monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
     assert _worker.parts(MEDIAN, config, 20) is None
+    # An audit with no samples has nothing to share, so it starts no worker.
+    monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
+    _worker._stop()
+    for empty in (AuditConfig(n_agents=3, samples=0), AuditConfig(n_agents=3, axioms=())):
+        assert report_text(MEDIAN, empty) == serial_text(monkeypatch, MEDIAN, empty)
+        assert _worker._live() is None
 
 
 def test_audits_from_two_threads(monkeypatch, two_cpus):
