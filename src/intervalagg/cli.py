@@ -6,7 +6,9 @@ quota recovery probe), ``manipulate`` (misreport search for one agent) and
 ``sweep`` (tabulate every admissible quota pair on one profile).
 
 Exit codes are a stable contract: 0 success/compliant, 1 axiom failures or
-a found manipulation, 2 input errors, 3 invalid rule parameters.
+a found manipulation, 2 input errors, 3 invalid rule parameters.  Every
+``--timeout`` is checked (positive, at most a day), though only
+``extern:`` rules use it.
 
 JSON is the single interchange format.  A profile document is
 ``{"agents": [{"lo": 2, "hi": 4}, ...], "labels": [...]?}``; a phantom
@@ -114,6 +116,22 @@ def _bound_from_json(raw) -> float:
     return _number_from_json(raw)
 
 
+def _interval_from_json(item, kind=Interval, bound=_number_from_json):
+    """``kind(bound(lo), bound(hi))`` of a ``{"lo": .., "hi": ..}`` object;
+    a TypeError if ``item`` is not such an object."""
+    if not isinstance(item, dict) or "lo" not in item or "hi" not in item:
+        raise TypeError("must be an object with 'lo' and 'hi'")
+    return kind(bound(item["lo"]), bound(item["hi"]))
+
+
+def _interval_to_json(interval: Interval) -> dict:
+    return {"lo": _json_number(interval.lo), "hi": _json_number(interval.hi)}
+
+
+def _plain_interval(interval: Interval) -> list:
+    return [_json_number(interval.lo), _json_number(interval.hi)]
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -137,12 +155,10 @@ def _load_intervals(path: str, key: str, noun: str, kind, bound) -> tuple:
         raise CommandError(f"{path}: '{key}' must be a nonempty list")
     entries = []
     for pos, item in enumerate(items):
-        if not isinstance(item, dict) or "lo" not in item or "hi" not in item:
-            raise CommandError(
-                f"{path}: {noun} {pos} must be an object with 'lo' and 'hi'"
-            )
         try:
-            entries.append(kind(bound(item["lo"]), bound(item["hi"])))
+            entries.append(_interval_from_json(item, kind, bound))
+        except TypeError as error:
+            raise CommandError(f"{path}: {noun} {pos} {error}") from error
         except (ValueError, OverflowError) as error:
             raise CommandError(f"{path}: {noun} {pos}: {error}") from error
     return data, entries
@@ -171,12 +187,7 @@ def load_profile_document(path: str) -> Profile:
 def profile_to_document(profile: Profile) -> dict:
     """Inverse of :func:`load_profile_document` up to number formatting;
     the document has no labels."""
-    return {
-        "agents": [
-            {"lo": _json_number(entry.lo), "hi": _json_number(entry.hi)}
-            for entry in profile
-        ]
-    }
+    return {"agents": [_interval_to_json(entry) for entry in profile]}
 
 
 def load_phantom_file(path: str) -> PhantomVector:
@@ -190,6 +201,17 @@ def load_phantom_file(path: str) -> PhantomVector:
 # subprocess waits in whole milliseconds held in a C int (about 24.8 days)
 # and raises OverflowError past that; a day is far beyond any rule call.
 _MAX_TIMEOUT_S = 86400.0
+
+
+def _check_timeout(timeout: float) -> None:
+    try:
+        if _check_number("timeout", timeout, _LEAST_POSITIVE) > _MAX_TIMEOUT_S:
+            raise ValueError
+    except ValueError:
+        raise CommandError(
+            f"--timeout must be positive and at most {_MAX_TIMEOUT_S:g} s, "
+            f"got {timeout!r}"
+        ) from None
 
 
 def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
@@ -210,14 +232,7 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
         raise CommandError(f"cannot parse extern rule command: {error}") from error
     if not argv:
         raise CommandError("extern rule command is empty")
-    try:
-        if _check_number("timeout", timeout, _LEAST_POSITIVE) > _MAX_TIMEOUT_S:
-            raise ValueError
-    except ValueError:
-        raise CommandError(
-            f"--timeout must be positive and at most {_MAX_TIMEOUT_S:g} s, "
-            f"got {timeout!r}"
-        ) from None
+    _check_timeout(timeout)
 
     def evaluate(profile: Profile) -> Interval:
         payload = json.dumps(profile_to_document(profile))
@@ -250,25 +265,31 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
             raise RuleEvaluationError(
                 f"rule process wrote invalid JSON: {text.strip()[:200]!r}"
             ) from error
-        if (
-            not isinstance(reply, dict)
-            or "lo" not in reply
-            or "hi" not in reply
-        ):
-            raise RuleEvaluationError(
-                "rule reply must be an object with 'lo' and 'hi': "
-                f"{reprlib.repr(reply)}"
-            )
         try:
-            return Interval(
-                _number_from_json(reply["lo"]), _number_from_json(reply["hi"])
-            )
+            return _interval_from_json(reply)
+        except TypeError as error:
+            raise RuleEvaluationError(
+                f"rule reply {error}: {reprlib.repr(reply)}"
+            ) from error
         except (ValueError, OverflowError) as error:
             raise RuleEvaluationError(
                 f"rule reply is not an interval: {reprlib.repr(reply)}: {error}"
             ) from error
 
     return RuleHandle(f"extern:{command}", evaluate)
+
+
+def _spec_pair(text: str, form: str, kind: str, convert) -> tuple:
+    """The two values that ``convert`` (int or float) makes of the ``a,b``
+    after the prefix of ``text``, a ``kind`` spec spelled ``form``."""
+    parts = text[form.index(":") + 1 :].split(",")
+    if len(parts) != 2:
+        raise CommandError(f"{kind} spec needs '{form}', got {text!r}")
+    try:
+        return convert(parts[0]), convert(parts[1])
+    except ValueError as error:
+        noun = "integers" if convert is int else "numbers"
+        raise CommandError(f"{kind} values must be {noun}, got {text!r}") from error
 
 
 def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
@@ -278,7 +299,9 @@ def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
     ``phantoms:<file>``, ``extern:<command>``.  Quotas below 1 exit with
     code 3 here; quota and phantom constraints that depend on the profile
     size are enforced when the rule is evaluated, also with code 3.
+    ``timeout`` is checked for every rule, though only ``extern:`` uses it.
     """
+    _check_timeout(timeout)
     text = text.strip()
     if text == "median":
         return median_rule_handle()
@@ -287,21 +310,9 @@ def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
     if text == "averaging":
         return averaging_rule_handle()
     if text.startswith("endpoint:"):
-        body = text[len("endpoint:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise CommandError(
-                f"endpoint rule spec needs 'endpoint:p,q', got {text!r}"
-            )
-        try:
-            lower_quota = int(parts[0])
-            upper_quota = int(parts[1])
-        except ValueError as error:
-            raise CommandError(
-                f"endpoint quotas must be integers, got {text!r}"
-            ) from error
+        quotas = _spec_pair(text, "endpoint:p,q", "endpoint rule", int)
         with _rule_errors():
-            return endpoint_rule_handle(lower_quota, upper_quota)
+            return endpoint_rule_handle(*quotas)
     if text.startswith("phantoms:"):
         return phantom_rule_handle(load_phantom_file(text[len("phantoms:"):]))
     if text.startswith("extern:"):
@@ -309,21 +320,23 @@ def parse_rule_spec(text: str, timeout: float = 5.0) -> RuleHandle:
     raise CommandError(f"unrecognised rule spec: {text!r}")
 
 
-def _print_interval(interval: Interval) -> None:
-    print(
-        json.dumps(
-            {"lo": _json_number(interval.lo), "hi": _json_number(interval.hi)}
-        )
-    )
-
-
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     profile = load_profile_document(args.profile)
     rule = parse_rule_spec(args.rule, timeout=args.timeout)
     with _rule_errors():
         outcome = rule(profile)
-    _print_interval(outcome)
+    print(json.dumps(_interval_to_json(outcome)))
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _output_file(path: str, newline: Optional[str] = None):
+    """``path`` open for writing; failing to write it is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except OSError as error:
+        raise CommandError(f"cannot write {path}: {error}") from error
 
 
 def _parse_axioms(text: Optional[str]) -> Optional[tuple[str, ...]]:
@@ -349,12 +362,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise CommandError(str(error)) from error
     with _rule_errors():
         report = _package.audit(rule, config)
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
-    except OSError as error:
-        raise CommandError(f"cannot write {args.out}: {error}") from error
+    with _output_file(args.out) as handle:
+        json.dump(report.to_json_dict(), handle, indent=2)
+        handle.write("\n")
     for line in report.summary_lines():
         print(line)
     print(f"report written to {args.out}")
@@ -379,7 +389,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             rule, args.n, confirmations=args.samples, seed=args.seed
         )
     probe = staircase_profile(args.n)
-    print(f"staircase profile: {json.dumps(_plain_profile(probe))}")
+    print(f"staircase profile: {json.dumps([_plain_interval(e) for e in probe])}")
     if quotas is None:
         print("not an endpoint rule")
     else:
@@ -387,44 +397,19 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _plain_profile(profile: Profile) -> list:
-    return [[_json_number(e.lo), _json_number(e.hi)] for e in profile]
-
-
 def _parse_pref(text: str, peak: Interval) -> Preference:
     text = text.strip()
     if text in ("weighted", "weighted:"):
         return _package.WeightedL1Preference(peak)
-    if text.startswith("weighted:"):
-        parts = text[len("weighted:"):].split(",")
-        if len(parts) != 2:
-            raise CommandError(
-                f"weighted preference spec needs 'weighted:a,b', got {text!r}"
-            )
-        try:
-            lower_weight = float(parts[0])
-            upper_weight = float(parts[1])
-        except ValueError as error:
-            raise CommandError(
-                f"weighted preference weights must be numbers: {text!r}"
-            ) from error
-        try:
-            return _package.WeightedL1Preference(peak, lower_weight, upper_weight)
-        except ValueError as error:
-            raise CommandError(str(error)) from error
-    if text.startswith("penalty:"):
-        parts = text[len("penalty:"):].split(",")
-        if len(parts) != 2:
-            raise CommandError(
-                f"penalty preference spec needs 'penalty:lo,hi', got {text!r}"
-            )
-        try:
-            reference = Interval(float(parts[0]), float(parts[1]))
-        except ValueError as error:
-            raise CommandError(
-                f"penalty reference interval invalid: {error}"
-            ) from error
-        return _package.PenaltyPreference(peak, reference)
+    try:
+        if text.startswith("weighted:"):
+            weights = _spec_pair(text, "weighted:a,b", "weighted preference", float)
+            return _package.WeightedL1Preference(peak, *weights)
+        if text.startswith("penalty:"):
+            bounds = _spec_pair(text, "penalty:lo,hi", "penalty preference", float)
+            return _package.PenaltyPreference(peak, Interval(*bounds))
+    except ValueError as error:
+        raise CommandError(f"invalid preference spec {text!r}: {error}") from error
     raise CommandError(f"unrecognised preference spec: {text!r}")
 
 
@@ -453,10 +438,6 @@ def _cmd_manipulate(args: argparse.Namespace) -> int:
     return EXIT_FAILURES
 
 
-def _plain_interval(interval: Interval) -> list:
-    return [_json_number(interval.lo), _json_number(interval.hi)]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import csv
 
@@ -466,20 +447,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         interval = endpoint_rule_handle(lower_quota, upper_quota)(profile)
         rows.append((lower_quota, upper_quota, interval))
     # Write before printing, so a failed write leaves stdout empty.
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["lower_quota", "upper_quota", "lo", "hi"])
-            for lower_quota, upper_quota, interval in rows:
-                writer.writerow([lower_quota, upper_quota, interval.lo, interval.hi])
-    except OSError as error:
-        raise CommandError(f"cannot write {args.out}: {error}") from error
+    with _output_file(args.out, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lower_quota", "upper_quota", "lo", "hi"])
+        for lower_quota, upper_quota, interval in rows:
+            writer.writerow([lower_quota, upper_quota, interval.lo, interval.hi])
     print(f"{'p':>3} {'q':>3}  interval")
     for lower_quota, upper_quota, interval in rows:
-        print(
-            f"{lower_quota:>3} {upper_quota:>3}  "
-            f"({_json_number(interval.lo)}, {_json_number(interval.hi)})"
-        )
+        print(f"{lower_quota:>3} {upper_quota:>3}  {tuple(_plain_interval(interval))}")
     print(f"csv written to {args.out}")
     return EXIT_OK
 
@@ -508,7 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--timeout",
             type=float,
             default=5.0,
-            help="per-call timeout in seconds for extern rules (default 5)",
+            help="per-call timeout in seconds for extern rules, checked for "
+            "every rule: positive and at most 86400 (default 5)",
         )
 
     p_agg = sub.add_parser("aggregate", help="evaluate a rule on a profile")

@@ -206,15 +206,27 @@ class TestRuleSpecs:
         with pytest.raises(CommandError, match="cannot parse extern"):
             parse_rule_spec('extern:"unclosed')
 
-    @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0", "1e9"])
+    # The timeout is checked whatever the rule; a median aggregate used to
+    # ignore it and exit 0.
+    @pytest.mark.parametrize(
+        "timeout, rule",
+        [
+            pytest.param(timeout, rule, id=timeout + suffix)
+            for rule, suffix in (("extern", ""), ("median", "-median"))
+            for timeout in ("nan", "inf", "-1", "0", "1e9")
+        ],
+    )
     def test_timeout_must_be_positive_and_bounded(
-        self, capsys, committee_file, timeout
+        self, capsys, committee_file, timeout, rule
     ):
-        code, _, err = run_cli(
-            capsys, "aggregate", "--rule", f"extern:{extern_command('hang.py')}",
+        if rule == "extern":
+            rule = f"extern:{extern_command('hang.py')}"
+        code, out, err = run_cli(
+            capsys, "aggregate", "--rule", rule,
             "--timeout", timeout, "--profile", committee_file,
         )
         assert code == 2
+        assert out == ""
         assert "--timeout must be positive" in err
 
     def test_empty_extern_command(self):
@@ -485,6 +497,25 @@ class TestExternAdapter:
 
 
 class TestAuditCommand:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--axioms", ","], "empty --axioms list"),
+            (["--out", "missing/r.json"], "cannot write"),
+        ],
+        ids=["empty_axioms", "unwritable_out"],
+    )
+    def test_input_errors_print_nothing(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / a) if a.startswith("missing/") else a for a in argv]
+        code, out, err = run_cli(
+            capsys, "audit", "--rule", "median", "--n", "3", "--samples", "5",
+            "--out", str(tmp_path / "r.json"), *argv,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_axioms_help_lists_the_default_and_opt_in_ids(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # one line per option
         with pytest.raises(SystemExit):
@@ -851,6 +882,42 @@ class TestManipulateCommand:
             "weighted:-1,1",
         )
         assert code == 2
+
+    # Exit 1 is a found manipulation against averaging; every malformed
+    # spec exits 2 with a diagnostic and prints nothing.
+    @pytest.mark.parametrize(
+        "pref, expected, message",
+        [
+            ("weighted", 1, ""),
+            ("weighted:", 1, ""),
+            (" weighted:2,3 ", 1, ""),
+            ("weighted:1", 2, "needs 'weighted:a,b'"),
+            ("weighted:1,1,1", 2, "needs 'weighted:a,b'"),
+            ("weighted:a,b", 2, "weighted preference"),
+            ("weighted:0,1", 2, "lower_weight must be >= 5e-324"),
+            ("weighted:inf,1", 2, "finite number"),
+            ("weighted:1e400,1", 2, "finite number"),
+            ("weighted:nan,1", 2, "finite number"),
+            ("penalty:1", 2, "needs 'penalty:lo,hi'"),
+            ("penalty:x,2", 2, "penalty"),
+            ("penalty:1,nan", 2, "penalty"),
+            ("penalty:1e400,2", 2, "penalty"),
+            ("penalty:2,1", 2, "lo < hi"),
+        ],
+    )
+    def test_preference_spec_grammar(
+        self, capsys, committee_file, pref, expected, message
+    ):
+        code, out, err = run_cli(
+            capsys, "manipulate", "--rule", "averaging", "--profile",
+            committee_file, "--agent", "1", "--pref", pref,
+        )
+        assert code == expected, err
+        assert "Traceback" not in err
+        if expected == 1:
+            assert err == "" and "found manipulation" in out
+        else:
+            assert out == "" and message in err
 
 
 class TestSweepCommand:

@@ -191,6 +191,10 @@ class TestAffineMap:
 
 
 class TestThrough:
+    def test_one_point_is_too_few(self):
+        with pytest.raises(ValueError, match="at least two breakpoints"):
+            MonotoneMap.through([(0.0, 0.0)])
+
     def test_tails_continue_the_end_segments(self):
         mapping = MonotoneMap.through([(0.0, 0.0), (1.0, -2.0), (3.0, -3.0)])
         assert not mapping.increasing
