@@ -43,12 +43,12 @@ import sys
 import types
 from typing import Optional
 
+from . import _EXPORTS
+
 _CHUNKS = 16
-# The modules that decide samples, fingerprinted in both processes.
-_MODULES = tuple(
-    "intervalagg." + name
-    for name in ("core", "rules", "transforms", "preferences", "axioms")
-)
+# The modules that decide samples, fingerprinted in both processes: every
+# submodule that defines a public name.
+_MODULES = tuple("intervalagg." + name for name in dict.fromkeys(_EXPORTS.values()))
 # Where the live worker of this process is kept: on ``sys``, so that a
 # fresh import of the package finds and reuses it instead of starting
 # another.
@@ -170,10 +170,11 @@ def _spawn(fingerprint: str) -> Optional[_Worker]:
     return worker
 
 
-def parts(rule, config, total: int) -> Optional[list[tuple[int, tuple]]]:
-    """``(start, result of _run_samples)`` for each chunk of the audit in
-    order, up to the first that ends early, where the merge stops at the
-    latest; None if the audit runs in this process instead."""
+def parts(rule, config, total: int) -> Optional[list[tuple]]:
+    """``(start, outcomes, raised)``, as :func:`~intervalagg.axioms._decided`
+    gives them, for each chunk of the audit in order, up to the first in
+    which the rule raised, where the merge stops at the latest; None if
+    the audit runs in this process instead."""
     if not total or _usable_cpus() < 2 or not hasattr(os, "posix_spawn") or not sys.executable:
         return None
     bounds = [total * k // _CHUNKS for k in range(_CHUNKS + 1)]
@@ -209,7 +210,7 @@ def parts(rule, config, total: int) -> Optional[list[tuple[int, tuple]]]:
 def _decide(worker, rule, config, ranges, request, fingerprint):
     """Decide the even chunks here and each odd one the worker has not
     answered when this process gets to it."""
-    from .axioms import _run_samples
+    from .axioms import _decided
 
     worker.sequence += 1
     sequence = worker.sequence
@@ -218,12 +219,10 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
     limit = len(ranges)
     _send(worker, _frame((sequence, request)))
 
-    def take(k: int, result: Optional[tuple] = None) -> None:
+    def take(k: int, decided: Optional[tuple] = None) -> None:
         nonlocal limit
-        if result is None:
-            result = _run_samples(rule, config, *ranges[k])
-        results[k] = result
-        if result[3] < ranges[k][1]:
+        _, raised = results[k] = decided or _decided(rule, config, *ranges[k])
+        if raised is not None:
             limit = min(limit, k + 1)
 
     def collect() -> None:
@@ -238,10 +237,10 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
             if worker.fingerprint is None:
                 worker.fingerprint = reply
             elif reply[0] == sequence and worker.fingerprint == fingerprint:
-                _, k, result = reply
+                _, k, outcomes = reply
                 answered.add(k)
-                if k < limit and results[k] is None and result is not None:
-                    take(k, result)
+                if k < limit and results[k] is None and outcomes is not None:
+                    take(k, (outcomes, None))
 
     for k in range(0, len(ranges), 2):
         if k < limit:
@@ -255,7 +254,7 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
         take(theirs[-1])
     if worker.requests >= 0 and not answered.issuperset(range(1, len(ranges), 2)):
         _send(worker, _frame(None))
-    return [(ranges[k][0], results[k]) for k in range(limit)]
+    return [(ranges[k][0], *results[k]) for k in range(limit)]
 
 
 class _Pickler(pickle.Pickler):
@@ -452,7 +451,7 @@ def _serve(modules: tuple) -> None:
         # Run only on a CPU that would otherwise idle: a worker that takes
         # turns with the caller on one CPU slows the caller down.
         os.nice(19)
-        from .axioms import _run_samples
+        from .axioms import _decided
 
         def write(message: object) -> None:
             frame = _frame(message)
@@ -469,7 +468,7 @@ def _serve(modules: tuple) -> None:
             for k in range(1, len(ranges), 2):
                 if select.select([0], [], [], 0)[0]:
                     break  # told to stop, or a newer request
-                result = _run_samples(rule, config, *ranges[k])
-                write((sequence, k, result if result[4] is None else None))
+                outcomes, raised = _decided(rule, config, *ranges[k])
+                write((sequence, k, outcomes if raised is None else None))
     finally:
         os._exit(0)

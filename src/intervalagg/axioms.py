@@ -18,14 +18,15 @@ The default battery, the full id list and each axiom's seed code (its
 place in the table, from 1) are all read off the table.
 
 An audit's samples, axiom by axiom in config order, form one flat range
-of positions.  :func:`_run_samples` decides any contiguous part of it and
-:func:`_merge` folds the parts, in order, into the report, replaying the
-abort after ten consecutive evaluation errors, keeping each axiom's first
-witness and raising the first exception the rule raised before any
-abort; the in-process audit is one part.  A built-in handle may be
-audited in parts shared with a second process, a sample worker
-(:mod:`intervalagg._worker` describes how); the report is the same byte
-for byte either way.
+of positions.  :func:`_outcomes` decides any contiguous part of it
+lazily, one outcome per sample, and :func:`_merge` folds the parts, in
+order, into the report.  The fold alone aborts after ten consecutive
+evaluation errors; it keeps each axiom's first witness and raises the
+first exception the rule raised before any abort.  The in-process audit
+is one lazy part, so it stops evaluating the rule at the abort.  A
+built-in handle may be audited in parts shared with a second process, a
+sample worker (:mod:`intervalagg._worker` describes how); the report is
+the same byte for byte either way.
 
 Checks compare untransformed rule outputs exactly.  After a map or a
 translation has touched the numbers, endpoint comparisons allow 1e-9
@@ -806,27 +807,20 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     total = len(config.axioms) * config.samples
     parts = _worker.parts(rule, config, total)
     if parts is None:
-        parts = [(0, _run_samples(rule, config, 0, total))]
+        parts = [(0, _outcomes(rule, config, 0, total), None)]
     return _merge(rule.name, config, parts)
 
 
-def _run_samples(
-    rule: RuleHandle, config: AuditConfig, start: int, stop: int
-) -> tuple[list[tuple[int, str]], list[int], dict[str, dict], int, Optional[Exception]]:
-    """Decide the samples at flat positions ``start`` to ``stop - 1``.
+def _outcomes(rule: RuleHandle, config: AuditConfig, start: int, stop: int):
+    """The outcome of each sample at flat positions ``start`` to
+    ``stop - 1``, lazily and in order: None for a pass, the witness for a
+    failure, the message for a :class:`RuleEvaluationError`.
 
     Position ``a * config.samples + i`` is sample ``i`` of the ``a``-th
-    axiom of the config.  Returns the positions of evaluation errors with
-    their messages, the positions of failures, the first witness of each
-    axiom in the range, the position after the last sample decided and
-    the exception the rule raised there, if any.  The range ends early at
-    ten consecutive evaluation errors and at any other exception, which
-    is returned for :func:`_merge` to raise: an abort earlier in the
-    campaign would have stopped it before it was reached.
+    axiom of the config.  Any other exception the rule raises propagates
+    at its sample.
     """
-    errors, failures, witnesses = [], [], {}
     samples, n_agents = config.samples, config.n_agents
-    consecutive_errors = 0
     rng = random.Random(0)  # reseeded for every sample
     for index, axiom in enumerate(config.axioms):
         base = index * samples
@@ -834,58 +828,54 @@ def _run_samples(
         for sample_index in range(max(start - base, 0), min(stop - base, samples)):
             rng.seed(_derive_seed(config.seed, axiom, sample_index))
             try:
-                check = decide(rule, *draw(rule, rng, sample_index, n_agents))
+                outcome = decide(rule, *draw(rule, rng, sample_index, n_agents)).witness
             except RuleEvaluationError as error:
-                errors.append((base + sample_index, str(error)))
-                consecutive_errors += 1
-                if consecutive_errors == _MAX_CONSECUTIVE_ERRORS:
-                    return errors, failures, witnesses, base + sample_index + 1, None
-                continue
-            except Exception as error:
-                return errors, failures, witnesses, base + sample_index, error
-            consecutive_errors = 0
-            if check.witness is not None:
-                failures.append(base + sample_index)
-                witnesses.setdefault(axiom, check.witness)
-    return errors, failures, witnesses, stop, None
+                outcome = str(error)
+            yield outcome
+
+
+def _decided(
+    rule: RuleHandle, config: AuditConfig, start: int, stop: int
+) -> tuple[list, Optional[Exception]]:
+    """The :func:`_outcomes` of ``start`` to ``stop - 1`` up to the first
+    other exception the rule raised, and that exception (None if none)."""
+    outcomes: list = []
+    try:
+        for outcome in _outcomes(rule, config, start, stop):
+            outcomes.append(outcome)
+    except Exception as error:
+        return outcomes, error
+    return outcomes, None
 
 
 def _merge(name: str, config: AuditConfig, parts) -> AuditReport:
-    """The report on the ranges of ``parts``, ``(start, result of
-    _run_samples)`` pairs in position order that together cover every
-    sample, as one run over all of them would write it: ten consecutive
-    errors abort the campaign even when they straddle two ranges, each
-    axiom keeps its first witness, and the first exception a rule raised
-    before any abort is raised again.  Stops reading ``parts`` there."""
+    """The report on ``parts``, ``(start, outcomes, raised)`` in position
+    order that together cover every sample: one fold over the outcomes,
+    which aborts at ten consecutive evaluation errors, even across parts,
+    and keeps each axiom's first witness.  ``raised``, an exception the
+    rule raised after the part's last outcome, is raised again unless the
+    campaign aborted first.  Stops reading ``parts`` there."""
     axioms, samples = config.axioms, config.samples
     tallies = {axiom: AxiomTally() for axiom in axioms}
     report = AuditReport(name, config, tallies)
-    consecutive_errors, last_error = 0, -1
-    for start, (errors, failures, witnesses, end, raised) in parts:
-        for pos, message in errors:
-            consecutive_errors = consecutive_errors + 1 if pos == last_error + 1 else 1
-            last_error = pos
-            if consecutive_errors == _MAX_CONSECUTIVE_ERRORS:
-                report.abort_axiom = axioms[pos // samples]
-                report.abort_reason = message
-                end = pos + 1
-                break
-        for index, axiom in enumerate(axioms):
-            decided = min(end, (index + 1) * samples) - max(start, index * samples)
-            if decided > 0:
-                tallies[axiom].samples += decided
-        for pos, _ in errors:
-            if pos < end:
-                tallies[axioms[pos // samples]].eval_errors += 1
-        for pos in failures:
-            if pos < end:
-                axiom = axioms[pos // samples]
-                tally = tallies[axiom]
+    consecutive_errors = 0
+    for start, outcomes, raised in parts:
+        for pos, outcome in enumerate(outcomes, start):
+            axiom = axioms[pos // samples]
+            tally = tallies[axiom]
+            tally.samples += 1
+            if isinstance(outcome, str):
+                tally.eval_errors += 1
+                consecutive_errors += 1
+                if consecutive_errors == _MAX_CONSECUTIVE_ERRORS:
+                    report.abort_axiom, report.abort_reason = axiom, outcome
+                    return report
+                continue
+            consecutive_errors = 0
+            if outcome is not None:
                 tally.failures += 1
                 if tally.first_witness is None:
-                    tally.first_witness = witnesses[axiom]
-        if report.aborted:
-            break
+                    tally.first_witness = outcome
         if raised is not None:
             raise raised
     return report

@@ -282,10 +282,15 @@ def extern_rule_adapter(command: str, timeout: float = 5.0) -> RuleHandle:
 def _spec_pair(text: str, form: str, kind: str, convert) -> tuple:
     """The two values that ``convert`` (int or float) makes of the ``a,b``
     after the prefix of ``text``, a ``kind`` spec spelled ``form``."""
-    parts = text[form.index(":") + 1 :].split(",")
+    values = text[form.index(":") + 1 :]
+    parts = values.split(",")
     if len(parts) != 2:
         raise CommandError(f"{kind} spec needs '{form}', got {text!r}")
     try:
+        # int and float would also read digit-group underscores and
+        # non-ASCII digits.
+        if "_" in values or not values.isascii():
+            raise ValueError(values)
         return convert(parts[0]), convert(parts[1])
     except ValueError as error:
         noun = "integers" if convert is int else "numbers"

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Optional, Union
 
 from . import _EXPORTS
@@ -107,6 +107,9 @@ Preference = Union[WeightedL1Preference, PenaltyPreference]
 # endpoint.  At most 100 cannot overflow: past float max, -max - 100
 # rounds back to -max.
 _MARGIN_DELTAS = (1.0, 10.0, 100.0)
+# The bounds of a clamp that clamps nothing: every grid pair is its own
+# outcome class.
+_UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -171,29 +174,24 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
     any ``extra_candidates``.  The returned list is sorted and
     duplicate-free, which fixes the search order and hence the tie-break.
 
-    The grid pairs come out of ``combinations`` already sorted and
-    distinct, so only the cloud and the extras are deduplicated (a pair
-    of two grid values is already on the grid) and merged in with one
-    sort of the two sorted runs.
+    The grid pairs come out already sorted and distinct, so only the
+    cloud and the extras are deduplicated (a pair of two grid values is
+    already on the grid) and merged in with one sort of the two sorted
+    runs.
 
     Near float max, midpoints are taken as half-sums and the random box
     is clipped to the finite floats, so every candidate stays finite.
     """
-    return _candidates(profile, config, None)
+    return _candidates(profile, config, _UNBOUNDED)
 
 
 def _candidates(
-    profile: Profile,
-    config: GridConfig,
-    bounds: Optional[tuple[float, float, float, float]],
+    profile: Profile, config: GridConfig, bounds: tuple[float, float, float, float]
 ) -> list[Interval]:
     """:func:`candidate_misreports`, with the grid pairs cut to one per
-    outcome class of a clamp when its ``bounds`` are given."""
+    outcome class of a clamp with ``bounds``."""
     points, grid = _grid_values(profile)
-    if bounds is None:
-        candidates = [Interval(a, b) for a, b in combinations(points, 2)]
-    else:
-        candidates = _class_representatives(points, bounds)
+    candidates = _class_representatives(points, bounds)
     candidates.extend(_off_grid(profile, grid, config))
     candidates.sort()
     return candidates
@@ -251,18 +249,17 @@ def _class_representatives(
     clamped value (the clamp need not be monotone).  Every pair whose
     lower point lies in one lower run and whose upper point lies in one
     upper run has the same outcome; the smallest such pair takes the
-    lower run's first point and the first point of the upper run above
-    it.
+    lower run's first point ``i`` and either ``i + 1`` or the start of an
+    upper run above ``i + 1``.  Unbounded, every point starts a run of
+    each side, and these are all pairs of ``points`` in order.
     """
     lo_floor, lo_ceiling, hi_floor, hi_ceiling = bounds
     lo_starts = _run_starts(points, lo_floor, lo_ceiling)
     hi_starts = _run_starts(points, hi_floor, hi_ceiling)
-    hi_runs = list(zip(hi_starts, hi_starts[1:]))
     pairs = []
-    for i in lo_starts[:-1]:
-        for start, end in hi_runs:
-            if end - 1 > i:
-                pairs.append(Interval(points[i], points[start if start > i else i + 1]))
+    for i in lo_starts[: bisect_left(lo_starts, len(points) - 1)]:
+        for j in (i + 1, *hi_starts[bisect_right(hi_starts, i + 1) : -1]):
+            pairs.append(Interval(points[i], points[j]))
     return pairs
 
 
@@ -328,9 +325,7 @@ def find_manipulation(
     best_misreport: Optional[Interval] = None
     best_outcome: Optional[Interval] = None
     outcome_of = rule.vary_agent(profile, agent_index)
-    candidates = _candidates(
-        profile, config, getattr(outcome_of, "bounds", None)
-    )
+    candidates = _candidates(profile, config, getattr(outcome_of, "bounds", _UNBOUNDED))
     costs: dict[Interval, float] = {}
     for candidate in candidates:
         outcome = outcome_of(candidate)

@@ -437,10 +437,6 @@ def _median_ranks(n: int) -> tuple[int, int]:
     return mid, n + 1 - mid
 
 
-def _maximal_ranks(n: int) -> tuple[int, int]:
-    return 1, n
-
-
 def _phantom_ranks(
     vector: PhantomVector, valid_sizes: set[int], n: int
 ) -> tuple[int, int]:
@@ -478,7 +474,7 @@ def median_rule_handle() -> RuleHandle:
 
 def maximal_rule_handle() -> RuleHandle:
     """Quota pair (1, 1): the smallest interval containing every judgment."""
-    return _order_statistic_handle("maximal", _maximal_ranks)
+    return _order_statistic_handle("maximal", partial(_quota_ranks, 1, 1))
 
 
 def averaging_rule_handle() -> RuleHandle:

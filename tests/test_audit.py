@@ -900,6 +900,22 @@ class TestEvaluationErrors:
         assert "boom" in report.abort_reason
         assert report.total_eval_errors == 10
 
+    def test_abort_stops_evaluating_the_rule(self):
+        # A closure is audited in this process, one sample at a time, so
+        # the tenth consecutive error is the rule's last call.
+        calls = []
+
+        def broken(profile):
+            calls.append(profile)
+            raise RuleEvaluationError("boom")
+
+        report = audit(
+            RuleHandle("broken", broken),
+            AuditConfig(n_agents=2, samples=50, seed=0),
+        )
+        assert report.aborted
+        assert len(calls) == 10
+
     def test_occasional_errors_tallied_without_abort(self):
         calls = {"count": 0}
 

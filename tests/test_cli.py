@@ -196,6 +196,11 @@ class TestRuleSpecs:
             parse_rule_spec("endpoint:a,b")
         with pytest.raises(CommandError, match="must be integers"):
             parse_rule_spec("endpoint:1.5,2")
+        # int alone would read these as endpoint:10,2 and endpoint:1,2.
+        for spec in ("endpoint:1_0,2", "endpoint:\u0661,\u0662"):
+            with pytest.raises(CommandError, match="must be integers") as info:
+                parse_rule_spec(spec)
+            assert info.value.exit_code == 2
 
     def test_nonpositive_quotas_are_parameter_errors(self):
         with pytest.raises(CommandError) as info:
@@ -905,6 +910,10 @@ class TestManipulateCommand:
             ("penalty:1,nan", 2, "penalty"),
             ("penalty:1e400,2", 2, "penalty"),
             ("penalty:2,1", 2, "lo < hi"),
+            ("weighted:1_0,1", 2, "weighted preference values must be numbers"),
+            ("weighted:\u0661,2", 2, "weighted preference values must be numbers"),
+            ("penalty:1_0,20", 2, "penalty preference values must be numbers"),
+            ("penalty:1,\u0662\u0660", 2, "penalty preference values must be numbers"),
         ],
     )
     def test_preference_spec_grammar(
