@@ -1,19 +1,22 @@
-"""The sample worker: a second Python process that decides part of an audit.
+"""The sample worker: a second Python process that decides part of a range.
 
-:func:`parts` cuts an audit's flat range of samples into sixteen equal
-chunks.  This process decides the even ones, and one worker process per
-calling process decides the odd ones from the first on, writing each
-result back on a pipe.  When this process has decided its own chunks it
-takes over, from the last back, every odd one the worker has not answered
-yet, so it never waits on the worker.  A slow or busy worker only costs
-its own chunks, and a worker that dies costs nothing but the restart.
+A range function is a generator function of the package that yields one
+outcome per position: ``decide(*args, start, stop)`` for positions
+``start`` to ``stop - 1``, in order.  :func:`parts` cuts a range into
+sixteen equal chunks.  This process decides the even ones, and one
+worker process per calling process decides the odd ones from the first
+on, writing each result back on a pipe.  When this process has decided
+its own chunks it takes over, from the last back, every odd one the
+worker has not answered yet, so it never waits on the worker.  A slow or
+busy worker only costs its own chunks, and a worker that dies costs
+nothing but the restart.
 
 The worker is a fresh interpreter, started with ``os.posix_spawn`` at the
-first audit that can use it and kept until this process exits; a child
+first range that can use it and kept until this process exits; a child
 forked from this process lets go of it and starts its own.  It inherits
 no descriptor but its two pipes and no state: it imports the package
 from the directory this process imported it from.  It can therefore
-decide only what a fresh import can: handles whose every function and
+decide only what a fresh import can: requests whose every function and
 class is a built-in of the package and that pickle small enough for one
 pipe write (:func:`_request`), and only while this process runs the same
 package code as the worker.  That code is compared by fingerprint, the
@@ -21,16 +24,16 @@ code objects and plain values of every module the worker runs
 (:data:`_MODULES`): the worker sends its fingerprint first, and this
 process recomputes its own whenever a module of the package was
 replaced, reloaded or patched.  Until the two agree the worker's answers
-are not used.  Audits of any other handle, such as an ``extern:`` rule,
-a closure or a rule of the caller's own, run in this process, as do all
-audits on one CPU and audits with no samples.
+are not used.  Any other request, one that reaches an ``extern:``
+command, a closure or a function of the caller's own, say, is decided
+in this process, as are all ranges on one CPU and empty ranges.
 
 The worker runs at the lowest scheduling priority, so it only takes a
 CPU that would otherwise idle, and this process never waits on it: a
 request the worker has no room for yet is not sent, and its chunks are
-decided here.  Sixteen chunks keep the part of an audit that both
-processes may decide small.  When the audit ends, a worker that is still
-deciding its chunks is told to stop at the next chunk boundary.
+decided here.  Sixteen chunks keep the part of a range that both
+processes may decide small.  When this process has every chunk, a worker
+that is still deciding its chunks is told to stop at the next boundary.
 """
 
 from __future__ import annotations
@@ -170,22 +173,22 @@ def _spawn(fingerprint: str) -> Optional[_Worker]:
     return worker
 
 
-def parts(rule, config, total: int) -> Optional[list[tuple]]:
-    """``(start, outcomes, raised)``, as :func:`~intervalagg.axioms._decided`
-    gives them, for each chunk of the audit in order, up to the first in
-    which the rule raised, where the merge stops at the latest; None if
-    the audit runs in this process instead."""
+def parts(decide, args: tuple, total: int) -> Optional[list[tuple]]:
+    """``(start, outcomes, raised)`` for each chunk of positions 0 to
+    ``total - 1`` in order, with ``outcomes, raised`` as :func:`_decided`
+    gives them; None if the range is to be decided in this process
+    instead."""
     if not total or _usable_cpus() < 2 or not hasattr(os, "posix_spawn") or not sys.executable:
         return None
     bounds = [total * k // _CHUNKS for k in range(_CHUNKS + 1)]
     ranges = list(zip(bounds, bounds[1:]))
-    request = _request(rule, config, ranges)
+    request = _request(decide, args, ranges)
     if request is None:
         return None
     fingerprint = _fingerprint()
     worker = _live()
     if worker is not None and not worker.lock.acquire(blocking=False):
-        return None  # another thread's audit is using the worker
+        return None  # another thread is using the worker
     if worker is not None and worker.fingerprint not in (None, fingerprint):
         if worker.spawned_for == fingerprint:
             worker.lock.release()
@@ -198,7 +201,7 @@ def parts(rule, config, total: int) -> Optional[list[tuple]]:
             return None
         worker.lock.acquire()
     try:
-        return _decide(worker, rule, config, ranges, request, fingerprint)
+        return _decide(worker, decide, args, ranges, request, fingerprint)
     except BaseException:
         # An interrupt may have cut a frame in half: start afresh next time.
         _stop(worker)
@@ -207,23 +210,26 @@ def parts(rule, config, total: int) -> Optional[list[tuple]]:
         worker.lock.release()
 
 
-def _decide(worker, rule, config, ranges, request, fingerprint):
+def _decided(decide, args: tuple, start: int, stop: int) -> tuple[list, Optional[Exception]]:
+    """The outcomes ``decide(*args, start, stop)`` yields up to the first
+    exception it raises, and that exception (None if none)."""
+    outcomes: list = []
+    try:
+        for outcome in decide(*args, start, stop):
+            outcomes.append(outcome)
+    except Exception as error:
+        return outcomes, error
+    return outcomes, None
+
+
+def _decide(worker, decide, args, ranges, request, fingerprint):
     """Decide the even chunks here and each odd one the worker has not
     answered when this process gets to it."""
-    from .axioms import _decided
-
     worker.sequence += 1
     sequence = worker.sequence
     results: list = [None] * len(ranges)
     answered = set()
-    limit = len(ranges)
     _send(worker, _frame((sequence, request)))
-
-    def take(k: int, decided: Optional[tuple] = None) -> None:
-        nonlocal limit
-        _, raised = results[k] = decided or _decided(rule, config, *ranges[k])
-        if raised is not None:
-            limit = min(limit, k + 1)
 
     def collect() -> None:
         while worker.replies >= 0:
@@ -239,22 +245,21 @@ def _decide(worker, rule, config, ranges, request, fingerprint):
             elif reply[0] == sequence and worker.fingerprint == fingerprint:
                 _, k, outcomes = reply
                 answered.add(k)
-                if k < limit and results[k] is None and outcomes is not None:
-                    take(k, (outcomes, None))
+                if results[k] is None and outcomes is not None:
+                    results[k] = (outcomes, None)
 
     for k in range(0, len(ranges), 2):
-        if k < limit:
-            take(k)
+        results[k] = _decided(decide, args, *ranges[k])
         collect()
     while True:
         collect()
-        theirs = [k for k in range(1, limit, 2) if results[k] is None]
+        theirs = [k for k in range(1, len(ranges), 2) if results[k] is None]
         if not theirs:
             break
-        take(theirs[-1])
+        results[theirs[-1]] = _decided(decide, args, *ranges[theirs[-1]])
     if worker.requests >= 0 and not answered.issuperset(range(1, len(ranges), 2)):
         _send(worker, _frame(None))
-    return [(ranges[k][0], *results[k]) for k in range(limit)]
+    return [(start, *result) for (start, _), result in zip(ranges, results)]
 
 
 class _Pickler(pickle.Pickler):
@@ -266,20 +271,22 @@ class _Pickler(pickle.Pickler):
         return NotImplemented
 
 
-def _request(rule, config, ranges) -> Optional[bytes]:
-    """``(rule, config, ranges)`` pickled for the worker; None if ``rule``
-    reaches a function or a class from outside :data:`_MODULES`, which
-    the worker would not run as this process does, does not pickle, or
-    pickles too large to be sent in one write (a phantom handle of some
-    hundred agents, say)."""
+def _request(decide, args: tuple, ranges) -> Optional[bytes]:
+    """``(args, decide, ranges)`` pickled for the worker; None if it
+    reaches a function or a class from outside :data:`_MODULES`, which the
+    worker would not run as this process does, does not pickle, or pickles
+    too large to be sent in one write (a phantom handle of some hundred
+    agents, say).  ``args`` go first: pickling ``decide`` imports its
+    module, so a superseded copy of the package must fail on ``args``
+    before it imports a module of the newer copy."""
     import select
 
     buffer = io.BytesIO()
     pickler = _Pickler(buffer)
     pickler.shared = {*_MODULES, "builtins", "copyreg", "functools"}
     try:
-        pickler.dump((rule, config, ranges))
-    except Exception:  # closures, lambdas, open files, a rule of the caller's
+        pickler.dump((args, decide, ranges))
+    except Exception:  # closures, lambdas, open files, a function of the caller's
         return None
     request = buffer.getvalue()
     # Room for the sequence number and the framing in one PIPE_BUF write.
@@ -451,7 +458,6 @@ def _serve(modules: tuple) -> None:
         # Run only on a CPU that would otherwise idle: a worker that takes
         # turns with the caller on one CPU slows the caller down.
         os.nice(19)
-        from .axioms import _decided
 
         def write(message: object) -> None:
             frame = _frame(message)
@@ -464,11 +470,11 @@ def _serve(modules: tuple) -> None:
             if request is None:
                 continue  # told to stop, and already stopped
             sequence, body = request
-            rule, config, ranges = pickle.loads(body)
+            args, decide, ranges = pickle.loads(body)
             for k in range(1, len(ranges), 2):
                 if select.select([0], [], [], 0)[0]:
                     break  # told to stop, or a newer request
-                outcomes, raised = _decided(rule, config, *ranges[k])
+                outcomes, raised = _decided(decide, args, *ranges[k])
                 write((sequence, k, outcomes if raised is None else None))
     finally:
         os._exit(0)

@@ -18,9 +18,9 @@ The default battery, the full id list and each axiom's seed code (its
 place in the table, from 1) are all read off the table.
 
 An audit's samples, axiom by axiom in config order, form one flat range
-of positions.  :func:`_outcomes` decides any contiguous part of it
-lazily, one outcome per sample, and :func:`_merge` folds the parts, in
-order, into the report.  The fold alone aborts after ten consecutive
+of positions.  :func:`_outcomes`, the audit's range function, decides
+any contiguous part of it lazily, one outcome per sample, and
+:func:`_merge` folds the parts, in order, into the report.  The fold alone aborts after ten consecutive
 evaluation errors; it keeps each axiom's first witness and raises the
 first exception the rule raised before any abort.  The in-process audit
 is one lazy part, so it stops evaluating the rule at the abort.  A
@@ -805,7 +805,7 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     reaches the caller as it would in-process.
     """
     total = len(config.axioms) * config.samples
-    parts = _worker.parts(rule, config, total)
+    parts = _worker.parts(_outcomes, (rule, config), total)
     if parts is None:
         parts = [(0, _outcomes(rule, config, 0, total), None)]
     return _merge(rule.name, config, parts)
@@ -832,20 +832,6 @@ def _outcomes(rule: RuleHandle, config: AuditConfig, start: int, stop: int):
             except RuleEvaluationError as error:
                 outcome = str(error)
             yield outcome
-
-
-def _decided(
-    rule: RuleHandle, config: AuditConfig, start: int, stop: int
-) -> tuple[list, Optional[Exception]]:
-    """The :func:`_outcomes` of ``start`` to ``stop - 1`` up to the first
-    other exception the rule raised, and that exception (None if none)."""
-    outcomes: list = []
-    try:
-        for outcome in _outcomes(rule, config, start, stop):
-            outcomes.append(outcome)
-    except Exception as error:
-        return outcomes, error
-    return outcomes, None
 
 
 def _merge(name: str, config: AuditConfig, parts) -> AuditReport:

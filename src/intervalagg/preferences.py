@@ -190,15 +190,16 @@ def _candidates(
 ) -> list[Interval]:
     """:func:`candidate_misreports`, with the grid pairs cut to one per
     outcome class of a clamp with ``bounds``."""
-    points, grid = _grid_values(profile)
+    points, grid, lowest, highest = _grid_values(profile)
     candidates = _class_representatives(points, bounds)
-    candidates.extend(_off_grid(profile, grid, config))
+    candidates.extend(_off_grid(lowest, highest, grid, config))
     candidates.sort()
     return candidates
 
 
-def _grid_values(profile: Profile) -> tuple[list[float], set[float]]:
-    """The grid values of :func:`candidate_misreports`, sorted, and their set."""
+def _grid_values(profile: Profile) -> tuple[list[float], set[float], float, float]:
+    """The grid values of :func:`candidate_misreports`, sorted, their set,
+    and the profile's lowest and highest endpoints."""
     values = sorted({v for entry in profile for v in (entry.lo, entry.hi)})
     lowest, highest = values[0], values[-1]
     grid = set(values)
@@ -207,14 +208,15 @@ def _grid_values(profile: Profile) -> tuple[list[float], set[float]]:
         grid.add(mid if math.isfinite(mid) else a / 2.0 + b / 2.0)
     for delta in _MARGIN_DELTAS:
         grid.update((lowest - delta, highest + delta))
-    return sorted(grid), grid
+    return sorted(grid), grid, lowest, highest
 
 
-def _off_grid(profile: Profile, grid: set[float], config: GridConfig) -> list[Interval]:
-    """The seeded cloud and the extras that are not a pair of two grid
-    values, deduplicated and sorted."""
-    lowest = min(entry.lo for entry in profile)
-    highest = max(entry.hi for entry in profile)
+def _off_grid(
+    lowest: float, highest: float, grid: set[float], config: GridConfig
+) -> list[Interval]:
+    """The seeded cloud, in a box around ``lowest`` to ``highest``, and the
+    extras that are not a pair of two grid values, deduplicated and
+    sorted."""
     span = max(highest - lowest, 1.0)
     box_lo = max(lowest - 2.0 * span, -_FLOAT_MAX)
     box_hi = min(highest + 2.0 * span, _FLOAT_MAX)

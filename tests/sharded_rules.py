@@ -1,4 +1,5 @@
-"""Rules of the caller's own, at module level, for the sharding tests.
+"""Rules and a range function of the caller's own, at module level, for
+the sharding tests.
 
 The sample worker takes only handles built from the modules it was
 started with; the tests start it with this module added, from a path
@@ -43,3 +44,12 @@ def bounded(profile):
 
 def first_agent(profile):
     return profile[0]
+
+
+def squares(fail_at, start, stop):
+    """A range function that is not an audit: the square of each position
+    from ``start`` to ``stop - 1``, and a ValueError at ``fail_at``."""
+    for position in range(start, stop):
+        if position == fail_at:
+            raise ValueError(f"no square at {position}")
+        yield position * position

@@ -30,6 +30,7 @@ from intervalagg import (
     validate_phantoms,
 )
 from intervalagg import _worker
+from intervalagg.axioms import _outcomes
 
 from .conftest import BENCHMARK_PROFILE, INTERLEAVED_PROFILE
 from .strategies import intervals, profiles, profiles_with_quotas
@@ -466,8 +467,8 @@ class TestRuleHandles:
 ROUND_TRIPS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
     "worker-request": lambda value: pickle.loads(
-        _worker._request(value, AuditConfig(n_agents=4), [(0, 1)])
-    )[0],
+        _worker._request(_outcomes, (value, AuditConfig(n_agents=4)), [(0, 1)])
+    )[0][0],
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }

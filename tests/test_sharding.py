@@ -30,7 +30,8 @@ from intervalagg import (
     rules,
     valid_quota_pairs,
 )
-from intervalagg.axioms import _decided, _merge
+from intervalagg._worker import _decided
+from intervalagg.axioms import _merge, _outcomes
 from intervalagg.cli import extern_rule_adapter
 
 from . import sharded_rules
@@ -185,7 +186,7 @@ def test_value_error_in_the_worker_range_is_raised_again(rule_paths):
     rule = RuleHandle("bounded", sharded_rules.bounded)
     # The first sample that raises, a TranslationEquivariance one, lies in
     # an odd chunk, one of the worker's.
-    outcomes, raised = _decided(rule, config, 0, 200)
+    outcomes, raised = _decided(_outcomes, (rule, config), 0, 200)
     first = len(outcomes)
     assert isinstance(raised, ValueError)
     chunk = next(k for k in range(_worker._CHUNKS) if 200 * (k + 1) // _worker._CHUNKS > first)
@@ -202,6 +203,47 @@ def test_value_error_in_the_worker_range_is_raised_again(rule_paths):
     assert str(errors[0].value) == str(errors[1].value)
     config = AuditConfig(n_agents=3, samples=20, seed=3)
     assert rule_paths(lambda: report_text(MEDIAN, config)) == (report_text(MEDIAN, config),) * 2
+
+
+def test_a_handle_that_raises_in_every_chunk(paths):
+    # Quotas (3, 3) are invalid for 3 agents, so every sample of every
+    # chunk raises, in both processes; the first is raised again.
+    rule = endpoint_rule_handle(3, 3)
+    config = AuditConfig(n_agents=3, samples=20, seed=1)
+    errors = []
+
+    def failing_audit():
+        with pytest.raises(ValueError) as error:
+            audit(rule, config)
+        errors.append(str(error.value))
+
+    paths(failing_audit)
+    assert errors == ["quotas (3, 3) invalid for 3 agents"] * 2
+
+
+# The worker knows only range functions, f(*args, start, stop): one that
+# is not an audit is decided in both processes and comes back in order.
+# The ValueError at 35 lies in an odd chunk, one of the worker's.
+@pytest.mark.parametrize("fail_at", [35, None])
+def test_a_range_function_that_is_not_an_audit(rule_paths, fail_at):
+    total = 160
+    sharded, in_process = rule_paths(
+        lambda: _worker.parts(sharded_rules.squares, (fail_at,), total)
+    )
+    assert in_process is None  # on one CPU the caller decides it whole
+    assert [start for start, _, _ in sharded] == [
+        total * k // _worker._CHUNKS for k in range(_worker._CHUNKS)
+    ]
+    expected, error = _decided(sharded_rules.squares, (fail_at,), 0, total)
+    joined, first = [], None
+    for start, outcomes, raised in sharded:
+        joined += outcomes
+        if raised is not None:
+            first = (start + len(outcomes), repr(raised))
+            break
+    assert joined == expected
+    assert first == (None if error is None else (fail_at, repr(error)))
+    assert error is None or len(expected) == fail_at
 
 
 def serial_text(monkeypatch, rule, config):
@@ -470,12 +512,13 @@ def test_one_worker_across_fresh_imports():
 REDEFINED = """
 import json
 from intervalagg import AuditConfig, RuleHandle, _worker, audit, median_rule_handle
+from intervalagg.axioms import _outcomes
 
 MEDIAN = median_rule_handle()
 config = AuditConfig(n_agents=3, samples=30, seed=4)
 
 def texts(rule):
-    assert _worker._request(rule, config, [(0, 300)]) is None
+    assert _worker._request(_outcomes, (rule, config), [(0, 300)]) is None
     _worker._usable_cpus = lambda: 2
     sharded = json.dumps(audit(rule, config).to_json_dict())
     _worker._usable_cpus = lambda: 1
@@ -530,19 +573,20 @@ def test_patched_package_code_is_not_left_to_the_worker(monkeypatch, two_cpus):
 def test_audits_that_cannot_shard_run_in_process(monkeypatch, two_cpus):
     config = AuditConfig(n_agents=3, samples=2, seed=1)
     ranges = [(0, 20)]
-    assert _worker._request(MEDIAN, config, ranges) is not None
+    assert _worker._request(_outcomes, (MEDIAN, config), ranges) is not None
     for rule in (
         RuleHandle("closure", lambda profile: MEDIAN(profile)),
         extern_rule_adapter(extern_command("widest_wins.py")),
         RuleHandle("first", sharded_rules.first_agent),  # not started with this module
     ):
-        assert _worker._request(rule, config, ranges) is None
-        assert _worker.parts(rule, config, 20) is None
+        assert _worker._request(_outcomes, (rule, config), ranges) is None
+        assert _worker.parts(_outcomes, (rule, config), 20) is None
     # Too large to send in one write: a phantom handle of 300 agents.
     big = phantom_rule_handle(endpoint_rule_phantoms(2, 3, 300))
-    assert _worker._request(big, AuditConfig(n_agents=300, samples=2, seed=1), ranges) is None
+    big_config = AuditConfig(n_agents=300, samples=2, seed=1)
+    assert _worker._request(_outcomes, (big, big_config), ranges) is None
     monkeypatch.setattr(_worker, "_usable_cpus", lambda: 1)
-    assert _worker.parts(MEDIAN, config, 20) is None
+    assert _worker.parts(_outcomes, (MEDIAN, config), 20) is None
     # An audit with no samples has nothing to share, so it starts no worker.
     monkeypatch.setattr(_worker, "_usable_cpus", lambda: 2)
     _worker._stop()
@@ -592,9 +636,9 @@ def test_merge_of_any_cut_matches_one_range(threshold, ceiling, samples, seed, d
         except ValueError as error:
             return repr(error)
 
-    whole = outcome([(0, *_decided(rule, config, 0, total))])
+    whole = outcome([(0, *_decided(_outcomes, (rule, config), 0, total))])
     parts = [
-        (start, *_decided(rule, config, start, stop))
+        (start, *_decided(_outcomes, (rule, config), start, stop))
         for start, stop in zip(bounds, bounds[1:])
     ]
     assert outcome(parts) == whole
