@@ -183,13 +183,7 @@ def check_anonymity(
     rule: RuleHandle, profile: Profile, permutation: Sequence[int]
 ) -> AxiomCheck:
     """Reordering the agents leaves the aggregate exactly unchanged."""
-    return _anonymity_check(rule, profile, _permutation_from(list(permutation)))
-
-
-def _anonymity_check(
-    rule: RuleHandle, profile: Profile, permutation: list[int]
-) -> AxiomCheck:
-    # The entries are ints already: drawn, decoded or checked above.
+    permutation = _permutation_from(list(permutation))
     n = len(profile)
     if sorted(permutation) != list(range(n)):
         raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
@@ -317,8 +311,9 @@ def check_continuity_lipschitz(
     """Sampled 1-Lipschitz surrogate for continuity.
 
     Every endpoint of the profile is perturbed independently within
-    ``[-delta, delta]`` where ``delta = min(epsilon, 0.49 * width)``
-    keeps each judgment nonempty; the aggregate endpoints must move by
+    ``[-delta, delta]`` where ``delta = min(epsilon, 0.49 * width)``; a
+    judgment whose jittered endpoints round to ``lo >= hi`` (possible only
+    far from 0) is kept unperturbed.  The aggregate endpoints must move by
     at most ``epsilon + 1e-9``.  Order-statistic rules satisfy the exact
     1-Lipschitz bound, so they pass at any epsilon.  ``epsilon == 0``
     passes vacuously.  This is a surrogate: passing it is evidence, not
@@ -343,12 +338,10 @@ def _perturbations(
         jittered = []
         for entry in profile:
             delta = min(epsilon, 0.49 * entry.width)
-            jittered.append(
-                Interval(
-                    entry.lo + rng.uniform(-delta, delta),
-                    entry.hi + rng.uniform(-delta, delta),
-                )
-            )
+            lo = entry.lo + rng.uniform(-delta, delta)
+            hi = entry.hi + rng.uniform(-delta, delta)
+            # Rounding can make the jittered endpoints meet at a large magnitude.
+            jittered.append(Interval(lo, hi) if lo < hi else entry)
         perturbations.append(Profile(jittered))
     return perturbations
 
@@ -637,7 +630,7 @@ def _draw_manipulation(rule, rng, sample_index, n):
 _AXIOMS = {
     RESPONSIVENESS: (check_responsiveness, ("profile", "wider_profile"),
                      _draw_responsiveness, True),
-    ANONYMITY: (_anonymity_check, ("profile", "permutation"), _draw_anonymity, True),
+    ANONYMITY: (check_anonymity, ("profile", "permutation"), _draw_anonymity, True),
     WEAK_NEUTRALITY: (partial(_neutrality_check, WEAK_NEUTRALITY), ("profile", "map"),
                       _draw_neutrality, True),
     TRANSLATION_EQUIVARIANCE: (check_translation_equivariance, ("profile", "offset"),
@@ -941,11 +934,13 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
 
     A witness produced by a failing check re-fails bit-exactly against
     the same rule; this is the soundness guarantee audits rest on.  A
-    witness without its axiom, or with a field its axiom reads missing
-    or malformed (an ``agent`` outside its profile included), is a
-    ValueError naming the axiom and the field, raised before the rule is
-    evaluated.
+    witness that is not a mapping or has no axiom is a ValueError; so is
+    one with a field its axiom reads missing or malformed (an ``agent``
+    outside its profile included), and that error names the axiom and
+    the field.  Each is raised before the rule is evaluated.
     """
+    if not isinstance(witness, Mapping):
+        raise ValueError(f"a witness is an object, got {witness!r}")
     if "axiom" not in witness:
         raise ValueError("witness has no 'axiom' field")
     axiom = witness["axiom"]

@@ -119,6 +119,11 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
         # +0.0 forces -0.0 to +0.0; exact equality then matches bit equality.
         return tuple.__new__(cls, (lo + 0.0, hi + 0.0))
 
+    # namedtuple's own _make, which _replace calls, bypasses __new__.
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        return cls(*iterable)
+
     @property
     def width(self) -> float:
         return self.hi - self.lo
@@ -153,6 +158,10 @@ class ExtendedInterval(namedtuple("ExtendedInterval", ["lo", "hi"])):
                 "needs lo < hi for finite bounds, lo == -inf, or hi == +inf"
             )
         return super().__new__(cls, lo + 0.0, hi + 0.0)
+
+    @classmethod
+    def _make(cls, iterable) -> "ExtendedInterval":  # see Interval._make
+        return cls(*iterable)
 
     def __repr__(self) -> str:
         return f"ExtendedInterval({self.lo!r}, {self.hi!r})"

@@ -302,8 +302,7 @@ def find_manipulation(
     rules; sound (never a false positive) for any rule.
 
     Outcomes come from ``rule.vary_agent``, so handles with a one-agent
-    fast path skip the profile rebuild per candidate, and the cost of an
-    outcome already seen is reused.
+    fast path skip the profile rebuild per candidate.
 
     When that clamp carries ``bounds`` (order-statistic and phantom
     handles; see :meth:`~intervalagg.rules.RuleHandle.vary_agent`), the
@@ -328,13 +327,9 @@ def find_manipulation(
     best_outcome: Optional[Interval] = None
     outcome_of = rule.vary_agent(profile, agent_index)
     candidates = _candidates(profile, config, getattr(outcome_of, "bounds", _UNBOUNDED))
-    costs: dict[Interval, float] = {}
     for candidate in candidates:
         outcome = outcome_of(candidate)
-        cost = costs.get(outcome)
-        if cost is None:
-            cost = costs[outcome] = preference.cost(outcome)
-        drop = truthful_cost - cost
+        drop = truthful_cost - preference.cost(outcome)
         # Strictly-greater keeps the first (smallest) candidate on ties.
         if drop > STRICT_IMPROVEMENT_EPS and drop > best_drop:
             best_drop = drop

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
 from .core import (
-    _FLOAT_MAX,
     _LEAST_POSITIVE,
     Interval,
     Profile,
@@ -36,15 +35,10 @@ __all__ = [name for name, home in _EXPORTS.items() if home == "transforms"]
 
 def _points(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """``points`` as float pairs; each coordinate must be a finite number."""
-    pairs = []
-    for x, y in points:
-        # Two finite floats pass one test; anything else goes through the
-        # checker, which converts an int and names a bad coordinate.
-        if not (type(x) is float and type(y) is float and abs(x) <= _FLOAT_MAX >= abs(y)):
-            x = float(_check_number("breakpoint", x))
-            y = float(_check_number("breakpoint", y))
-        pairs.append((x, y))
-    return tuple(pairs)
+    return tuple(
+        (float(_check_number("breakpoint", x)), float(_check_number("breakpoint", y)))
+        for x, y in points
+    )
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,8 @@ class MonotoneMap:
         object.__setattr__(self, "right_slope", float(self.right_slope))
         object.__setattr__(self, "increasing", increasing)
         object.__setattr__(self, "_xs", xs)
+        if self.affine and self(points[1][0]) != points[1][1]:
+            raise ValueError(f"affine map misses its second breakpoint {points[1]}")
 
     @classmethod
     def through(cls, points: Iterable[tuple[float, float]]) -> "MonotoneMap":

@@ -305,6 +305,14 @@ class TestContinuitySurrogate:
         assert len(calls) == 1 + samples
         assert calls.count(BENCHMARK_PROFILE) == 1
 
+    # At 1e16 floats are 2 apart, so a jitter of up to 0.49 * width can round
+    # a judgment's endpoints together; that judgment stays unperturbed.
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_valid_profile_far_from_zero(self, width):
+        profile = Profile([Interval(1e16, 1e16 + width)] * 3)
+        for seed in range(200):
+            assert check_continuity_lipschitz(MEDIAN, profile, 10.0, seed=seed).passed
+
     def test_zero_epsilon_is_vacuous(self):
         check = check_continuity_lipschitz(jump_rule(), BENCHMARK_PROFILE, 0.0)
         assert check.passed
@@ -786,6 +794,11 @@ class TestReplayInput:
         with pytest.raises(ValueError, match="no 'axiom' field"):
             replay_witness(averaging_rule_handle(), witness)
 
+    @pytest.mark.parametrize("witness", [["axiom"], "axiom", 3, None])
+    def test_witness_that_is_not_an_object_rejected(self, witness):
+        with pytest.raises(ValueError, match="a witness is an object"):
+            replay_witness(averaging_rule_handle(), witness)
+
     @pytest.mark.parametrize("axiom", ["NoSuchAxiom", ["Unanimity"], None])
     def test_unknown_axiom_rejected(self, axiom):
         witness = dict(GOLDEN_WITNESSES["Unanimity"], axiom=axiom)
@@ -825,6 +838,10 @@ class TestReplayInput:
         # The breakpoints decide the direction; a stored one must agree.
         ("WeakNeutrality", "map", dict(IDENTITY_MAP, direction="decreasing"),
          "map direction 'decreasing' disagrees with its breakpoints"),
+        # An affine map evaluates from its first breakpoint; it must hit the second.
+        ("WeakNeutrality", "map",
+         dict(IDENTITY_MAP, breakpoints=[[0.0, 0.0], [3.0, 1.0]], affine=True),
+         "affine map misses its second breakpoint (3.0, 1.0)"),
         ("StrongNeutrality", "map",
          dict(GOLDEN_WITNESSES["StrongNeutrality"]["map"], direction="increasing"),
          "map direction 'increasing' disagrees with its breakpoints"),

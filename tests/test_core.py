@@ -85,6 +85,22 @@ class TestInterval:
         assert Interval(1, 2) == Interval(1.0, 2.0)
         assert Interval(1, 2) != Interval(1, 2 + 1e-15)
 
+    # The named-tuple helpers build through the checking constructor.
+    @pytest.mark.parametrize("build", [
+        lambda: Interval(0, 1)._replace(hi=-1.0),
+        lambda: Interval._make([3, 2]),
+        lambda: ExtendedInterval(0, 1)._replace(lo=math.nan),
+        lambda: ExtendedInterval._make([POS_INF, 3.0]),
+    ])
+    def test_replace_and_make_check_their_bounds(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_make_converts_like_the_constructor(self):
+        made = Interval._make([-0.0, 1])
+        assert made == Interval(0.0, 1.0)
+        assert type(made.hi) is float and math.copysign(1.0, made.lo) == 1.0
+
 
 class TestExtendedOrder:
     @pytest.mark.parametrize("a,b,expected", [

@@ -138,9 +138,8 @@ coordinates = st.one_of(
 )
 
 
-# The breakpoint check takes one test per pair of plain floats and the
-# per-coordinate checker otherwise; it must accept, convert and name
-# exactly what checking every coordinate does.
+# The breakpoint check must accept, convert and name exactly what
+# checking every coordinate does.
 @given(st.lists(st.tuples(coordinates, coordinates), max_size=4))
 def test_breakpoint_check_matches_per_coordinate_check(pairs):
     def outcome(check):
@@ -188,6 +187,17 @@ class TestAffineMap:
         })
         exact = [mapping(x) == x + 1.3 for x in (0.1, 0.5, 0.9)]
         assert exact == [affine] * 3
+
+    # Point-slope evaluation from the first breakpoint must reproduce the
+    # second, or the map would not be exact at its breakpoints.
+    def test_decoded_affine_map_off_its_breakpoint_rejected(self):
+        message = "affine map misses its second breakpoint (3.0, 1.0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            map_from_data({
+                "breakpoints": [[0.0, 0.0], [3.0, 1.0]],
+                "direction": "increasing", "left_slope": 1.0, "right_slope": 1.0,
+                "affine": True,
+            })
 
 
 class TestThrough:
