@@ -182,8 +182,12 @@ def check_responsiveness(rule: RuleHandle, profile: Profile, wider: Profile) -> 
 def check_anonymity(
     rule: RuleHandle, profile: Profile, permutation: Sequence[int]
 ) -> AxiomCheck:
-    """Reordering the agents leaves the aggregate exactly unchanged."""
-    permutation = _permutation_from(list(permutation))
+    """Reordering the agents leaves the aggregate exactly unchanged.
+
+    ``permutation`` is a list or tuple of agent indices: agent ``k`` of the
+    reordered profile is agent ``permutation[k]`` of ``profile``.
+    """
+    permutation = _permutation_from(permutation)
     n = len(profile)
     if sorted(permutation) != list(range(n)):
         raise ValueError(f"{permutation!r} is not a permutation of 0..{n - 1}")
@@ -356,29 +360,24 @@ def check_independent_endpoints(
     must then be exactly identical.
     """
     _same_size(profile, other)
-    lower_agree = all(a.lo == b.lo for a, b in zip(profile, other))
-    upper_agree = all(a.hi == b.hi for a, b in zip(profile, other))
-    if not lower_agree and not upper_agree:
+    # A side is an index into an interval: 0 the lower, 1 the upper endpoint.
+    sides = [
+        side for side in (0, 1)
+        if all(a[side] == b[side] for a, b in zip(profile, other))
+    ]
+    if not sides:
         raise ValueError(
             "profiles agree on neither all lower nor all upper endpoints"
         )
     output = rule(profile)
     other_output = rule(other)
-    ok = True
-    sides = []
-    if lower_agree:
-        sides.append("lower")
-        ok = ok and output.lo == other_output.lo
-    if upper_agree:
-        sides.append("upper")
-        ok = ok and output.hi == other_output.hi
-    if ok:
+    if all(output[side] == other_output[side] for side in sides):
         return AxiomCheck(INDEPENDENT_ENDPOINTS)
     return _failure(
         INDEPENDENT_ENDPOINTS,
         profile=profile,
         other=other,
-        agreeing_sides=sides,
+        agreeing_sides=[("lower", "upper")[side] for side in sides],
         output=output,
         other_output=other_output,
     )
@@ -410,7 +409,15 @@ def check_out_betweenness(
     )
 
 
-def _one_agent_difference(profile: Profile, other: Profile, agent_index: int) -> None:
+def _side_property_check(
+    axiom: str,
+    rule: RuleHandle,
+    profile: Profile,
+    other: Profile,
+    agent_index: int,
+    side: int,
+) -> AxiomCheck:
+    """The lower (``side`` 0) or upper (``side`` 1) property."""
     _same_size(profile, other)
     _check_agent(profile, agent_index, "agent_index")
     for pos, (a, b) in enumerate(zip(profile, other)):
@@ -418,30 +425,16 @@ def _one_agent_difference(profile: Profile, other: Profile, agent_index: int) ->
             raise ValueError(
                 f"profiles differ at agent {pos}, allowed only at {agent_index}"
             )
-
-
-def _side_property_check(
-    axiom: str,
-    rule: RuleHandle,
-    profile: Profile,
-    other: Profile,
-    agent_index: int,
-    side: str,
-) -> AxiomCheck:
-    _one_agent_difference(profile, other, agent_index)
     output = rule(profile)
     other_output = rule(other)
-    pick = (lambda iv: iv.lo) if side == "lower" else (lambda iv: iv.hi)
-    a = pick(output)
-    b = pick(other_output)
-    own = pick(profile[agent_index])
-    own_other = pick(other[agent_index])
+    a = output[side]
+    b = other_output[side]
     # Either the endpoint is unchanged, or each output endpoint lies
     # between that profile's own report and the other output endpoint.
-    ok = a == b or (
-        scalar_between(own, a, b) and scalar_between(own_other, b, a)
-    )
-    if ok:
+    if a == b or (
+        scalar_between(profile[agent_index][side], a, b)
+        and scalar_between(other[agent_index][side], b, a)
+    ):
         return AxiomCheck(axiom)
     return _failure(
         axiom,
@@ -465,7 +458,7 @@ def check_lower_property(
     the endpoint-wise lens the identification probe relies on.
     """
     return _side_property_check(
-        LOWER_PROPERTY, rule, profile, other, agent_index, "lower"
+        LOWER_PROPERTY, rule, profile, other, agent_index, 0
     )
 
 
@@ -474,7 +467,7 @@ def check_upper_property(
 ) -> AxiomCheck:
     """Mirror image of :func:`check_lower_property` on upper endpoints."""
     return _side_property_check(
-        UPPER_PROPERTY, rule, profile, other, agent_index, "upper"
+        UPPER_PROPERTY, rule, profile, other, agent_index, 1
     )
 
 

@@ -328,12 +328,7 @@ def endpoint_rule_phantoms(
     _check_int("lower_quota", lower_quota, 1)
     _check_int("upper_quota", upper_quota, 1)
     _check_int("n_agents", n_agents, 1)
-    if lower_quota + upper_quota > n_agents + 1:
-        raise ValueError(
-            f"quotas ({lower_quota}, {upper_quota}) violate "
-            f"lower_quota + upper_quota <= n_agents + 1 with "
-            f"n_agents = {n_agents}; the rule could output an empty interval"
-        )
+    _quota_ranks(lower_quota, upper_quota, n_agents)  # p + q <= n + 1
     top = ExtendedInterval(POS_INF, POS_INF)
     bottom = ExtendedInterval(NEG_INF, NEG_INF)
     whole = ExtendedInterval(NEG_INF, POS_INF)
@@ -552,7 +547,7 @@ def identify_endpoint_rule(
     output = rule(probe)
     lower_guess = (output.lo + 1.0) / 2.0
     upper_guess = n_agents + 1.0 - output.hi / 2.0
-    if not (float(lower_guess).is_integer() and float(upper_guess).is_integer()):
+    if not (lower_guess.is_integer() and upper_guess.is_integer()):
         return None
     lower_quota = int(lower_guess)
     upper_quota = int(upper_guess)

@@ -171,6 +171,22 @@ class TestAnonymity:
         with pytest.raises(ValueError):
             check_anonymity(median_rule_handle(), BENCHMARK_PROFILE, [0, 0, 1])
 
+    # Only a list or tuple is read, as replay reads one: a dict is not
+    # taken for its keys, nor an iterator drained.
+    @pytest.mark.parametrize("permutation", [{0: 1, 1: 0}, 5, None, iter([1, 0])])
+    def test_non_sequence_permutation_rejected(self, permutation):
+        profile = Profile((Interval(0, 1), Interval(1, 2)))
+        message = r"is not a permutation \(a list of agent indices\)"
+        with pytest.raises(ValueError, match=message):
+            check_anonymity(MEDIAN, profile, permutation)
+
+    def test_tuple_permutation_is_read_as_a_list(self):
+        assert check_anonymity(MEDIAN, BENCHMARK_PROFILE, (1, 2, 0)).passed
+        check = check_anonymity(dictatorial_rule(), BENCHMARK_PROFILE, (1, 0, 2))
+        assert not check.passed
+        assert type(check.witness["permutation"]) is list
+        assert check.witness["permutation"] == [1, 0, 2]
+
     # Each sorts equal to [0, 1, 2]; none can index a profile as given.
     @pytest.mark.parametrize("permutation", [[1.0, 0, 2], [True, False, 2]])
     def test_non_int_entries_rejected(self, permutation):

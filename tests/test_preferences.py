@@ -228,6 +228,29 @@ class TestCandidateGrid:
         assert on_neither not in with_cloud
         assert len(merged) == len(with_cloud) + 1
 
+    def test_tied_cloud_draws_are_drawn_again(self, monkeypatch):
+        rngs = []
+
+        class TiedRandom(random.Random):
+            """Its first two draws are equal, the others random's own."""
+
+            draws = 0
+
+            def uniform(self, a, b):
+                self.draws += 1
+                return (a + b) / 2.0 if self.draws <= 2 else super().uniform(a, b)
+
+        def tied(seed):
+            rngs.append(TiedRandom(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr(random, "Random", tied)
+        profile = Profile((Interval(0, 1), Interval(2, 3)))
+        grid = candidate_misreports(profile, GridConfig(random_candidates=0))
+        merged = candidate_misreports(profile, GridConfig(random_candidates=3))
+        assert len(set(merged) - set(grid)) == 3
+        assert rngs[-1].draws == 8
+
     @pytest.mark.parametrize("kwargs,error,message", [
         ({"extra_candidates": ((1.3, 2.7),)}, TypeError,
          "extra_candidates entry 0 is not an Interval: (1.3, 2.7)"),

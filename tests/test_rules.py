@@ -300,7 +300,7 @@ class TestPhantoms:
         assert tuple(endpoint_rule_phantoms(1, 1, 3)) == (
             TOP, BOTTOM, WHOLE, WHOLE,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"quotas \(2, 3\) invalid for 3 agents"):
             endpoint_rule_phantoms(2, 3, 3)
         for size in (True, 2.5):
             with pytest.raises(ValueError, match="n_agents must be an int"):

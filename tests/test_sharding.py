@@ -686,3 +686,83 @@ def test_replies_larger_than_a_pipe(tmp_path):
     assert child.returncode == 0, child.stderr
     ready, identical, failures = child.stdout.split()
     assert ready == "True" and identical == "True" and int(failures) > 0
+
+
+@needs_proc
+def test_failed_spawn_leaves_the_caller_deciding(monkeypatch, two_cpus):
+    config = AuditConfig(n_agents=4, samples=30, seed=6)
+    expected = serial_text(monkeypatch, averaging_rule_handle(), config)
+    _worker._stop()
+    spawns = []
+
+    def refused(*args, **kwargs):
+        spawns.append(args)
+        raise OSError("no process can be started")
+
+    monkeypatch.setattr(os, "posix_spawn", refused)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert report_text(averaging_rule_handle(), config) == expected
+    assert len(spawns) == 1 and _worker._live() is None
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # all four pipe ends closed
+
+
+def test_send_to_a_dead_worker_stops_it(two_cpus):
+    worker = ready()
+    os.kill(worker.pid, signal.SIGKILL)
+    os.waitpid(worker.pid, 0)
+    _worker._send(worker, _worker._frame(None))  # a broken pipe, not an error
+    assert _worker._live() is None and worker.requests == -1
+
+
+def test_a_worker_is_stopped_once(two_cpus):
+    worker = ready()
+    _worker._stop(worker)
+    _worker._stop(worker)  # closes nothing again, kills no reused pid
+    assert _worker._live() is None
+    assert worker.requests == worker.replies == -1
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity(monkeypatch, count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _worker._usable_cpus() == usable
+
+
+# Module-level sets iterate in an order that depends on the hash seed;
+# the fingerprint must not.
+SETS = """
+SIDES = frozenset({"lower", "upper", "both", "neither", "%s"})
+TAGS = {"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+"""
+SET_FINGERPRINT = """
+from intervalagg._worker import _code_fingerprint
+import sets
+print(_code_fingerprint(("sets",), []), list(sets.SIDES), list(sets.TAGS))
+"""
+
+
+def test_fingerprint_of_sets_ignores_the_hash_seed(tmp_path):
+    def fingerprints(element):
+        folder = tmp_path / element
+        folder.mkdir()
+        (folder / "sets.py").write_text(SETS % element)
+        digests, orders = set(), set()
+        for seed in ("0", "1", "2"):
+            env = src_env()
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join([str(folder), env["PYTHONPATH"]])
+            child = subprocess.run(
+                [sys.executable, "-c", SET_FINGERPRINT],
+                capture_output=True, text=True, timeout=60, env=env, cwd=folder,
+            )
+            assert child.returncode == 0, child.stderr
+            digest, order = child.stdout.split(" ", 1)
+            digests.add(digest)
+            orders.add(order)
+        assert len(orders) > 1  # the seeds did reorder the sets
+        return digests
+
+    first = fingerprints("unknown")
+    changed = fingerprints("unseen")
+    assert len(first) == len(changed) == 1 and first != changed
