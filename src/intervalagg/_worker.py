@@ -2,18 +2,18 @@
 
 A range function is a generator function of the package that yields one
 outcome per position: ``decide(*args, start, stop)`` for positions
-``start`` to ``stop - 1``, in order.  :func:`parts` cuts a range into
+``start`` to ``stop - 1``, in order.  The package has two, an audit's
+samples and identification's confirmations.  :func:`parts` cuts a range into
 sixteen equal chunks.  This process decides the even ones, and one
-worker process per calling process decides the odd ones from the first
-on, writing each result back on a pipe.  When this process has decided
-its own chunks it takes over, from the last back, every odd one the
-worker has not answered yet, so it never waits on the worker.  A slow or
-busy worker only costs its own chunks, and a worker that dies costs
-nothing but the restart.
+worker process per calling process decides the odd ones in order,
+writing each result back on a pipe.  When this process has decided its
+own chunks it takes over, from the last back, every odd one the worker
+has not answered yet, so it never waits on the worker.  A slow or busy
+worker only costs its own chunks; a dying one costs only the restart.
 
 The worker is a fresh interpreter, started with ``os.posix_spawn`` at the
-first range that can use it and kept until this process exits; a child
-forked from this process lets go of it and starts its own.  It inherits
+first audit that can use it (identification only uses a live one) and
+is kept until this process exits; a forked child lets go of it.  It inherits
 no descriptor but its two pipes and no state: it imports the package
 from the directory this process imported it from.  It can therefore
 decide only what a fresh import can: requests whose every function and

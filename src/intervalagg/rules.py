@@ -34,13 +34,17 @@ The identification probe, :func:`identify_endpoint_rule`, inverts
 :func:`endpoint_rule_handle`.  An order-statistic rule's output on the
 staircase profile ``((1,2), (3,4), ..., (2n-1, 2n))`` is
 ``(2p - 1, 2(n + 1 - q))``, so the quotas are read off it and then
-confirmed against the reconstructed rule on seeded random profiles.
+confirmed against the reconstructed rule on seeded random profiles, in 16
+sub-streams seeded from (seed, sub-stream), whatever the CPU count.  They
+are the second range function of :mod:`intervalagg._worker`: a worker an
+audit left live decides part of them, and none is started for them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import namedtuple
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -539,7 +543,9 @@ def identify_endpoint_rule(
     for genuine order-statistic rules the confirmation is exact by
     construction.  ``n_agents`` and ``confirmations`` must be ints (not
     bools) >= 1 and ``seed`` an int; they are checked before the rule is
-    evaluated.
+    evaluated.  The result does not depend on the CPU count: each of the
+    16 sub-streams has its own seed, and a built-in handle's are shared
+    with the sample worker only if this process already has one live.
     """
     _check_int("confirmations", confirmations, 1)
     _check_int("seed", seed)
@@ -555,9 +561,32 @@ def identify_endpoint_rule(
     if lower_quota < 1 or upper_quota < 1:
         return None
     reference = endpoint_rule_handle(lower_quota, upper_quota)
-    rng = random.Random(seed)
-    for _ in range(confirmations):
-        trial = _sample_profile(rng, n_agents)
-        if rule(trial) != reference(trial):
+    args = (rule, reference, n_agents, seed, confirmations)
+    # Not imported: a process that never audited has no worker to share with.
+    worker = sys.modules.get(__package__ + "._worker")
+    parts = worker.parts(_confirmations, args, _STREAMS) if worker and worker._live() else None
+    for _, agreed, raised in parts or [(0, _confirmations(*args, 0, _STREAMS), None)]:
+        if not all(agreed):
             return None
+        if raised is not None:
+            raise raised
     return (lower_quota, upper_quota)
+
+
+_STREAMS = 16  # identification's sub-streams, whatever the worker's chunks
+
+
+def _confirmations(
+    rule: RuleHandle, reference: RuleHandle, n_agents: int, seed: int, confirmations: int,
+    start: int, stop: int,
+) -> Iterator[bool]:
+    """For each sub-stream ``k`` from ``start`` to ``stop - 1``, lazily,
+    whether ``rule`` equals ``reference`` on its confirmations,
+    ``confirmations * k // 16`` up to ``confirmations * (k + 1) // 16``,
+    drawn after one seed (none when empty) up to the first mismatch.  An
+    exception the rule raises propagates at its confirmation."""
+    for k in range(start, stop):
+        trials = range(confirmations * k // _STREAMS, confirmations * (k + 1) // _STREAMS)
+        rng = random.Random(seed * 1_000_003 + k) if trials else None
+        profiles = (_sample_profile(rng, n_agents) for _ in trials)
+        yield all(rule(trial) == reference(trial) for trial in profiles)

@@ -10,7 +10,7 @@ this file plainly, and both processes must hold the same code.
 
 from functools import partial
 
-from intervalagg import RuleEvaluationError, RuleHandle, median_rule_handle
+from intervalagg import Interval, RuleEvaluationError, RuleHandle, median_rule_handle
 
 MEDIAN = median_rule_handle()
 
@@ -40,6 +40,22 @@ def bounded(profile):
     if any(abs(entry.lo) > 50 or abs(entry.hi) > 50 for entry in profile):
         raise ValueError(f"endpoint beyond 50 in {profile!r}")
     return MEDIAN(profile)
+
+
+def _median_except(mismatches, failures, profile):
+    """Median, but one lower on the profiles in ``mismatches`` and a
+    ValueError on those in ``failures``, each a set of tuples of pairs."""
+    key = tuple(map(tuple, profile))
+    if key in failures:
+        raise ValueError(f"refused {key!r}")
+    outcome = MEDIAN(profile)
+    return Interval(outcome.lo - 1, outcome.hi) if key in mismatches else outcome
+
+
+def median_except(mismatches=(), failures=()):
+    return RuleHandle(
+        "median-except", partial(_median_except, frozenset(mismatches), frozenset(failures))
+    )
 
 
 def first_agent(profile):

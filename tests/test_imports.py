@@ -76,7 +76,10 @@ DATACLASSES = {"dataclasses", "inspect"}
         ["identify", "--rule", "median", "--n", "3"],
         0,
         set(),
-        {AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess", *DATACLASSES},
+        {
+            AXIOMS, PREFERENCES, TRANSFORMS, "csv", "subprocess", *DATACLASSES,
+            "intervalagg._worker", "pickle",
+        },
     ),
     (
         ["audit", "--rule", "median", "--n", "3", "--samples", "5", "--out", "{report}"],
@@ -101,6 +104,23 @@ def test_subcommand_loads_only_what_it_runs(
     assert "intervalagg.rules" in modules
     assert loaded <= modules
     assert not unloaded & modules
+
+
+def test_identification_starts_no_worker():
+    # Two CPUs and no audit before: identification has no live worker to
+    # share its confirmations with, and starts none.
+    proc = run_python("""
+import os
+from intervalagg import _worker, averaging_rule_handle, identify_endpoint_rule, median_rule_handle
+_worker._usable_cpus = lambda: 2
+def spawn(*args, **kwargs):
+    raise AssertionError("spawned a worker")
+os.posix_spawn = spawn
+assert identify_endpoint_rule(median_rule_handle(), 3) == (2, 2)
+assert identify_endpoint_rule(averaging_rule_handle(), 3) is None
+assert _worker._live() is None
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("code", [

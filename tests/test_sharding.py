@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from intervalagg import (
     averaging_rule_handle,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
+    identify_endpoint_rule,
     median_rule_handle,
     phantom_rule_handle,
     rules,
@@ -33,10 +35,11 @@ from intervalagg import (
 from intervalagg._worker import _decided
 from intervalagg.axioms import _merge, _outcomes
 from intervalagg.cli import extern_rule_adapter
+from intervalagg.rules import _STREAMS, _confirmations
 
 from . import sharded_rules
 from .conftest import ROOT, extern_command, src_env
-from .sharded_rules import MEDIAN, flaky_rule
+from .sharded_rules import MEDIAN, flaky_rule, median_except
 from .test_audit import GOLDEN_DIR
 
 
@@ -647,6 +650,155 @@ def test_merge_of_any_cut_matches_one_range(threshold, ceiling, samples, seed, d
     except ValueError as error:
         audited = repr(error)
     assert audited == whole
+
+
+def identifications(rule, n, confirmations=(5, 50, 200), seeds=(0, 1)):
+    """Identify ``rule`` on ``n`` agents per confirmation count and seed:
+    the quotas, None, or the exception raised."""
+    results = []
+    for count in confirmations:
+        for seed in seeds:
+            try:
+                results.append(identify_endpoint_rule(rule, n, count, seed))
+            except Exception as error:
+                results.append(repr(error))
+    return results
+
+
+def confirms(rule, n):
+    """Whether identification reaches the confirmations: the averaging
+    rule at even n is not integral on the staircase."""
+    return rule.name != "averaging" or n % 2 == 1
+
+
+# Five confirmations leave eleven sub-streams empty, and fifty is not a
+# multiple of sixteen.
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sharded_identification_matches_in_process(paths, n):
+    for k, rule in enumerate(rules_at(n)):
+        seeds = (k, 100 + n)
+        call = lambda: identifications(rule, n, seeds=seeds)  # noqa: E731
+        sharded, in_process = paths(call, confirms(rule, n))
+        assert sharded == in_process
+        assert (None in sharded) == (rule.name == "averaging")
+
+
+def test_identification_with_four_chunks(monkeypatch, paths):
+    monkeypatch.setattr(_worker, "_CHUNKS", 4)
+    for n in (2, 5):
+        for rule in rules_at(n):
+            sharded, in_process = paths(lambda: identifications(rule, n), confirms(rule, n))
+            assert sharded == in_process
+
+
+def substream_profiles(n, seed, confirmations):
+    """The profiles each sub-stream draws, in order."""
+    drawn = []
+    recorder = RuleHandle("recorder", lambda profile: drawn.append(profile) or MEDIAN(profile))
+    streams = []
+    for k in range(_STREAMS):
+        assert list(_confirmations(recorder, MEDIAN, n, seed, confirmations, k, k + 1)) == [True]
+        streams.append([tuple(map(tuple, profile)) for profile in drawn])
+        drawn.clear()
+    return streams
+
+
+# Sixteen chunks give each process every other sub-stream; four give each
+# chunk four sub-streams, so a mismatch and an exception can share one.
+@pytest.mark.parametrize("chunks", [16, 4])
+def test_mismatches_and_errors_in_the_workers_substreams(monkeypatch, rule_paths, chunks):
+    monkeypatch.setattr(_worker, "_CHUNKS", chunks)
+    n, seed = 3, 11
+    streams = substream_profiles(n, seed, 200)
+    # Median but on the fourth profile of sub-stream 5, one of the worker's.
+    odd = median_except(mismatches=[streams[5][3]])
+    agreed = list(_confirmations(odd, MEDIAN, n, seed, 200, 0, _STREAMS))
+    assert [k for k in range(_STREAMS) if not agreed[k]] == [5]
+    assert identify_endpoint_rule(MEDIAN, n, seed=seed) == (2, 2)
+    assert rule_paths(lambda: identify_endpoint_rule(odd, n, seed=seed)) == (None, None)
+
+    def identified(mismatches, failures):
+        rule = median_except(
+            [streams[k][i] for k, i in mismatches], [streams[k][i] for k, i in failures]
+        )
+
+        def identify():
+            try:
+                return identify_endpoint_rule(rule, n, seed=seed)
+            except ValueError as error:
+                return str(error)
+
+        return rule_paths(identify)
+
+    def refused(k, i):
+        return (f"refused {streams[k][i]!r}",) * 2
+
+    # A ValueError in the worker's sub-stream 7 is raised again.
+    assert identified([], [(7, 0)]) == refused(7, 0)
+    # The first mismatch wins over a later exception, and the first
+    # exception over a later mismatch: across the two processes' sub-streams
+    # and within one sub-stream.
+    for first, later in (((3, 2), (4, 0)), ((8, 2), (9, 0)), ((5, 1), (5, 2))):
+        assert identified([first], [later]) == (None, None)
+        assert identified([later], [first]) == refused(*first)
+
+
+def test_identifying_rules_that_cannot_shard(paths):
+    closure = RuleHandle("closure", lambda profile: MEDIAN(profile))
+    extern = extern_rule_adapter(extern_command("widest_wins.py"))
+    for rule in (closure, extern):
+        args = (rule, MEDIAN, 3, 0, 200)
+        assert _worker._request(_confirmations, args, [(0, _STREAMS)]) is None
+    sharded, in_process = paths(lambda: identifications(closure, 3), answered=False)
+    assert sharded == in_process == [(2, 2)] * 6
+
+
+# Sub-streams decided as one range, or cut into ranges in any way, give the
+# same outcomes in order, and identification folds any cut to one result.
+@settings(max_examples=60, deadline=None)
+@given(
+    confirmations=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    mismatched=st.sets(st.integers(0, _STREAMS - 1), max_size=3),
+    failed=st.sets(st.integers(0, _STREAMS - 1), max_size=3),
+    data=st.data(),
+)
+def test_confirmations_of_any_cut_match_one_range(confirmations, seed, mismatched, failed, data):
+    n = 3
+    streams = substream_profiles(n, seed, confirmations)
+
+    def pick(ks):
+        return [data.draw(st.sampled_from(streams[k])) for k in sorted(ks) if streams[k]]
+
+    rule = median_except(pick(mismatched), pick(failed))
+    args = (rule, MEDIAN, n, seed, confirmations)
+    cuts = sorted(data.draw(st.lists(st.integers(0, _STREAMS), max_size=6)))
+    bounds = [0, *cuts, _STREAMS]
+    whole = _decided(_confirmations, args, 0, _STREAMS)
+    parts = [(start, *_decided(_confirmations, args, start, stop))
+             for start, stop in zip(bounds, bounds[1:])]
+    joined, first = [], None
+    for start, outcomes, raised in parts:
+        joined += outcomes
+        if raised is not None:
+            first = repr(raised)
+            break
+    assert (joined, first) == (whole[0], None if whole[1] is None else repr(whole[1]))
+
+    def identified():
+        try:
+            return identify_endpoint_rule(rule, n, confirmations, seed)
+        except ValueError as error:
+            return repr(error)
+
+    # The first mismatch before any exception gives None, else the first
+    # exception is raised.
+    outcomes, raised = whole
+    expected = None if False in outcomes else repr(raised) if raised else (2, 2)
+    assert identified() == expected
+    with patch.object(_worker, "_live", lambda: True), \
+            patch.object(_worker, "parts", lambda decide, args, total: parts):
+        assert identified() == expected
 
 
 # A rule failing with witnesses that outgrow a pipe: the worker blocks on
