@@ -41,7 +41,8 @@ Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 from __future__ import annotations
 
 import random
-from dataclasses import KW_ONLY, dataclass
+# Only for AuditConfig: bench/layers.py:308 calls dataclasses.replace on it.
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
@@ -52,6 +53,8 @@ from .core import (
     _check_agent,
     _check_int,
     _check_number,
+    _Frozen,
+    _Record,
     _sample_interval,
     _sample_profile,
     between,
@@ -103,17 +106,20 @@ _CONTINUITY_PERTURBATIONS = 4
 _MAX_CONSECUTIVE_ERRORS = 10
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(_Frozen):
     """Verdict of one axiom on one instance.
 
     ``witness`` is None on a pass; on a fail it is a JSON-plain dict
     embedding the full instance, replayable via :func:`replay_witness`.
     """
 
-    axiom: str
-    _: KW_ONLY
-    witness: Optional[dict] = None
+    __slots__ = _fields = ("axiom", "witness")
+    __match_args__ = ("axiom",)
+
+    def __init__(self, axiom: str, *, witness: Optional[dict] = None) -> None:
+        # Not self._set: a check is built per audit sample.
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
@@ -651,14 +657,18 @@ DEFAULT_AUDIT_AXIOMS = tuple(a for a, (_, _, _, default) in _AXIOMS.items() if d
 _AXIOM_CODES = {axiom: code for code, axiom in enumerate(_AXIOMS, start=1)}
 
 
-@dataclass
-class AxiomTally:
+class AxiomTally(_Record):
     """Per-axiom campaign counters plus the first stored witness."""
 
-    samples: int = 0
-    failures: int = 0
-    eval_errors: int = 0
-    first_witness: Optional[dict] = None
+    __slots__ = _fields = __match_args__ = (
+        "samples", "failures", "eval_errors", "first_witness"
+    )
+
+    def __init__(
+        self, samples: int = 0, failures: int = 0, eval_errors: int = 0,
+        first_witness: Optional[dict] = None,
+    ) -> None:
+        self._set(samples, failures, eval_errors, first_witness)
 
 
 @dataclass(frozen=True)
@@ -688,16 +698,17 @@ class AuditConfig:
         object.__setattr__(self, "axioms", axioms)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(_Record):
     """Outcome of a sampled campaign over one rule."""
 
-    rule_name: str
-    config: AuditConfig
-    tallies: dict[str, AxiomTally]
-    _: KW_ONLY
-    abort_axiom: Optional[str] = None
-    abort_reason: Optional[str] = None
+    __slots__ = _fields = ("rule_name", "config", "tallies", "abort_axiom", "abort_reason")
+    __match_args__ = _fields[:3]
+
+    def __init__(
+        self, rule_name: str, config: AuditConfig, tallies: dict[str, AxiomTally],
+        *, abort_axiom: Optional[str] = None, abort_reason: Optional[str] = None,
+    ) -> None:
+        self._set(rule_name, config, tallies, abort_axiom, abort_reason)
 
     @property
     def aborted(self) -> bool:

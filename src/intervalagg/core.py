@@ -23,6 +23,7 @@ import random
 import sys
 from bisect import bisect_left, insort
 from collections import namedtuple
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS
@@ -71,6 +72,54 @@ def _check_agent(profile: Sequence, index, name: str = "index") -> int:
             f"agent index {index} out of range for {len(profile)} agents"
         )
     return index
+
+
+class _Record:
+    """Base of the ``__slots__`` value classes, which spare every process the
+    import and class set-up of ``dataclasses``.  ``_fields`` names the
+    constructor's arguments and ``__match_args__`` those it takes by
+    position.  Equality (within one class) and pickling, which rebuilds
+    through the checking constructor, read the ``_fields``; the repr, as a
+    dataclass writes it, shows each slot not named with a leading ``_``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        """Store ``values`` into the slots, in order, frozen or not."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = [f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_"]
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        cls, values, given = self.__class__, self._values(), len(self.__match_args__)
+        if given < len(values):
+            cls = partial(cls, **dict(zip(self._fields[given:], values[given:])))
+        return cls, values[:given]
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` hashed by its fields, which cannot change."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
 
 def ext_precedes(a: float, b: float) -> bool:

@@ -29,7 +29,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -42,6 +41,7 @@ from .core import (
     _check_agent,
     _check_int,
     _check_number,
+    _Frozen,
     between,
     endpoint_distance,
 )
@@ -53,19 +53,19 @@ __all__ = [name for name, home in _EXPORTS.items() if home == "preferences"]
 STRICT_IMPROVEMENT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightedL1Preference:
+class WeightedL1Preference(_Frozen):
     """Cost ``lower_weight * |lo - peak.lo| + upper_weight * |hi - peak.hi|``."""
 
-    peak: Interval
-    lower_weight: float = 1.0
-    upper_weight: float = 1.0
+    __slots__ = _fields = __match_args__ = ("peak", "lower_weight", "upper_weight")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.peak, Interval):
-            raise TypeError(f"peak must be an Interval, got {self.peak!r}")
-        _check_number("lower_weight", self.lower_weight, _LEAST_POSITIVE)
-        _check_number("upper_weight", self.upper_weight, _LEAST_POSITIVE)
+    def __init__(
+        self, peak: Interval, lower_weight: float = 1.0, upper_weight: float = 1.0
+    ) -> None:
+        if not isinstance(peak, Interval):
+            raise TypeError(f"peak must be an Interval, got {peak!r}")
+        _check_number("lower_weight", lower_weight, _LEAST_POSITIVE)
+        _check_number("upper_weight", upper_weight, _LEAST_POSITIVE)
+        self._set(peak, lower_weight, upper_weight)
 
     def cost(self, candidate: Interval) -> float:
         return self.lower_weight * abs(candidate.lo - self.peak.lo) + (
@@ -73,8 +73,7 @@ class WeightedL1Preference:
         )
 
 
-@dataclass(frozen=True)
-class PenaltyPreference:
+class PenaltyPreference(_Frozen):
     """Endpoint distance to the peak plus a betweenness penalty.
 
     ``cost(T) = d(peak, T)`` when ``T`` lies between ``peak`` and
@@ -85,13 +84,13 @@ class PenaltyPreference:
     constant, so peak-ward moves never raise cost.
     """
 
-    peak: Interval
-    reference: Interval
+    __slots__ = _fields = __match_args__ = ("peak", "reference")
 
-    def __post_init__(self) -> None:
-        for name, value in (("peak", self.peak), ("reference", self.reference)):
+    def __init__(self, peak: Interval, reference: Interval) -> None:
+        for name, value in (("peak", peak), ("reference", reference)):
             if not isinstance(value, Interval):
                 raise TypeError(f"{name} must be an Interval, got {value!r}")
+        self._set(peak, reference)
 
     def cost(self, candidate: Interval) -> float:
         base = endpoint_distance(self.peak, candidate)
@@ -112,8 +111,7 @@ _MARGIN_DELTAS = (1.0, 10.0, 100.0)
 _UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(_Frozen):
     """Settings of the misreport candidate grid.
 
     ``random_candidates`` seeded extra intervals, drawn from ``seed``,
@@ -122,29 +120,31 @@ class GridConfig:
     that was checked.
     """
 
-    random_candidates: int = 200
-    seed: int = 0
-    extra_candidates: tuple[Interval, ...] = ()
+    __slots__ = _fields = __match_args__ = (
+        "random_candidates", "seed", "extra_candidates"
+    )
 
-    def __post_init__(self) -> None:
-        _check_int("seed", self.seed)
-        _check_int("random_candidates", self.random_candidates, 0)
-        if not isinstance(self.extra_candidates, Iterable):
+    def __init__(
+        self, random_candidates: int = 200, seed: int = 0,
+        extra_candidates: Iterable[Interval] = (),
+    ) -> None:
+        _check_int("seed", seed)
+        _check_int("random_candidates", random_candidates, 0)
+        if not isinstance(extra_candidates, Iterable):
             raise TypeError(
                 "extra_candidates must be a sequence of Intervals, got "
-                f"{self.extra_candidates!r}"
+                f"{extra_candidates!r}"
             )
-        extras = tuple(self.extra_candidates)
+        extras = tuple(extra_candidates)
         for pos, entry in enumerate(extras):
             if not isinstance(entry, Interval):
                 raise TypeError(
                     f"extra_candidates entry {pos} is not an Interval: {entry!r}"
                 )
-        object.__setattr__(self, "extra_candidates", extras)
+        self._set(random_candidates, seed, extras)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ManipulationResult:
+class ManipulationResult(_Frozen):
     """Outcome of a misreport search for one agent.
 
     ``found`` says whether there is a ``misreport``: the
@@ -154,10 +154,16 @@ class ManipulationResult:
     cost.
     """
 
-    truthful_outcome: Interval
-    misreport: Optional[Interval] = None
-    manipulated_outcome: Optional[Interval] = None
-    cost_drop: float = 0.0
+    __slots__ = _fields = (
+        "truthful_outcome", "misreport", "manipulated_outcome", "cost_drop"
+    )
+    __match_args__ = ()
+
+    def __init__(
+        self, *, truthful_outcome: Interval, misreport: Optional[Interval] = None,
+        manipulated_outcome: Optional[Interval] = None, cost_drop: float = 0.0,
+    ) -> None:
+        self._set(truthful_outcome, misreport, manipulated_outcome, cost_drop)
 
     @property
     def found(self) -> bool:

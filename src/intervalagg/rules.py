@@ -58,6 +58,7 @@ from .core import (
     Profile,
     _check_agent,
     _check_int,
+    _Frozen,
     _sample_profile,
 )
 
@@ -224,7 +225,7 @@ def _vary_averaging(profile: Profile, index: int) -> Callable[[Interval], Interv
     return outcome
 
 
-class PhantomVector:
+class PhantomVector(_Frozen):
     """Fixed tuple of ``n + 1`` phantom intervals for a generalized median.
 
     Construction only checks shape (a nonempty tuple of
@@ -235,7 +236,7 @@ class PhantomVector:
     build it anew, so they check the shape again.
     """
 
-    __slots__ = ("phantoms",)
+    __slots__ = _fields = __match_args__ = ("phantoms",)
 
     def __init__(self, phantoms: Iterable[ExtendedInterval]) -> None:
         entries = tuple(phantoms)
@@ -247,25 +248,6 @@ class PhantomVector:
                     f"phantom {pos} is not an ExtendedInterval: {entry!r}"
                 )
         object.__setattr__(self, "phantoms", entries)
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"PhantomVector is frozen: {name!r} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.phantoms == other.phantoms
-
-    def __hash__(self) -> int:
-        return hash((self.phantoms,))
-
-    def __repr__(self) -> str:
-        return f"PhantomVector(phantoms={self.phantoms!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.phantoms,)
 
     def __len__(self) -> int:
         return len(self.phantoms)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
@@ -28,6 +27,7 @@ from .core import (
     Profile,
     _check_int,
     _check_number,
+    _Frozen,
 )
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "transforms"]
@@ -41,8 +41,7 @@ def _points(points: Iterable[tuple[float, float]]) -> tuple[tuple[float, float],
     )
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(_Frozen):
     """Piecewise-linear strictly monotone bijection of the real line.
 
     ``breakpoints`` is a tuple of ``(x, y)`` pairs with strictly
@@ -54,20 +53,17 @@ class MonotoneMap:
     from points alone; it infers both tail slopes from the end segments.
     """
 
-    breakpoints: tuple[tuple[float, float], ...]
-    left_slope: float
-    right_slope: float
-    # Affine maps evaluate in point-slope form everywhere, one rounding
-    # per call; general maps interpolate between breakpoints.  Set by
-    # the affine factory, or by a decoded two-point affine witness.
-    affine: bool = False
-    increasing: bool = field(init=False, compare=False)
-    _xs: tuple[float, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    # Affine maps evaluate in point-slope form everywhere, one rounding per
+    # call; general maps interpolate between breakpoints.  ``affine`` is set
+    # by the affine factory, or by a decoded two-point affine witness.
+    _fields = __match_args__ = ("breakpoints", "left_slope", "right_slope", "affine")
+    __slots__ = (*_fields, "increasing", "_xs")
 
-    def __post_init__(self) -> None:
-        points = _points(self.breakpoints)
+    def __init__(
+        self, breakpoints: Iterable[tuple[float, float]], left_slope: float,
+        right_slope: float, affine: bool = False,
+    ) -> None:
+        points = _points(breakpoints)
         if len(points) < 2:
             raise ValueError("a monotone map needs at least two breakpoints")
         xs = tuple(x for x, _ in points)
@@ -83,22 +79,18 @@ class MonotoneMap:
                 raise ValueError(
                     f"breakpoint y values must be strictly monotone, got {a} then {b}"
                 )
-        _check_number("left_slope", self.left_slope, _LEAST_POSITIVE)
-        _check_number("right_slope", self.right_slope, _LEAST_POSITIVE)
-        if not isinstance(self.affine, bool):
-            raise ValueError(f"affine must be a bool, got {self.affine!r}")
-        if self.affine:
-            if len(points) != 2 or self.left_slope != self.right_slope:
+        _check_number("left_slope", left_slope, _LEAST_POSITIVE)
+        _check_number("right_slope", right_slope, _LEAST_POSITIVE)
+        if not isinstance(affine, bool):
+            raise ValueError(f"affine must be a bool, got {affine!r}")
+        if affine:
+            if len(points) != 2 or left_slope != right_slope:
                 raise ValueError(
                     "affine maps need exactly two breakpoints and equal"
                     " tail slopes; use MonotoneMap.affine_map to build one"
                 )
-        object.__setattr__(self, "breakpoints", points)
-        object.__setattr__(self, "left_slope", float(self.left_slope))
-        object.__setattr__(self, "right_slope", float(self.right_slope))
-        object.__setattr__(self, "increasing", increasing)
-        object.__setattr__(self, "_xs", xs)
-        if self.affine and self(points[1][0]) != points[1][1]:
+        self._set(points, float(left_slope), float(right_slope), affine, increasing, xs)
+        if affine and self(points[1][0]) != points[1][1]:
             raise ValueError(f"affine map misses its second breakpoint {points[1]}")
 
     @classmethod

@@ -1,4 +1,5 @@
 import importlib
+import pickle
 import pkgutil
 import sys
 
@@ -91,3 +92,126 @@ def test_import_as_binds_the_module(name):
     namespace = {}
     exec(f"import {name} as m", namespace)
     assert namespace["m"] is sys.modules[name]
+
+
+def _through_worker_pickler(value):
+    """``value`` pickled as the sample worker's request pickles its args."""
+    from intervalagg import _worker
+    from intervalagg.axioms import _outcomes
+
+    request = _worker._request(_outcomes, (value,), [(0, 1)])
+    assert request is not None, f"the worker's pickler refused {value!r}"
+    return pickle.loads(request)[0][0]
+
+
+def _value_cases():
+    from intervalagg.axioms import AxiomTally
+
+    interval = intervalagg.Interval(0, 1)
+    config = intervalagg.AuditConfig(3, 5, 1, ("Anonymity",))
+    # (build, the repr its dataclass wrote, the constructor's fields, in
+    # order, which are the compared ones, __match_args__, frozen)
+    return {
+        "AxiomCheck": (
+            lambda: intervalagg.AxiomCheck("Unanimity"),
+            "AxiomCheck(axiom='Unanimity', witness=None)",
+            ("axiom", "witness"), ("axiom",), True,
+        ),
+        "AxiomTally": (
+            lambda: AxiomTally(3, 1, 0, {"k": 2}),
+            "AxiomTally(samples=3, failures=1, eval_errors=0, first_witness={'k': 2})",
+            ("samples", "failures", "eval_errors", "first_witness"),
+            ("samples", "failures", "eval_errors", "first_witness"), False,
+        ),
+        "AuditReport": (
+            lambda: intervalagg.AuditReport(
+                "median", config, {"Anonymity": AxiomTally(5)},
+                abort_axiom="Anonymity", abort_reason="boom",
+            ),
+            "AuditReport(rule_name='median', config=AuditConfig(n_agents=3, samples=5, "
+            "seed=1, axioms=('Anonymity',)), tallies={'Anonymity': AxiomTally(samples=5, "
+            "failures=0, eval_errors=0, first_witness=None)}, abort_axiom='Anonymity', "
+            "abort_reason='boom')",
+            ("rule_name", "config", "tallies", "abort_axiom", "abort_reason"),
+            ("rule_name", "config", "tallies"), False,
+        ),
+        "WeightedL1Preference": (
+            lambda: intervalagg.WeightedL1Preference(interval, 2.0, 0.5),
+            "WeightedL1Preference(peak=Interval(0.0, 1.0), lower_weight=2.0, "
+            "upper_weight=0.5)",
+            ("peak", "lower_weight", "upper_weight"),
+            ("peak", "lower_weight", "upper_weight"), True,
+        ),
+        "PenaltyPreference": (
+            lambda: intervalagg.PenaltyPreference(interval, intervalagg.Interval(-1, 3)),
+            "PenaltyPreference(peak=Interval(0.0, 1.0), reference=Interval(-1.0, 3.0))",
+            ("peak", "reference"), ("peak", "reference"), True,
+        ),
+        "GridConfig": (
+            lambda: intervalagg.GridConfig(5, 7, [intervalagg.Interval(2, 3)]),
+            "GridConfig(random_candidates=5, seed=7, "
+            "extra_candidates=(Interval(2.0, 3.0),))",
+            ("random_candidates", "seed", "extra_candidates"),
+            ("random_candidates", "seed", "extra_candidates"), True,
+        ),
+        "ManipulationResult": (
+            lambda: intervalagg.ManipulationResult(
+                truthful_outcome=interval, misreport=intervalagg.Interval(-1, 2),
+                manipulated_outcome=intervalagg.Interval(0, 2), cost_drop=0.25,
+            ),
+            "ManipulationResult(truthful_outcome=Interval(0.0, 1.0), "
+            "misreport=Interval(-1.0, 2.0), manipulated_outcome=Interval(0.0, 2.0), "
+            "cost_drop=0.25)",
+            ("truthful_outcome", "misreport", "manipulated_outcome", "cost_drop"),
+            (), True,
+        ),
+        "MonotoneMap": (
+            lambda: intervalagg.MonotoneMap.through([(0, 0), (1, 2), (3, 2.5)]),
+            "MonotoneMap(breakpoints=((0.0, 0.0), (1.0, 2.0), (3.0, 2.5)), "
+            "left_slope=2.0, right_slope=0.25, affine=False, increasing=True)",
+            ("breakpoints", "left_slope", "right_slope", "affine"),
+            ("breakpoints", "left_slope", "right_slope", "affine"), True,
+        ),
+    }
+
+
+# The eight value types that were dataclasses keep what their dataclass
+# gave them.
+@pytest.mark.parametrize("case", _value_cases().values(), ids=_value_cases())
+def test_value_types_behave_as_their_dataclasses_did(case):
+    build, text, fields, positional, frozen = case
+    value = build()
+    cls = type(value)
+    values = tuple(getattr(value, name) for name in fields)
+    assert repr(value) == text
+    assert cls.__match_args__ == positional
+    # Equality within the class only, by fields.
+    assert value == build() and not value != build()
+    assert value != values and value.__eq__(values) is NotImplemented
+    split = len(positional)
+    assert cls(*values[:split], **dict(zip(fields[split:], values[split:]))) == value
+    if split < len(fields):  # the rest are keyword-only
+        with pytest.raises(TypeError, match="positional argument"):
+            cls(*values)
+    if frozen:
+        assert hash(value) == hash(values)
+        for change in (lambda: setattr(value, fields[-1], None),
+                       lambda: delattr(value, fields[-1])):
+            with pytest.raises(AttributeError):
+                change()
+        assert repr(value) == text
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        setattr(value, fields[-1], None)
+        assert getattr(value, fields[-1]) is None
+        value = build()
+    copied = _through_worker_pickler(value)
+    assert type(copied) is cls and copied == value and repr(copied) == text
+
+
+def test_an_unpickled_map_is_checked_again():
+    mapping = intervalagg.MonotoneMap.through([(0, 0), (1, 2), (3, 2.5)])
+    object.__setattr__(mapping, "breakpoints", ((0.0, 0.0), (1.0, 2.0), (2.0, 1.0)))
+    with pytest.raises(ValueError, match="strictly monotone"):
+        _through_worker_pickler(mapping)

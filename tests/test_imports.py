@@ -70,7 +70,7 @@ DATACLASSES = {"dataclasses", "inspect"}
         ["manipulate", "--rule", "averaging", "--profile", "{profile}", "--agent", "1"],
         1,
         {PREFERENCES},
-        {AXIOMS, TRANSFORMS},
+        {AXIOMS, TRANSFORMS, *DATACLASSES},
     ),
     (
         ["identify", "--rule", "median", "--n", "3"],
@@ -84,6 +84,8 @@ DATACLASSES = {"dataclasses", "inspect"}
     (
         ["audit", "--rule", "median", "--n", "3", "--samples", "5", "--out", "{report}"],
         0,
+        # The positive control: AuditConfig is still a dataclass, as
+        # bench/layers.py:308 calls dataclasses.replace on it.
         {AXIOMS, "dataclasses"},
         {"csv", "subprocess"},
     ),

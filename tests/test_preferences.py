@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -222,7 +221,7 @@ class TestCandidateGrid:
         on_grid = grid[len(grid) // 2]
         on_neither = Interval(lowest - max(1.0, abs(lowest)), lowest)
         extras = (on_grid, on_neither, *cloud[:1])
-        config = replace(config, extra_candidates=extras)
+        config = GridConfig(cloud_size, seed, extras)
         merged = candidate_misreports(profile, config)
         assert merged == reference_candidates(profile, config)
         assert on_neither not in with_cloud
@@ -292,7 +291,7 @@ class TestCandidateGrid:
         extras = (Interval(-2, -1),)
         config = GridConfig(random_candidates=0, extra_candidates=make(extras))
         assert config.extra_candidates == extras
-        assert hash(config) == hash(replace(config))
+        assert hash(config) == hash(GridConfig(0, extra_candidates=extras))
         grid = candidate_misreports(profile, config)
         assert len(grid) == 79 and Interval(-2, -1) in grid
 
