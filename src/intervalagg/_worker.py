@@ -3,13 +3,13 @@
 A range function is a generator function of the package that yields one
 outcome per position: ``decide(*args, start, stop)`` for positions
 ``start`` to ``stop - 1``, in order.  The package has two, an audit's
-samples and identification's confirmations.  :func:`parts` cuts a range into
-sixteen equal chunks.  This process decides the even ones, and one
-worker process per calling process decides the odd ones in order,
-writing each result back on a pipe.  When this process has decided its
-own chunks it takes over, from the last back, every odd one the worker
-has not answered yet, so it never waits on the worker.  A slow or busy
-worker only costs its own chunks; a dying one costs only the restart.
+samples and identification's confirmations.  :func:`parts` returns one
+stream that yields and raises what ``decide(*args, 0, total)`` would,
+decided in sixteen equal chunks no other module sees: the even ones
+here, the odd ones in order by one worker process per calling process,
+which writes each result back on a pipe.  This process then takes over,
+from the last back, every odd chunk not yet answered, so it never waits:
+a slow or busy worker costs only its chunks, a dying one the restart.
 
 The worker is a fresh interpreter, started with ``os.posix_spawn`` at the
 first audit that can use it (identification only uses a live one) and
@@ -44,7 +44,7 @@ import os
 import pickle
 import sys
 import types
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import _EXPORTS
 
@@ -173,11 +173,10 @@ def _spawn(fingerprint: str) -> Optional[_Worker]:
     return worker
 
 
-def parts(decide, args: tuple, total: int) -> Optional[list[tuple]]:
-    """``(start, outcomes, raised)`` for each chunk of positions 0 to
-    ``total - 1`` in order, with ``outcomes, raised`` as :func:`_decided`
-    gives them; None if the range is to be decided in this process
-    instead."""
+def parts(decide, args: tuple, total: int) -> Optional[Iterator]:
+    """One stream of the outcomes of positions 0 to ``total - 1``, raising
+    where ``decide(*args, 0, total)`` would; None if the range is to be
+    decided in this process instead."""
     if not total or _usable_cpus() < 2 or not hasattr(os, "posix_spawn") or not sys.executable:
         return None
     bounds = [total * k // _CHUNKS for k in range(_CHUNKS + 1)]
@@ -224,7 +223,7 @@ def _decided(decide, args: tuple, start: int, stop: int) -> tuple[list, Optional
 
 def _decide(worker, decide, args, ranges, request, fingerprint):
     """Decide the even chunks here and each odd one the worker has not
-    answered when this process gets to it."""
+    answered when this process gets to it, then chain them."""
     worker.sequence += 1
     sequence = worker.sequence
     results: list = [None] * len(ranges)
@@ -259,7 +258,15 @@ def _decide(worker, decide, args, ranges, request, fingerprint):
         results[theirs[-1]] = _decided(decide, args, *ranges[theirs[-1]])
     if worker.requests >= 0 and not answered.issuperset(range(1, len(ranges), 2)):
         _send(worker, _frame(None))
-    return [(start, *result) for (start, _), result in zip(ranges, results)]
+    return _chained(results)
+
+
+def _chained(results) -> Iterator:
+    """Each ``(outcomes, raised)`` in order: the outcomes, then ``raised``."""
+    for outcomes, raised in results:
+        yield from outcomes
+        if raised is not None:
+            raise raised
 
 
 class _Pickler(pickle.Pickler):

@@ -20,13 +20,14 @@ place in the table, from 1) are all read off the table.
 An audit's samples, axiom by axiom in config order, form one flat range
 of positions.  :func:`_outcomes`, the audit's range function, decides
 any contiguous part of it lazily, one outcome per sample, and
-:func:`_merge` folds the parts, in order, into the report.  The fold alone aborts after ten consecutive
-evaluation errors; it keeps each axiom's first witness and raises the
-first exception the rule raised before any abort.  The in-process audit
-is one lazy part, so it stops evaluating the rule at the abort.  A
-built-in handle may be audited in parts shared with a second process, a
-sample worker (:mod:`intervalagg._worker` describes how); the report is
-the same byte for byte either way.
+:func:`_merge` folds one stream of the whole range's outcomes into the
+report.  The fold alone aborts after ten consecutive evaluation errors
+and keeps each axiom's first witness; an exception the rule raised
+before any abort reaches the caller from the stream.  The in-process
+stream is lazy, so it stops evaluating the rule at the abort.  A
+built-in handle's stream may be decided in parts shared with a second
+process, a sample worker (:mod:`intervalagg._worker` describes how);
+the report is the same byte for byte either way.
 
 Checks compare untransformed rule outputs exactly.  After a map or a
 translation has touched the numbers, endpoint comparisons allow 1e-9
@@ -40,10 +41,12 @@ Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 
 from __future__ import annotations
 
+import math
 import random
 # Only for AuditConfig: bench/layers.py:308 calls dataclasses.replace on it.
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from . import _EXPORTS, _worker
@@ -291,14 +294,36 @@ def check_translation_equivariance(
     )
 
 
+def _rounding(profile: Profile, perturbed: Profile) -> float:
+    """The continuity bound's slack for rounding: two ulps of the largest
+    endpoint magnitude of the two profiles, one as the perturbation rounds
+    each endpoint and one as a rule that does not copy an endpoint,
+    averaging say, rounds its output.  Read only past the nominal bound,
+    so a passing sample never computes it."""
+    return 2 * math.ulp(max(abs(x) for entry in (*profile, *perturbed) for x in entry))
+
+
+def _misfit(profile: Profile, epsilon: float, perturbed: Profile) -> Optional[str]:
+    """Why ``perturbed`` is no perturbation of ``profile`` within the
+    continuity bound; None if it is one."""
+    if len(perturbed) != len(profile):
+        return f"{len(perturbed)} agents against the profile's {len(profile)}"
+    shift = max(abs(a - b) for a, b in zip(chain(*profile), chain(*perturbed)))
+    bound = epsilon + TRANSFORM_TOL
+    if shift > bound and shift > bound + _rounding(profile, perturbed):
+        return f"it moves an endpoint by {shift!r}, more than epsilon {epsilon!r}"
+    return None
+
+
 def _check_lipschitz(
     rule: RuleHandle, profile: Profile, epsilon: float, *perturbations: Profile
 ) -> AxiomCheck:
+    bound = epsilon + TRANSFORM_TOL
     output = rule(profile)
     for perturbed in perturbations:
         moved = rule(perturbed)
         movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
-        if movement > epsilon + TRANSFORM_TOL:
+        if movement > bound and movement > bound + _rounding(profile, perturbed):
             return _failure(
                 CONTINUITY_LIPSCHITZ,
                 profile=profile,
@@ -324,10 +349,13 @@ def check_continuity_lipschitz(
     ``[-delta, delta]`` where ``delta = min(epsilon, 0.49 * width)``; a
     judgment whose jittered endpoints round to ``lo >= hi`` (possible only
     far from 0) is kept unperturbed.  The aggregate endpoints must move by
-    at most ``epsilon + 1e-9``.  Order-statistic rules satisfy the exact
-    1-Lipschitz bound, so they pass at any epsilon.  ``epsilon == 0``
-    passes vacuously.  This is a surrogate: passing it is evidence, not
-    a proof, of the continuity axiom.
+    at most ``epsilon + 1e-9``, plus two ulps of the largest endpoint
+    magnitude for rounding: the perturbation rounds once, and a rule such
+    as averaging rounds its output once more.  Order-statistic rules
+    satisfy the exact 1-Lipschitz bound, so they pass at any epsilon and
+    any magnitude.  ``epsilon == 0`` passes vacuously.  This is a
+    surrogate: passing it is evidence, not a proof, of the continuity
+    axiom.
     """
     _check_int("samples", samples, 0)
     _check_int("seed", seed)
@@ -688,7 +716,7 @@ class AuditConfig:
             raise ValueError(f"axioms must be a sequence of ids, got {self.axioms!r}")
         axioms = tuple(self.axioms)
         for axiom in axioms:
-            if axiom not in _AXIOM_CODES:
+            if not isinstance(axiom, str) or axiom not in _AXIOM_CODES:
                 raise ValueError(
                     f"unknown axiom id: {axiom!r}; known ids: "
                     f"{', '.join(ALL_AXIOM_IDS)}"
@@ -802,10 +830,8 @@ def audit(rule: RuleHandle, config: AuditConfig) -> AuditReport:
     reaches the caller as it would in-process.
     """
     total = len(config.axioms) * config.samples
-    parts = _worker.parts(_outcomes, (rule, config), total)
-    if parts is None:
-        parts = [(0, _outcomes(rule, config, 0, total), None)]
-    return _merge(rule.name, config, parts)
+    stream = _worker.parts(_outcomes, (rule, config), total)
+    return _merge(rule.name, config, stream or _outcomes(rule, config, 0, total))
 
 
 def _outcomes(rule: RuleHandle, config: AuditConfig, start: int, stop: int):
@@ -831,36 +857,31 @@ def _outcomes(rule: RuleHandle, config: AuditConfig, start: int, stop: int):
             yield outcome
 
 
-def _merge(name: str, config: AuditConfig, parts) -> AuditReport:
-    """The report on ``parts``, ``(start, outcomes, raised)`` in position
-    order that together cover every sample: one fold over the outcomes,
-    which aborts at ten consecutive evaluation errors, even across parts,
-    and keeps each axiom's first witness.  ``raised``, an exception the
-    rule raised after the part's last outcome, is raised again unless the
-    campaign aborted first.  Stops reading ``parts`` there."""
+def _merge(name: str, config: AuditConfig, outcomes) -> AuditReport:
+    """The report on ``outcomes``, one per sample in position order: one
+    fold, which aborts at ten consecutive evaluation errors and keeps each
+    axiom's first witness.  Stops reading ``outcomes`` at the abort, so an
+    exception the stream raises after it is never seen."""
     axioms, samples = config.axioms, config.samples
     tallies = {axiom: AxiomTally() for axiom in axioms}
     report = AuditReport(name, config, tallies)
     consecutive_errors = 0
-    for start, outcomes, raised in parts:
-        for pos, outcome in enumerate(outcomes, start):
-            axiom = axioms[pos // samples]
-            tally = tallies[axiom]
-            tally.samples += 1
-            if isinstance(outcome, str):
-                tally.eval_errors += 1
-                consecutive_errors += 1
-                if consecutive_errors == _MAX_CONSECUTIVE_ERRORS:
-                    report.abort_axiom, report.abort_reason = axiom, outcome
-                    return report
-                continue
-            consecutive_errors = 0
-            if outcome is not None:
-                tally.failures += 1
-                if tally.first_witness is None:
-                    tally.first_witness = outcome
-        if raised is not None:
-            raise raised
+    for pos, outcome in enumerate(outcomes):
+        axiom = axioms[pos // samples]
+        tally = tallies[axiom]
+        tally.samples += 1
+        if isinstance(outcome, str):
+            tally.eval_errors += 1
+            consecutive_errors += 1
+            if consecutive_errors == _MAX_CONSECUTIVE_ERRORS:
+                report.abort_axiom, report.abort_reason = axiom, outcome
+                return report
+            continue
+        consecutive_errors = 0
+        if outcome is not None:
+            tally.failures += 1
+            if tally.first_witness is None:
+                tally.first_witness = outcome
     return report
 
 
@@ -940,8 +961,9 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
     the same rule; this is the soundness guarantee audits rest on.  A
     witness that is not a mapping or has no axiom is a ValueError; so is
     one with a field its axiom reads missing or malformed (an ``agent``
-    outside its profile included), and that error names the axiom and
-    the field.  Each is raised before the rule is evaluated.
+    outside its profile included, and a continuity ``perturbed`` profile
+    of another size or moved past the bound), and that error names the
+    axiom and the field.  Each is raised before the rule is evaluated.
     """
     if not isinstance(witness, Mapping):
         raise ValueError(f"a witness is an object, got {witness!r}")
@@ -968,5 +990,9 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
             f"{axiom} witness field 'agent' is malformed: {args['agent']} is "
             f"out of range for {len(args['profile'])} agents"
         )
+    # The continuity row's perturbation must fit its profile and epsilon.
+    misfit = "perturbed" in args and _misfit(*args.values())
+    if misfit:
+        raise ValueError(f"{axiom} witness field 'perturbed' is malformed: {misfit}")
     return decide(rule, *args.values())
 

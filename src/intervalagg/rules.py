@@ -526,8 +526,9 @@ def identify_endpoint_rule(
     construction.  ``n_agents`` and ``confirmations`` must be ints (not
     bools) >= 1 and ``seed`` an int; they are checked before the rule is
     evaluated.  The result does not depend on the CPU count: each of the
-    16 sub-streams has its own seed, and a built-in handle's are shared
-    with the sample worker only if this process already has one live.
+    16 sub-streams has its own seed, and their verdicts, shared with the
+    sample worker only if this process already has one live, are read in
+    order as one stream up to the first mismatch or exception.
     """
     _check_int("confirmations", confirmations, 1)
     _check_int("seed", seed)
@@ -546,12 +547,9 @@ def identify_endpoint_rule(
     args = (rule, reference, n_agents, seed, confirmations)
     # Not imported: a process that never audited has no worker to share with.
     worker = sys.modules.get(__package__ + "._worker")
-    parts = worker.parts(_confirmations, args, _STREAMS) if worker and worker._live() else None
-    for _, agreed, raised in parts or [(0, _confirmations(*args, 0, _STREAMS), None)]:
-        if not all(agreed):
-            return None
-        if raised is not None:
-            raise raised
+    stream = worker.parts(_confirmations, args, _STREAMS) if worker and worker._live() else None
+    if not all(stream or _confirmations(*args, 0, _STREAMS)):
+        return None
     return (lower_quota, upper_quota)
 
 

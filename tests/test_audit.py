@@ -36,6 +36,7 @@ from intervalagg import (
     replay_witness,
     sample_profile,
     staircase_profile,
+    valid_quota_pairs,
 )
 from intervalagg.axioms import _AXIOM_CODES, _AXIOMS
 
@@ -328,6 +329,24 @@ class TestContinuitySurrogate:
         profile = Profile([Interval(1e16, 1e16 + width)] * 3)
         for seed in range(200):
             assert check_continuity_lipschitz(MEDIAN, profile, 10.0, seed=seed).passed
+
+    # Far from 0 the perturbation rounds each endpoint, and averaging its
+    # output, by up to an ulp: the bound allows two, so 1-Lipschitz rules
+    # pass at every magnitude.
+    @pytest.mark.parametrize("scale", [1e6, 1e12, 1e14, 1e16])
+    @pytest.mark.parametrize("rule", [
+        *(endpoint_rule_handle(p, q) for p, q in valid_quota_pairs(3)),
+        averaging_rule_handle(),
+    ], ids=lambda rule: rule.name)
+    def test_lipschitz_rules_pass_at_large_magnitudes(self, rule, scale):
+        for seed in range(150):
+            rng = random.Random(seed)
+            profile = []
+            for _ in range(3):
+                lo = scale + rng.uniform(-10, 10)
+                profile.append(Interval(lo, lo + rng.uniform(4, 12)))
+            check = check_continuity_lipschitz(rule, Profile(profile), 0.01, seed=seed)
+            assert check.passed, check.witness
 
     def test_zero_epsilon_is_vacuous(self):
         check = check_continuity_lipschitz(jump_rule(), BENCHMARK_PROFILE, 0.0)
@@ -724,6 +743,11 @@ class TestAuditCampaigns:
         with pytest.raises(ValueError):
             AuditConfig(n_agents=2, axioms=("Unanimity", "Unanimity"))
 
+    @pytest.mark.parametrize("axiom", [["Anonymity"], {"Anonymity"}, {"Anonymity": 1}, 3])
+    def test_axiom_id_that_is_not_a_string_is_unknown(self, axiom):
+        with pytest.raises(ValueError, match="unknown axiom id"):
+            AuditConfig(n_agents=3, axioms=[axiom])
+
     @pytest.mark.parametrize("fields,message", [
         ({"n_agents": True}, "n_agents must be an int, got True"),
         ({"n_agents": 2.5}, "n_agents must be an int, got 2.5"),
@@ -883,6 +907,24 @@ class TestReplayInput:
         with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(detail)):
             replay_witness(RuleHandle("counting", counting), witness)
         assert calls == []
+
+    # A perturbation of another size, or one that moves an endpoint past
+    # epsilon + 1e-9 and the rounding slack, is no continuity instance.
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda perturbed: perturbed[:1], "1 agents against the profile's 3"),
+        (lambda perturbed: perturbed + [[4.0, 5.0]], "4 agents against the profile's 3"),
+        (lambda perturbed: [[-0.02, 3.0], *perturbed[1:]], "moves an endpoint by 0.02"),
+        (lambda perturbed: [*perturbed[:2], [1.0, 2.0 + 0.01 + 2e-9]], "more than epsilon 0.01"),
+    ], ids=["fewer agents", "more agents", "lower endpoint", "upper endpoint"])
+    def test_perturbation_that_does_not_fit_is_malformed(self, edit, detail):
+        def never(profile):
+            raise AssertionError("the rule ran")
+
+        golden = GOLDEN_WITNESSES["ContinuityLipschitz"]
+        witness = dict(golden, perturbed=edit(golden["perturbed"]))
+        message = "ContinuityLipschitz witness field 'perturbed' is malformed: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(detail)):
+            replay_witness(RuleHandle("never", never), witness)
 
     def test_identity_map_witness_replays_and_passes(self):
         witness = dict(GOLDEN_WITNESSES["WeakNeutrality"], map=IDENTITY_MAP)

@@ -224,9 +224,22 @@ def test_a_handle_that_raises_in_every_chunk(paths):
     assert errors == ["quotas (3, 3) invalid for 3 agents"] * 2
 
 
+def drained(stream):
+    """What ``stream`` yields, and the repr of the ValueError it then
+    raises (None if none)."""
+    outcomes = []
+    try:
+        for outcome in stream:
+            outcomes.append(outcome)
+    except ValueError as error:
+        return outcomes, repr(error)
+    return outcomes, None
+
+
 # The worker knows only range functions, f(*args, start, stop): one that
-# is not an audit is decided in both processes and comes back in order.
-# The ValueError at 35 lies in an odd chunk, one of the worker's.
+# is not an audit is decided in both processes and comes back as one
+# stream, the same outcomes and then the same exception at the same
+# position.  The ValueError at 35 lies in an odd chunk, one of the worker's.
 @pytest.mark.parametrize("fail_at", [35, None])
 def test_a_range_function_that_is_not_an_audit(rule_paths, fail_at):
     total = 160
@@ -234,19 +247,10 @@ def test_a_range_function_that_is_not_an_audit(rule_paths, fail_at):
         lambda: _worker.parts(sharded_rules.squares, (fail_at,), total)
     )
     assert in_process is None  # on one CPU the caller decides it whole
-    assert [start for start, _, _ in sharded] == [
-        total * k // _worker._CHUNKS for k in range(_worker._CHUNKS)
-    ]
-    expected, error = _decided(sharded_rules.squares, (fail_at,), 0, total)
-    joined, first = [], None
-    for start, outcomes, raised in sharded:
-        joined += outcomes
-        if raised is not None:
-            first = (start + len(outcomes), repr(raised))
-            break
-    assert joined == expected
-    assert first == (None if error is None else (fail_at, repr(error)))
-    assert error is None or len(expected) == fail_at
+    outcomes, error = drained(sharded)
+    assert (outcomes, error) == drained(sharded_rules.squares(fail_at, 0, total))
+    assert len(outcomes) == (total if fail_at is None else fail_at)
+    assert (error is None) == (fail_at is None)
 
 
 def serial_text(monkeypatch, rule, config):
@@ -616,42 +620,6 @@ def test_audits_from_two_threads(monkeypatch, two_cpus):
     assert [results[k] for k in range(len(configs))] == expected
 
 
-# The merge on any cut of the samples into ranges gives what one range
-# gives: the same report, or the same exception.
-@settings(max_examples=60, deadline=None)
-@given(
-    threshold=st.sampled_from([-20, 0, 5, 8, 20]),
-    ceiling=st.sampled_from([None, 9.0, 9.9]),
-    samples=st.integers(0, 6),
-    seed=st.integers(0, 2**16),
-    data=st.data(),
-)
-def test_merge_of_any_cut_matches_one_range(threshold, ceiling, samples, seed, data):
-    rule = flaky_rule(threshold, ceiling)
-    config = AuditConfig(n_agents=2, samples=samples, seed=seed)
-    total = len(config.axioms) * samples
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
-    bounds = [0, *cuts, total]
-
-    def outcome(parts):
-        try:
-            return _merge(rule.name, config, parts).to_json_dict()
-        except ValueError as error:
-            return repr(error)
-
-    whole = outcome([(0, *_decided(_outcomes, (rule, config), 0, total))])
-    parts = [
-        (start, *_decided(_outcomes, (rule, config), start, stop))
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    assert outcome(parts) == whole
-    try:
-        audited = audit(rule, config).to_json_dict()
-    except ValueError as error:
-        audited = repr(error)
-    assert audited == whole
-
-
 def identifications(rule, n, confirmations=(5, 50, 200), seeds=(0, 1)):
     """Identify ``rule`` on ``n`` agents per confirmation count and seed:
     the quotas, None, or the exception raised."""
@@ -753,52 +721,85 @@ def test_identifying_rules_that_cannot_shard(paths):
     assert sharded == in_process == [(2, 2)] * 6
 
 
-# Sub-streams decided as one range, or cut into ranges in any way, give the
-# same outcomes in order, and identification folds any cut to one result.
-@settings(max_examples=60, deadline=None)
-@given(
-    confirmations=st.integers(1, 40),
-    seed=st.integers(0, 2**16),
-    mismatched=st.sets(st.integers(0, _STREAMS - 1), max_size=3),
-    failed=st.sets(st.integers(0, _STREAMS - 1), max_size=3),
-    data=st.data(),
-)
-def test_confirmations_of_any_cut_match_one_range(confirmations, seed, mismatched, failed, data):
-    n = 3
+def cut(decide, args, total, data):
+    """The range 0 to ``total - 1`` of ``decide``, cut where ``data``
+    draws, each part decided alone and the parts chained as the worker
+    chains its chunks."""
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, total), max_size=6))), total]
+    return _worker._chained(
+        [_decided(decide, args, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    )
+
+
+@st.composite
+def audit_ranges(draw):
+    rule = flaky_rule(draw(st.sampled_from([-20, 0, 5, 8, 20])),
+                      draw(st.sampled_from([None, 9.0, 9.9])))
+    config = AuditConfig(n_agents=2, samples=draw(st.integers(0, 6)),
+                         seed=draw(st.integers(0, 2**16)))
+    return _outcomes, (rule, config), len(config.axioms) * config.samples
+
+
+@st.composite
+def confirmation_ranges(draw):
+    n, confirmations, seed = 3, draw(st.integers(1, 40)), draw(st.integers(0, 2**16))
     streams = substream_profiles(n, seed, confirmations)
 
-    def pick(ks):
-        return [data.draw(st.sampled_from(streams[k])) for k in sorted(ks) if streams[k]]
+    def pick():
+        ks = draw(st.sets(st.integers(0, _STREAMS - 1), max_size=3))
+        return [draw(st.sampled_from(streams[k])) for k in sorted(ks) if streams[k]]
 
-    rule = median_except(pick(mismatched), pick(failed))
-    args = (rule, MEDIAN, n, seed, confirmations)
-    cuts = sorted(data.draw(st.lists(st.integers(0, _STREAMS), max_size=6)))
-    bounds = [0, *cuts, _STREAMS]
-    whole = _decided(_confirmations, args, 0, _STREAMS)
-    parts = [(start, *_decided(_confirmations, args, start, stop))
-             for start, stop in zip(bounds, bounds[1:])]
-    joined, first = [], None
-    for start, outcomes, raised in parts:
-        joined += outcomes
-        if raised is not None:
-            first = repr(raised)
-            break
-    assert (joined, first) == (whole[0], None if whole[1] is None else repr(whole[1]))
+    rule = median_except(pick(), pick())
+    return _confirmations, (rule, MEDIAN, n, seed, confirmations), _STREAMS
 
-    def identified():
-        try:
-            return identify_endpoint_rule(rule, n, confirmations, seed)
-        except ValueError as error:
-            return repr(error)
 
-    # The first mismatch before any exception gives None, else the first
-    # exception is raised.
-    outcomes, raised = whole
-    expected = None if False in outcomes else repr(raised) if raised else (2, 2)
-    assert identified() == expected
-    with patch.object(_worker, "_live", lambda: True), \
-            patch.object(_worker, "parts", lambda decide, args, total: parts):
-        assert identified() == expected
+@st.composite
+def square_ranges(draw):
+    total = draw(st.integers(0, 40))
+    return sharded_rules.squares, (draw(st.one_of(st.none(), st.integers(0, 40))),), total
+
+
+def caught(call):
+    """What ``call()`` returns, or the repr of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return repr(error)
+
+
+# Any cut of a range, decided part by part and chained, is the range
+# decided whole: the same outcomes, then the same exception at the same
+# position.  Fed such a stream, an audit writes the report, and
+# identification returns the result, that one range gives.
+@settings(max_examples=180, deadline=None)
+@given(data=st.data())
+def test_any_cut_of_a_range_chains_to_the_whole_range(data):
+    decide, args, total = data.draw(
+        st.one_of(audit_ranges(), confirmation_ranges(), square_ranges())
+    )
+    whole = drained(decide(*args, 0, total))
+    assert drained(cut(decide, args, total, data)) == whole
+    if decide is _outcomes:
+        rule, config = args
+
+        def report(stream):
+            return caught(lambda: _merge(rule.name, config, stream).to_json_dict())
+
+        expected = report(decide(*args, 0, total))
+        assert report(cut(decide, args, total, data)) == expected
+        assert caught(lambda: audit(rule, config).to_json_dict()) == expected
+    elif decide is _confirmations:
+        rule, _, n, seed, confirmations = args
+        # The first mismatch before any exception gives None, else the
+        # first exception is raised.
+        outcomes, raised = whole
+        expected = None if False in outcomes else raised or (2, 2)
+        identify = lambda: identify_endpoint_rule(rule, n, confirmations, seed)  # noqa: E731
+        assert caught(identify) == expected
+        stream = cut(decide, args, total, data)
+        with patch.object(_worker, "_live", lambda: True), \
+                patch.object(_worker, "parts", lambda decide, args, total: stream):
+            assert caught(identify) == expected
 
 
 # A rule failing with witnesses that outgrow a pipe: the worker blocks on
