@@ -712,7 +712,7 @@ class AuditConfig:
         _check_int("n_agents", self.n_agents, 1)
         _check_int("samples", self.samples, 0)
         _check_int("seed", self.seed)
-        if isinstance(self.axioms, str):
+        if not isinstance(self.axioms, (list, tuple)):
             raise ValueError(f"axioms must be a sequence of ids, got {self.axioms!r}")
         axioms = tuple(self.axioms)
         for axiom in axioms:

@@ -221,7 +221,10 @@ class Profile(tuple):
 
     Agent positions are 0-based in the Python API.  Profiles are plain
     tuples, so slicing, iteration and equality behave as expected; the
-    constructor only adds validation.
+    constructor builds one tuple from its input and only adds validation.
+    Every entry is an :class:`Interval`: the constructor checks each one,
+    :meth:`replace_agent` checks the one it brings in, and unpickling
+    goes back through the constructor (``__reduce__``).
 
     A profile also keeps its lower and upper endpoints sorted, built on
     the first order-statistic evaluation and kept for the profile's life,
@@ -235,7 +238,7 @@ class Profile(tuple):
     _ranks: Optional[tuple[list[float], list[float]]] = None
 
     def __new__(cls, agents: Iterable[Interval]) -> "Profile":
-        entries = tuple(agents)
+        entries = tuple.__new__(cls, agents)
         if not entries:
             raise ValueError("profile needs at least one agent")
         # Subclasses and bad entries fall through to the isinstance loop.
@@ -245,7 +248,7 @@ class Profile(tuple):
                     raise TypeError(
                         f"profile entry {pos} is not an Interval: {entry!r}"
                     )
-        return tuple.__new__(cls, entries)
+        return entries
 
     def __reduce__(self):
         # Rebuild through the validating constructor, without the ranks.
@@ -276,14 +279,16 @@ class Profile(tuple):
     def replace_agent(self, index: int, interval: Interval) -> "Profile":
         """Copy of the profile with one agent's judgment swapped out.
 
-        ``index`` goes through :func:`_check_agent`.  A ranked profile
-        hands its ranks to the copy with one slot moved, in O(n) instead
-        of a fresh sort.
+        ``index`` goes through :func:`_check_agent`.  The copy is built
+        from slices of this profile, and only ``interval`` is checked: the
+        other entries were checked when this profile was built.  A ranked profile hands
+        its ranks to the copy with one slot moved, in O(n) instead of a
+        fresh sort.
         """
         _check_agent(self, index)
         if not isinstance(interval, Interval):
             raise TypeError(f"replacement is not an Interval: {interval!r}")
-        child = Profile(self[:index] + (interval,) + self[index + 1 :])
+        child = tuple.__new__(Profile, self[:index] + (interval,) + self[index + 1 :])
         if self._ranks is not None:
             lows, highs = self._ranked_without(index)
             insort(lows, interval.lo)

@@ -743,6 +743,17 @@ class TestAuditCampaigns:
         with pytest.raises(ValueError):
             AuditConfig(n_agents=2, axioms=("Unanimity", "Unanimity"))
 
+    @pytest.mark.parametrize("axioms", [None, 5, b"Anonymity"])
+    def test_axioms_that_are_not_a_list_or_tuple_name_the_field(self, axioms):
+        message = f"axioms must be a sequence of ids, got {axioms!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AuditConfig(n_agents=3, axioms=axioms)
+
+    def test_axioms_as_a_list(self):
+        config = AuditConfig(n_agents=3, axioms=["Unanimity", "Anonymity"])
+        assert config.axioms == ("Unanimity", "Anonymity")
+        assert config == AuditConfig(n_agents=3, axioms=("Unanimity", "Anonymity"))
+
     @pytest.mark.parametrize("axiom", [["Anonymity"], {"Anonymity"}, {"Anonymity": 1}, 3])
     def test_axiom_id_that_is_not_a_string_is_unknown(self, axiom):
         with pytest.raises(ValueError, match="unknown axiom id"):

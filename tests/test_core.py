@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -232,6 +233,81 @@ class TestProfile:
         assert profile.shift(10.0) == Profile(
             (Interval(10, 11), Interval(12, 13))
         )
+
+
+class Judgment(Interval):
+    """An :class:`Interval` subclass, which profiles keep as it is."""
+
+    __slots__ = ()
+
+
+def fresh_ranks(entries):
+    lows, highs = zip(*entries)
+    return sorted(lows), sorted(highs)
+
+
+judgments = st.builds(
+    lambda iv, sub: Judgment(*iv) if sub else iv, intervals(), st.booleans()
+)
+not_intervals = st.one_of(
+    st.none(), st.integers(), st.text(max_size=3),
+    st.tuples(st.integers(), st.integers()),
+)
+# Ways to hand the constructor a list of entries.  The last is a Profile
+# built without the constructor's checks, so it can hold any entry.
+INPUT_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda entries: (entry for entry in entries),
+    "Profile": lambda entries: tuple.__new__(Profile, entries),
+}
+
+
+class TestProfileProperties:
+    """A revision equals a fresh build of the same entries, and the
+    constructor fails alike whatever form its input takes."""
+
+    @given(st.lists(judgments, min_size=1, max_size=8), st.data(), judgments,
+           st.booleans())
+    def test_replace_agent_equals_a_fresh_build(self, entries, data, interval, ranked):
+        profile = Profile(entries)
+        if ranked:
+            profile._ranked()
+        parent_ranks = copy.deepcopy(profile._ranks)
+        index = data.draw(st.integers(0, len(entries) - 1))
+        child = profile.replace_agent(index, interval)
+        entries[index] = interval
+        assert type(child) is Profile and child == Profile(entries)
+        assert list(map(type, child)) == list(map(type, entries))
+        assert child._ranks == (fresh_ranks(entries) if ranked else None)
+        assert profile._ranks == parent_ranks
+
+    @pytest.mark.parametrize("form", list(INPUT_FORMS))
+    def test_empty_input_is_rejected(self, form):
+        with pytest.raises(ValueError, match="profile needs at least one agent"):
+            Profile(INPUT_FORMS[form]([]))
+
+    @pytest.mark.parametrize("form", list(INPUT_FORMS))
+    @given(st.lists(judgments, max_size=5), st.data(), not_intervals)
+    def test_first_bad_entry_is_named(self, form, entries, data, bad):
+        tail = data.draw(st.lists(st.one_of(judgments, not_intervals), max_size=3))
+        message = f"profile entry {len(entries)} is not an Interval: {bad!r}"
+        with pytest.raises(TypeError) as error:
+            Profile(INPUT_FORMS[form](entries + [bad] + tail))
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("form", list(INPUT_FORMS))
+    @given(st.lists(judgments, min_size=1, max_size=5))
+    def test_good_input_builds_the_same_profile(self, form, entries):
+        profile = Profile(INPUT_FORMS[form](entries))
+        assert type(profile) is Profile and list(profile) == entries
+        assert profile._ranks is None
+        assert list(map(type, profile)) == list(map(type, entries))
+
+    @pytest.mark.parametrize("value", [None, 5, 2.5, object()])
+    def test_non_iterable_is_rejected(self, value):
+        with pytest.raises(TypeError, match="not iterable"):
+            Profile(value)
 
 
 RANKED_N = 11
