@@ -122,6 +122,22 @@ class _Frozen(_Record):
     __delattr__ = __setattr__
 
 
+_tuple_new = tuple.__new__
+# float() reads these as text or as 0 and 1; as bounds they are mistakes.
+_NOT_BOUNDS = (bool, str, bytes, bytearray, memoryview)
+
+
+def _float_bounds(lo, hi) -> tuple[float, float]:
+    """Both interval bounds as floats; a bool, text, or a number past the
+    float range is a ValueError."""
+    if isinstance(lo, _NOT_BOUNDS) or isinstance(hi, _NOT_BOUNDS):
+        raise ValueError(f"interval bounds must be numbers, got ({lo!r}, {hi!r})")
+    try:
+        return float(lo), float(hi)
+    except OverflowError:  # no repr: an int past 4300 digits has none
+        raise ValueError("interval bounds must lie in the float range") from None
+
+
 def ext_precedes(a: float, b: float) -> bool:
     """Validity order on extended bounds.
 
@@ -145,17 +161,20 @@ def ext_precedes(a: float, b: float) -> bool:
 class Interval(namedtuple("Interval", ["lo", "hi"])):
     """Bounded nonempty open interval ``(lo, hi)``, ``lo < hi`` finite.
 
-    Construction validates finiteness and ``lo < hi`` and normalises
-    ``-0.0`` to ``+0.0``.  Instances compare exactly (no tolerance) and
-    order lexicographically by ``(lo, hi)``, which is the tie-break order
-    used throughout the package.
+    Bounds are ints, floats or other numbers ``float()`` takes, stored as
+    floats; a bool, a str or bytes-like bound, or an int past the float
+    range is a ValueError.  Construction also checks finiteness and ``lo <
+    hi`` and normalises ``-0.0`` to ``+0.0``.  Instances compare exactly
+    (no tolerance) and order lexicographically by ``(lo, hi)``, which is
+    the tie-break order used throughout the package.
     """
 
     __slots__ = ()
 
     def __new__(cls, lo: float, hi: float) -> "Interval":
-        lo = float(lo)
-        hi = float(hi)
+        # Exact floats, as search candidates and outcomes are, skip float().
+        if type(lo) is not float or type(hi) is not float:
+            lo, hi = _float_bounds(lo, hi)
         # False exactly when a bound is NaN or infinite, or lo >= hi.
         if not NEG_INF < lo < hi < POS_INF:
             if math.isnan(lo) or math.isnan(hi):
@@ -166,7 +185,7 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
                 )
             raise ValueError(f"interval needs lo < hi, got ({lo!r}, {hi!r})")
         # +0.0 forces -0.0 to +0.0; exact equality then matches bit equality.
-        return tuple.__new__(cls, (lo + 0.0, hi + 0.0))
+        return _tuple_new(cls, (lo + 0.0, hi + 0.0))
 
     # namedtuple's own _make, which _replace calls, bypasses __new__.
     @classmethod
@@ -197,8 +216,7 @@ class ExtendedInterval(namedtuple("ExtendedInterval", ["lo", "hi"])):
     __slots__ = ()
 
     def __new__(cls, lo: float, hi: float) -> "ExtendedInterval":
-        lo = float(lo)
-        hi = float(hi)
+        lo, hi = _float_bounds(lo, hi)
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("extended interval bounds must not be NaN")
         if not ext_precedes(lo, hi):
@@ -390,5 +408,5 @@ def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
     for _ in range(n_agents):
         lo = rng.randint(-10, 9)
         hi = rng.randint(lo + 1, 10)
-        agents.append(Interval(lo, hi))
+        agents.append(Interval(float(lo), float(hi)))  # the float fast path
     return Profile(agents)

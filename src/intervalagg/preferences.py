@@ -42,7 +42,6 @@ from .core import (
     _check_int,
     _check_number,
     _Frozen,
-    between,
     endpoint_distance,
 )
 from .rules import RuleHandle
@@ -56,7 +55,10 @@ STRICT_IMPROVEMENT_EPS = 1e-12
 class WeightedL1Preference(_Frozen):
     """Cost ``lower_weight * |lo - peak.lo| + upper_weight * |hi - peak.hi|``."""
 
-    __slots__ = _fields = __match_args__ = ("peak", "lower_weight", "upper_weight")
+    # The peak's endpoints are kept in private slots, which the repr,
+    # equality, hashing and pickling skip, so cost reads no tuple field.
+    _fields = __match_args__ = ("peak", "lower_weight", "upper_weight")
+    __slots__ = (*_fields, "_peak_lo", "_peak_hi")
 
     def __init__(
         self, peak: Interval, lower_weight: float = 1.0, upper_weight: float = 1.0
@@ -65,11 +67,11 @@ class WeightedL1Preference(_Frozen):
             raise TypeError(f"peak must be an Interval, got {peak!r}")
         _check_number("lower_weight", lower_weight, _LEAST_POSITIVE)
         _check_number("upper_weight", upper_weight, _LEAST_POSITIVE)
-        self._set(peak, lower_weight, upper_weight)
+        self._set(peak, lower_weight, upper_weight, peak.lo, peak.hi)
 
     def cost(self, candidate: Interval) -> float:
-        return self.lower_weight * abs(candidate.lo - self.peak.lo) + (
-            self.upper_weight * abs(candidate.hi - self.peak.hi)
+        return self.lower_weight * abs(candidate.lo - self._peak_lo) + (
+            self.upper_weight * abs(candidate.hi - self._peak_hi)
         )
 
 
@@ -84,19 +86,28 @@ class PenaltyPreference(_Frozen):
     constant, so peak-ward moves never raise cost.
     """
 
-    __slots__ = _fields = __match_args__ = ("peak", "reference")
+    # Private slots, as in WeightedL1Preference, plus the constant penalty.
+    _fields = __match_args__ = ("peak", "reference")
+    __slots__ = (*_fields, "_ends", "_penalty")
 
     def __init__(self, peak: Interval, reference: Interval) -> None:
         for name, value in (("peak", peak), ("reference", reference)):
             if not isinstance(value, Interval):
                 raise TypeError(f"{name} must be an Interval, got {value!r}")
-        self._set(peak, reference)
+        ends = (peak.lo, peak.hi, reference.lo, reference.hi)
+        self._set(peak, reference, ends, endpoint_distance(peak, reference))
 
     def cost(self, candidate: Interval) -> float:
-        base = endpoint_distance(self.peak, candidate)
-        if between(self.peak, candidate, self.reference):
+        # endpoint_distance and between, inline, in the same float order.
+        lo = candidate.lo
+        hi = candidate.hi
+        peak_lo, peak_hi, ref_lo, ref_hi = self._ends
+        base = abs(peak_lo - lo) + abs(peak_hi - hi)
+        if (peak_lo <= lo <= ref_lo or ref_lo <= lo <= peak_lo) and (
+            peak_hi <= hi <= ref_hi or ref_hi <= hi <= peak_hi
+        ):
             return base
-        return base + endpoint_distance(self.peak, self.reference)
+        return base + self._penalty
 
 
 Preference = Union[WeightedL1Preference, PenaltyPreference]
@@ -333,9 +344,10 @@ def find_manipulation(
     best_outcome: Optional[Interval] = None
     outcome_of = rule.vary_agent(profile, agent_index)
     candidates = _candidates(profile, config, getattr(outcome_of, "bounds", _UNBOUNDED))
+    cost = preference.cost
     for candidate in candidates:
         outcome = outcome_of(candidate)
-        drop = truthful_cost - preference.cost(outcome)
+        drop = truthful_cost - cost(outcome)
         # Strictly-greater keeps the first (smallest) candidate on ties.
         if drop > STRICT_IMPROVEMENT_EPS and drop > best_drop:
             best_drop = drop

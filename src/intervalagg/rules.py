@@ -157,6 +157,8 @@ def _vary_select(
 
     # Comparisons instead of min(max(...)): floor <= ceiling, so at most
     # one bound applies, and an unclamped endpoint is passed on as it is.
+    # A report with neither endpoint clamped is its own outcome and, when
+    # it is an exact Interval, is returned without building a new one.
     def outcome(report: Interval) -> Interval:
         lo = report.lo
         hi = report.hi
@@ -164,6 +166,8 @@ def _vary_select(
             lo = lo_floor
         elif lo > lo_ceiling:
             lo = lo_ceiling
+        elif hi_floor <= hi <= hi_ceiling and type(report) is Interval:
+            return report
         if hi < hi_floor:
             hi = hi_floor
         elif hi > hi_ceiling:
@@ -374,7 +378,10 @@ class RuleHandle(
         ``Interval(clamp(report.lo, lo_floor, lo_ceiling), clamp(report.hi,
         hi_floor, hi_ceiling))`` with ``clamp(x, floor, ceiling)`` equal to
         ``floor`` if ``x < floor``, else ``ceiling`` if ``x > ceiling``, else
-        ``x``.  :func:`~intervalagg.preferences.find_manipulation` reads it
+        ``x``.  When neither endpoint is clamped and ``report`` is an exact
+        :class:`~intervalagg.core.Interval`, the clamp returns ``report``
+        itself; a subclass gets an equal ``Interval``.
+        :func:`~intervalagg.preferences.find_manipulation` reads ``bounds``
         to search one misreport per outcome class.  The averaging clamp
         and the full-evaluation fallback have no ``bounds``.
         """

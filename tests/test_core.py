@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -101,6 +102,104 @@ class TestInterval:
         made = Interval._make([-0.0, 1])
         assert made == Interval(0.0, 1.0)
         assert type(made.hi) is float and math.copysign(1.0, made.lo) == 1.0
+
+
+class Real(float):
+    """A float subclass, which the constructors convert to plain float."""
+
+
+def bits(value):
+    """``value``'s float as hex, which tells -0.0 from +0.0."""
+    return float.hex(value)
+
+
+class TestConstructorPaths:
+    """``Interval`` takes two exact floats without ``float()``; any other
+    bound type goes through the converting path, which also rejects
+    bools, text and ints past the float range."""
+
+    @pytest.mark.parametrize("lo,hi", [
+        (1.5, 2.5),
+        (Real(1.5), Real(2.5)),
+        (Real(1.5), 2.5),
+        (1.5, Real(2.5)),
+        (1, 2.5),
+        (1.5, 3),
+    ])
+    def test_every_path_stores_exact_floats(self, lo, hi):
+        built = Interval(lo, hi)
+        assert type(built.lo) is float and type(built.hi) is float
+        assert built == (float(lo), float(hi))
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-0.0, 1.0),
+        (-1.0, -0.0),
+        (Real(-0.0), 1),
+        (-1, Real(-0.0)),
+    ])
+    def test_negative_zero_normalised_on_each_path(self, lo, hi):
+        built = Interval(lo, hi)
+        assert 0.0 in built and bits(-0.0) not in (bits(built.lo), bits(built.hi))
+        assert type(built.lo) is float and type(built.hi) is float
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        (Real("nan"), 1, "interval bounds must not be NaN"),
+        (1, Real("nan"), "interval bounds must not be NaN"),
+        (Real("inf"), 0, "interval bounds must be finite, got (inf, 0.0)"),
+        (0, Real("inf"), "interval bounds must be finite, got (0.0, inf)"),
+        (Real(5), 3, "interval needs lo < hi, got (5.0, 3.0)"),
+        (Real(-0.0), 0, "interval needs lo < hi, got (-0.0, 0.0)"),
+    ])
+    def test_converted_bounds_keep_the_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as error:
+            Interval(lo, hi)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("lo,hi", [
+        (True, 2),
+        (0, True),
+        (False, 1.0),
+        ("1", "2"),
+        ("1", 2.0),
+        (1.0, "2"),
+        (b"1", 2),
+        (0, bytearray(b"1")),
+        (memoryview(b"0"), 1),
+    ])
+    @pytest.mark.parametrize("cls", [Interval, ExtendedInterval])
+    def test_bools_and_text_rejected(self, cls, lo, hi):
+        with pytest.raises(ValueError) as error:
+            cls(lo, hi)
+        assert str(error.value) == f"interval bounds must be numbers, got ({lo!r}, {hi!r})"
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(10**400, 1), (1, 10**400), (-10**400, 1.0), (10**5000, 1)],
+        ids=["huge-lo", "huge-hi", "huge-negative-lo", "past-the-repr-limit"],
+    )
+    @pytest.mark.parametrize("cls", [Interval, ExtendedInterval])
+    def test_ints_past_the_float_range_rejected(self, cls, lo, hi):
+        with pytest.raises(ValueError) as error:
+            cls(lo, hi)
+        assert str(error.value) == "interval bounds must lie in the float range"
+
+    def test_extended_intervals_convert_ints_and_subclasses(self):
+        built = ExtendedInterval(Real(NEG_INF), 3)
+        assert built == (NEG_INF, 3.0)
+        assert type(built.lo) is float and type(built.hi) is float
+        assert bits(ExtendedInterval(-0.0, POS_INF).lo) == bits(0.0)
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_float_subclasses_build_what_floats_build(self, lo, hi):
+        try:
+            expected = Interval(lo, hi)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                Interval(Real(lo), Real(hi))
+        else:
+            built = Interval(Real(lo), Real(hi))
+            assert (bits(built.lo), bits(built.hi)) == (
+                bits(expected.lo), bits(expected.hi)
+            )
 
 
 class TestExtendedOrder:

@@ -122,6 +122,44 @@ def test_custom_phantom_vectors(case, data):
     assert_agrees(phantom_rule_handle(vector), profile, index, reports)
 
 
+class Report(Interval):
+    """An :class:`Interval` subclass, which a clamp never hands back."""
+
+    __slots__ = ()
+
+
+@given(varied_profiles(), st.data())
+def test_clamp_outcomes_are_plain_intervals(case, data):
+    # A report that no bound clamps comes back as it is, unless it is a
+    # subclass; every outcome equals full evaluation and is an Interval.
+    profile, index, reports = case
+    n = len(profile)
+    quotas = data.draw(st.sampled_from(valid_quota_pairs(n)))
+    handles = [
+        endpoint_rule_handle(*quotas),
+        median_rule_handle(),
+        maximal_rule_handle(),
+        phantom_rule_handle(endpoint_rule_phantoms(*quotas, n)),
+    ]
+    vector = data.draw(phantom_vectors(n))
+    if validate_phantoms(vector, n) is None:
+        handles.append(phantom_rule_handle(vector))
+    for handle in handles:
+        outcome_of = handle.vary_agent(profile, index)
+        lo_floor, lo_ceiling, hi_floor, hi_ceiling = outcome_of.bounds
+        for report in reports:
+            expected = handle(profile.replace_agent(index, report))
+            outcome = outcome_of(report)
+            assert outcome == expected and type(outcome) is Interval
+            unclamped = (
+                lo_floor <= report.lo <= lo_ceiling
+                and hi_floor <= report.hi <= hi_ceiling
+            )
+            assert (outcome is report) is unclamped
+            outcome = outcome_of(Report(*report))
+            assert outcome == expected and type(outcome) is Interval
+
+
 @given(varied_profiles())
 def test_opaque_handle_falls_back(case):
     profile, index, reports = case

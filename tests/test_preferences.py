@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 from itertools import combinations
@@ -24,7 +25,7 @@ from intervalagg import (
 )
 
 from .conftest import BENCHMARK_PROFILE
-from .strategies import intervals, profiles
+from .strategies import finite_values, intervals, profiles
 
 
 def reference_candidates(profile, config):
@@ -129,6 +130,118 @@ class TestCosts:
             WeightedL1Preference((0, 1))
         with pytest.raises(TypeError):
             PenaltyPreference(peak=Interval(0, 1), reference=(2, 3))
+
+
+def bits(value):
+    return float.hex(value)
+
+
+def old_weighted_cost(pref, candidate):
+    """The weighted cost as first written, reading the peak's fields."""
+    return pref.lower_weight * abs(candidate.lo - pref.peak.lo) + (
+        pref.upper_weight * abs(candidate.hi - pref.peak.hi)
+    )
+
+
+def old_penalty_cost(pref, candidate):
+    """The penalty cost as first written, through the core helpers."""
+    base = endpoint_distance(pref.peak, candidate)
+    if between(pref.peak, candidate, pref.reference):
+        return base
+    return base + endpoint_distance(pref.peak, pref.reference)
+
+
+@st.composite
+def peaks_and_candidates(draw):
+    """A peak, a reference and candidates whose endpoints are often one of
+    the peak's or the reference's, so betweenness ties are common."""
+    peak = draw(intervals())
+    reference = draw(intervals())
+    shared = st.sampled_from([peak.lo, peak.hi, reference.lo, reference.hi])
+    value = st.one_of(shared, finite_values)
+    candidates = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(value)
+        b = draw(value.filter(lambda v: v != a))
+        candidates.append(Interval(min(a, b), max(a, b)))
+    return peak, reference, candidates
+
+
+weights = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestStoredEndpoints:
+    """Both preferences keep their intervals' endpoints in private slots;
+    costs and every public face stay what they were."""
+
+    @given(peaks_and_candidates(), weights, weights)
+    def test_weighted_cost_is_bit_identical(self, case, lower, upper):
+        peak, reference, candidates = case
+        for pref in (
+            WeightedL1Preference(peak),
+            WeightedL1Preference(peak, lower, upper),
+        ):
+            for candidate in (*candidates, peak, reference):
+                assert bits(pref.cost(candidate)) == bits(
+                    old_weighted_cost(pref, candidate)
+                )
+
+    @given(peaks_and_candidates())
+    def test_penalty_cost_is_bit_identical(self, case):
+        peak, reference, candidates = case
+        for pref in (
+            PenaltyPreference(peak, reference),
+            PenaltyPreference(reference, peak),
+            PenaltyPreference(peak, peak),
+        ):
+            for candidate in (*candidates, peak, reference):
+                assert bits(pref.cost(candidate)) == bits(
+                    old_penalty_cost(pref, candidate)
+                )
+
+    CASES = [
+        (
+            lambda: WeightedL1Preference(Interval(0, 1), 2.0, 0.5),
+            "WeightedL1Preference(peak=Interval(0.0, 1.0), lower_weight=2.0, "
+            "upper_weight=0.5)",
+            ("peak", "lower_weight", "upper_weight"),
+            (Interval(0, 1), 2.0, 0.5),
+        ),
+        (
+            lambda: PenaltyPreference(Interval(0, 1), Interval(-1, 3)),
+            "PenaltyPreference(peak=Interval(0.0, 1.0), "
+            "reference=Interval(-1.0, 3.0))",
+            ("peak", "reference"),
+            (Interval(0, 1), Interval(-1, 3)),
+        ),
+    ]
+
+    @pytest.mark.parametrize("build,text,fields,values", CASES)
+    def test_public_face_is_unchanged(self, build, text, fields, values):
+        pref = build()
+        assert repr(pref) == text
+        private = [name for name in type(pref).__slots__ if name[0] == "_"]
+        assert private and not any(name in repr(pref) for name in private)
+        assert pref._fields == pref.__match_args__ == fields
+        assert tuple(getattr(pref, name) for name in fields) == values
+        assert pref == build() and hash(pref) == hash(build()) == hash(values)
+        assert pref != values
+        assert pref.__reduce__() == (type(pref), values)
+
+    @pytest.mark.parametrize("build,text,fields,values", CASES)
+    def test_pickled_copy_costs_alike(self, build, text, fields, values):
+        pref = build()
+        copied = pickle.loads(pickle.dumps(pref))
+        assert type(copied) is type(pref) and copied == pref
+        assert repr(copied) == repr(pref)
+        for candidate in (Interval(-2, 0.5), Interval(0, 1), Interval(2, 7)):
+            assert bits(copied.cost(candidate)) == bits(pref.cost(candidate))
+
+    def test_private_slots_are_frozen(self):
+        pref = WeightedL1Preference(Interval(0, 1))
+        with pytest.raises(AttributeError):
+            pref._peak_lo = 5.0
+        assert pref.cost(Interval(0, 1)) == 0.0
 
 
 class TestPrefers:
