@@ -294,13 +294,15 @@ def check_translation_equivariance(
     )
 
 
-def _rounding(profile: Profile, perturbed: Profile) -> float:
-    """The continuity bound's slack for rounding: two ulps of the largest
-    endpoint magnitude of the two profiles, one as the perturbation rounds
-    each endpoint and one as a rule that does not copy an endpoint,
-    averaging say, rounds its output.  Read only past the nominal bound,
-    so a passing sample never computes it."""
-    return 2 * math.ulp(max(abs(x) for entry in (*profile, *perturbed) for x in entry))
+def _past_bound(distance: float, epsilon: float, profile: Profile, perturbed: Profile) -> bool:
+    """Whether ``distance`` exceeds the continuity bound ``epsilon + 1e-9``
+    plus two ulps of the largest endpoint magnitude of the two profiles
+    for rounding: one as the perturbation rounds each endpoint and one as
+    a rule that does not copy an endpoint, averaging say, rounds its
+    output.  The ulps are read only past the nominal bound."""
+    bound = epsilon + TRANSFORM_TOL
+    return distance > bound and distance > bound + 2 * math.ulp(
+        max(abs(x) for entry in (*profile, *perturbed) for x in entry))
 
 
 def _misfit(profile: Profile, epsilon: float, perturbed: Profile) -> Optional[str]:
@@ -309,8 +311,7 @@ def _misfit(profile: Profile, epsilon: float, perturbed: Profile) -> Optional[st
     if len(perturbed) != len(profile):
         return f"{len(perturbed)} agents against the profile's {len(profile)}"
     shift = max(abs(a - b) for a, b in zip(chain(*profile), chain(*perturbed)))
-    bound = epsilon + TRANSFORM_TOL
-    if shift > bound and shift > bound + _rounding(profile, perturbed):
+    if _past_bound(shift, epsilon, profile, perturbed):
         return f"it moves an endpoint by {shift!r}, more than epsilon {epsilon!r}"
     return None
 
@@ -318,12 +319,11 @@ def _misfit(profile: Profile, epsilon: float, perturbed: Profile) -> Optional[st
 def _check_lipschitz(
     rule: RuleHandle, profile: Profile, epsilon: float, *perturbations: Profile
 ) -> AxiomCheck:
-    bound = epsilon + TRANSFORM_TOL
     output = rule(profile)
     for perturbed in perturbations:
         moved = rule(perturbed)
         movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
-        if movement > bound and movement > bound + _rounding(profile, perturbed):
+        if _past_bound(movement, epsilon, profile, perturbed):
             return _failure(
                 CONTINUITY_LIPSCHITZ,
                 profile=profile,

@@ -344,10 +344,9 @@ def find_manipulation(
     best_outcome: Optional[Interval] = None
     outcome_of = rule.vary_agent(profile, agent_index)
     candidates = _candidates(profile, config, getattr(outcome_of, "bounds", _UNBOUNDED))
-    cost = preference.cost
     for candidate in candidates:
         outcome = outcome_of(candidate)
-        drop = truthful_cost - cost(outcome)
+        drop = truthful_cost - preference.cost(outcome)
         # Strictly-greater keeps the first (smallest) candidate on ties.
         if drop > STRICT_IMPROVEMENT_EPS and drop > best_drop:
             best_drop = drop

@@ -48,7 +48,7 @@ def console_script(name):
     installed = shutil.which(name)
     if installed is not None:
         return [installed], None
-    import tomllib
+    tomllib = pytest.importorskip("tomllib", reason="reading pyproject.toml needs Python 3.11")
 
     with open(ROOT / "pyproject.toml", "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"][name]

@@ -386,27 +386,31 @@ class TestProfileProperties:
         with pytest.raises(ValueError, match="profile needs at least one agent"):
             Profile(INPUT_FORMS[form]([]))
 
-    @pytest.mark.parametrize("form", list(INPUT_FORMS))
-    @given(st.lists(judgments, max_size=5), st.data(), not_intervals)
-    def test_first_bad_entry_is_named(self, form, entries, data, bad):
-        tail = data.draw(st.lists(st.one_of(judgments, not_intervals), max_size=3))
-        message = f"profile entry {len(entries)} is not an Interval: {bad!r}"
-        with pytest.raises(TypeError) as error:
-            Profile(INPUT_FORMS[form](entries + [bad] + tail))
-        assert str(error.value) == message
-
-    @pytest.mark.parametrize("form", list(INPUT_FORMS))
-    @given(st.lists(judgments, min_size=1, max_size=5))
-    def test_good_input_builds_the_same_profile(self, form, entries):
-        profile = Profile(INPUT_FORMS[form](entries))
-        assert type(profile) is Profile and list(profile) == entries
-        assert profile._ranks is None
-        assert list(map(type, profile)) == list(map(type, entries))
-
     @pytest.mark.parametrize("value", [None, 5, 2.5, object()])
     def test_non_iterable_is_rejected(self, value):
         with pytest.raises(TypeError, match="not iterable"):
             Profile(value)
+
+
+# Module-level: as methods, each parameter would get a new ``self``, which
+# hypothesis rejects as differing executors when its pytest plugin is absent.
+@pytest.mark.parametrize("form", list(INPUT_FORMS))
+@given(st.lists(judgments, max_size=5), st.data(), not_intervals)
+def test_first_bad_entry_is_named(form, entries, data, bad):
+    tail = data.draw(st.lists(st.one_of(judgments, not_intervals), max_size=3))
+    message = f"profile entry {len(entries)} is not an Interval: {bad!r}"
+    with pytest.raises(TypeError) as error:
+        Profile(INPUT_FORMS[form](entries + [bad] + tail))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("form", list(INPUT_FORMS))
+@given(st.lists(judgments, min_size=1, max_size=5))
+def test_good_input_builds_the_same_profile(form, entries):
+    profile = Profile(INPUT_FORMS[form](entries))
+    assert type(profile) is Profile and list(profile) == entries
+    assert profile._ranks is None
+    assert list(map(type, profile)) == list(map(type, entries))
 
 
 RANKED_N = 11

@@ -14,7 +14,7 @@ DEMO_DIR = ROOT / "demos"
 )
 def test_demo_runs_clean(script):
     proc = subprocess.run(
-        [sys.executable, str(DEMO_DIR / script)],
+        [sys.executable, "-W", "error", str(DEMO_DIR / script)],
         capture_output=True,
         text=True,
         timeout=120,

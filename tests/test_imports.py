@@ -108,6 +108,17 @@ def test_subcommand_loads_only_what_it_runs(
     assert not unloaded & modules
 
 
+def test_value_type_modules_load_no_dataclasses(bare_modules):
+    proc = run_python(
+        "import sys\nimport intervalagg.preferences, intervalagg.transforms\n"
+        "sys.stderr.write('\\n'.join(sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.split("\n")) - bare_modules
+    assert {PREFERENCES, TRANSFORMS} <= modules
+    assert not DATACLASSES & modules
+
+
 def test_identification_starts_no_worker():
     # Two CPUs and no audit before: identification has no live worker to
     # share its confirmations with, and starts none.
