@@ -16,8 +16,10 @@ No submodule is named after a public name, so ``intervalagg.axioms``,
 """
 
 import importlib
+import os
 import sys
 import types
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -150,6 +152,80 @@ def _import(module: str) -> types.ModuleType:
     finally:
         take_out()
         sys.modules.update(theirs)
+
+
+# What a record keeps of a function and compares: its code and defaults.
+_STATE = attrgetter("__code__", "__defaults__", "__kwdefaults__")
+
+
+def _record(namespace: dict) -> tuple:
+    """Keep and return what the module whose globals are ``namespace`` holds.
+
+    Each submodule that decides samples calls this as the last statement
+    of its import.  The record, ``namespace["__record__"]``, holds the
+    ``(st_mtime_ns, st_size)`` of the module's file (None if it has none)
+    and copies of what the module runs: its names but the ``__`` ones
+    (a warning adds ``__warningregistry__``), its containers, the dicts
+    of its classes but the ``__slotnames__`` pickling caches, and the
+    code and defaults of its functions and methods.
+    """
+    name = namespace["__name__"]
+    try:
+        stat = os.stat(namespace["__file__"])
+        identity = (stat.st_mtime_ns, stat.st_size)
+    except (KeyError, TypeError, OSError):  # built in, or read from an archive
+        identity = None
+    names = _names(namespace)
+    classes = [v for v in names.values() if isinstance(v, type) and v.__module__ == name]
+    functions = [v for v in names.values() if getattr(v, "__module__", None) == name]
+    for value in (item for cls in classes for item in vars(cls).values()):
+        if isinstance(value, property):
+            functions += (value.fget, value.fset, value.fdel)
+        else:
+            functions.append(getattr(value, "__func__", value))  # class and static methods
+    functions = [f for f in functions if isinstance(f, types.FunctionType)]
+    containers = [v for v in names.values() if isinstance(v, (dict, list, set))]
+    # Each live part beside what it was; keyword defaults are a dict too.
+    record = (
+        identity,
+        dict(namespace),
+        containers,
+        [v.copy() for v in containers],
+        classes,
+        list(map(_class_dict, classes)),
+        functions,
+        [(c, d, k if k is None else dict(k)) for c, d, k in map(_STATE, functions)],
+    )
+    # The copy of the globals holds the record too, as the globals do.
+    namespace["__record__"] = record[1]["__record__"] = record
+    return record
+
+
+def _identity(name: str) -> tuple | None:
+    """The ``(st_mtime_ns, st_size)`` module ``name``'s file had when the
+    module was imported, while the module still holds what :func:`_record`
+    kept of it; None once it does not, or has no file.  A module without
+    a record, one from outside the package, is recorded now."""
+    namespace = vars(importlib.import_module(name))
+    record = namespace.get("__record__") or _record(namespace)
+    identity, copy, containers, copies, classes, dicts, functions, states = record
+    unchanged = (
+        (namespace == copy or _names(namespace) == _names(copy))
+        and containers == copies
+        and list(map(_class_dict, classes)) == dicts
+        and list(map(_STATE, functions)) == states
+    )
+    return identity if unchanged else None
+
+
+def _names(namespace: dict) -> dict:
+    return {key: value for key, value in namespace.items() if not key.startswith("__")}
+
+
+def _class_dict(cls: type) -> dict:
+    kept = vars(cls).copy()
+    kept.pop("__slotnames__", None)
+    return kept
 
 
 _PACKAGE = sys.modules[__name__]

@@ -19,11 +19,12 @@ from the directory this process imported it from.  It can therefore
 decide only what a fresh import can: requests whose every function and
 class is a built-in of the package and that pickle small enough for one
 pipe write (:func:`_request`), and only while this process runs the same
-package code as the worker.  That code is compared by fingerprint, the
-code objects and plain values of every module the worker runs
-(:data:`_MODULES`): the worker sends its fingerprint first, and this
-process recomputes its own whenever a module of the package was
-replaced, reloaded or patched.  Until the two agree the worker's answers
+package code as the worker.  That code is compared by fingerprint: the
+modification time and size of the file of every module the worker runs
+(:data:`_MODULES`), as recorded at import (:func:`intervalagg._record`).
+The worker sends its own first.  This process has none while one of its
+modules no longer holds what it held at import (patched, say), and then
+decides every range itself.  Until the two agree the worker's answers
 are not used.  Any other request, one that reaches an ``extern:``
 command, a closure or a function of the caller's own, say, is decided
 in this process, as are all ranges on one CPU and empty ranges.
@@ -46,10 +47,10 @@ import sys
 import types
 from typing import Iterator, Optional
 
-from . import _EXPORTS
+from . import _EXPORTS, _identity
 
 _CHUNKS = 16
-# The modules that decide samples, fingerprinted in both processes: every
+# The modules that decide samples, compared in both processes: every
 # submodule that defines a public name.
 _MODULES = tuple("intervalagg." + name for name in dict.fromkeys(_EXPORTS.values()))
 # Where the live worker of this process is kept: on ``sys``, so that a
@@ -83,7 +84,7 @@ class _Worker:
     has sent it; ``spawned_for`` is this process's fingerprint when the
     worker was started."""
 
-    def __init__(self, pid: int, requests: int, replies: int, spawned_for: str) -> None:
+    def __init__(self, pid: int, requests: int, replies: int, spawned_for: tuple) -> None:
         import threading
 
         self.pid = pid
@@ -91,7 +92,7 @@ class _Worker:
         self.requests = requests
         self.replies = replies
         self.spawned_for = spawned_for
-        self.fingerprint: Optional[str] = None
+        self.fingerprint: Optional[tuple] = None
         self.sequence = 0
         self.lock = threading.Lock()
 
@@ -143,7 +144,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget)
 
 
-def _spawn(fingerprint: str) -> Optional[_Worker]:
+def _spawn(fingerprint: tuple) -> Optional[_Worker]:
     """Start a worker, None if that fails."""
     requests_in, requests = os.pipe()
     replies, replies_out = os.pipe()
@@ -185,6 +186,8 @@ def parts(decide, args: tuple, total: int) -> Optional[Iterator]:
     if request is None:
         return None
     fingerprint = _fingerprint()
+    if fingerprint is None:
+        return None  # this process no longer runs the code it imported
     worker = _live()
     if worker is not None and not worker.lock.acquire(blocking=False):
         return None  # another thread is using the worker
@@ -343,106 +346,12 @@ def _read(fd: int):
     return pickle.loads(exactly(int.from_bytes(exactly(8), "little")))
 
 
-# The modules last fingerprinted here, the fingerprint, and the modules
-# and dicts it read with what was in them: while none of them has
-# changed, neither has the fingerprint.
-_fingerprinted: tuple = ((), (), "")
-
-
-def _fingerprint() -> str:
-    """The fingerprint of :data:`_MODULES` as this process has them."""
-    global _fingerprinted
-    modules, seen, fingerprint = _fingerprinted
-    if modules == _MODULES and all(_unchanged(entry) for entry in seen):
-        return fingerprint
-    seen = []
-    fingerprint = _code_fingerprint(_MODULES, seen)
-    _fingerprinted = (_MODULES, seen, fingerprint)
-    return fingerprint
-
-
-def _unchanged(entry) -> bool:
-    container, content = entry
-    if isinstance(content, str):
-        return sys.modules.get(content) is container
-    return container == content
-
-
-def _code_fingerprint(modules: tuple, seen: list) -> str:
-    """A digest of the code and plain values of ``modules`` that two
-    processes agree on exactly when a fresh import would decide every
-    sample the same in both.  Functions and classes of those modules are
-    read down to their code objects and attributes, containers down to
-    their items, anything else by its type's name.  ``seen`` receives each
-    module and each dict read, with what was in it."""
-    import hashlib
-    import importlib
-    import types
-
-    parts: list = []
-    visited: set = set()
-
-    def record(mapping) -> None:
-        seen.append((mapping, dict(mapping)))
-
-    def token(value) -> None:
-        if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):
-            parts.append(repr(value))
-        elif isinstance(value, types.CodeType):
-            parts.append(repr((
-                value.co_name, value.co_code, value.co_names, value.co_varnames,
-                value.co_freevars, value.co_cellvars, value.co_argcount,
-                value.co_posonlyargcount, value.co_kwonlyargcount, value.co_flags,
-            )))
-            for const in value.co_consts:
-                token(const)
-        elif id(value) in visited:
-            parts.append("<seen>")
-        elif isinstance(value, types.FunctionType) and value.__module__ in modules:
-            visited.add(id(value))
-            for part in (value.__code__, value.__defaults__, value.__kwdefaults__):
-                token(part)
-        elif isinstance(value, type) and value.__module__ in modules:
-            visited.add(id(value))
-            record(value.__dict__)
-            for key, item in value.__dict__.items():
-                if key != "__slotnames__":  # a cache pickling fills in
-                    parts.append(key)
-                    token(item)
-        elif isinstance(value, (staticmethod, classmethod)):
-            token(value.__func__)
-        elif isinstance(value, property):
-            for part in (value.fget, value.fset, value.fdel):
-                token(part)
-        elif isinstance(value, (tuple, list)):
-            parts.append(type(value).__name__)
-            for item in value:
-                token(item)
-        elif isinstance(value, (set, frozenset)):
-            start = len(parts)
-            for item in value:
-                token(item)
-            parts[start:] = sorted(parts[start:])
-        elif isinstance(value, dict):
-            visited.add(id(value))
-            record(value)
-            for key, item in value.items():
-                token(key)
-                token(item)
-        else:
-            name = getattr(value, "__qualname__", getattr(value, "__name__", ""))
-            parts.append(f"{type(value).__module__}.{type(value).__qualname__}:{name}")
-
-    for name in modules:
-        module = importlib.import_module(name)
-        seen.append((module, name))
-        namespace = vars(module)
-        record(namespace)
-        for key in sorted(namespace):
-            if not key.startswith("__"):
-                parts.append(key)
-                token(namespace[key])
-    return hashlib.sha256("\0".join(parts).encode("utf-8", "surrogatepass")).hexdigest()
+def _fingerprint(modules: tuple = ()) -> Optional[tuple]:
+    """The fingerprint of ``modules`` (by default :data:`_MODULES`), their
+    files' identities at import (:func:`intervalagg._identity`); None once
+    one no longer holds what it held then, or has no file."""
+    identities = tuple(map(_identity, modules or _MODULES))
+    return None if None in identities else identities
 
 
 def _serve(modules: tuple) -> None:
@@ -471,7 +380,7 @@ def _serve(modules: tuple) -> None:
             while frame:
                 frame = frame[os.write(replies, frame):]
 
-        write(_code_fingerprint(modules, []))
+        write(_fingerprint(modules))
         while True:
             request = _read(0)  # EOFError once the caller is gone
             if request is None:

@@ -49,7 +49,7 @@ from functools import partial
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
-from . import _EXPORTS, _worker
+from . import _EXPORTS, _record, _worker
 from .core import (
     Interval,
     Profile,
@@ -996,3 +996,5 @@ def replay_witness(rule: RuleHandle, witness: Mapping) -> AxiomCheck:
         raise ValueError(f"{axiom} witness field 'perturbed' is malformed: {misfit}")
     return decide(rule, *args.values())
 
+
+_record(globals())

@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from . import _EXPORTS
+from . import _EXPORTS, _record
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -410,3 +410,6 @@ def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
         hi = rng.randint(lo + 1, 10)
         agents.append(Interval(float(lo), float(hi)))  # the float fast path
     return Profile(agents)
+
+
+_record(globals())

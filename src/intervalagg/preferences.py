@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from functools import partial
 from typing import Optional, Union
 
-from . import _EXPORTS
+from . import _EXPORTS, _record
 from .core import (
     _FLOAT_MAX,
     _LEAST_POSITIVE,
@@ -358,3 +358,6 @@ def find_manipulation(
         manipulated_outcome=best_outcome,
         cost_drop=best_drop,
     )
+
+
+_record(globals())

@@ -49,7 +49,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import _EXPORTS
+from . import _EXPORTS, _record
 from .core import (
     NEG_INF,
     POS_INF,
@@ -577,3 +577,6 @@ def _confirmations(
         rng = random.Random(seed * 1_000_003 + k) if trials else None
         profiles = (_sample_profile(rng, n_agents) for _ in trials)
         yield all(rule(trial) == reference(trial) for trial in profiles)
+
+
+_record(globals())

@@ -20,7 +20,7 @@ import random
 from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
-from . import _EXPORTS
+from . import _EXPORTS, _record
 from .core import (
     _LEAST_POSITIVE,
     Interval,
@@ -241,3 +241,6 @@ def map_from_data(data: Mapping) -> MonotoneMap:
             f"map direction {direction!r} disagrees with its breakpoints"
         )
     return mapping
+
+
+_record(globals())

@@ -235,3 +235,30 @@ assert "intervalagg.axioms" not in sys.modules
 new.Profile(list(new.sample_profile(random.Random(0), 3)))
 """, str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_module_the_worker_runs_is_recorded_at_import():
+    # What caches fill in later is not a change of code: pickling stores
+    # __slotnames__ on a class, a warning stores __warningregistry__ on the
+    # module it is attributed to.
+    proc = run_python("""
+import importlib, pickle, warnings
+import intervalagg.axioms
+from intervalagg import AuditConfig, Interval, _worker, core, median_rule_handle
+unrecorded = [
+    name for name in _worker._MODULES
+    if "__record__" not in vars(importlib.import_module(name))
+]
+assert not unrecorded, unrecorded
+before = _worker._fingerprint()
+assert before is not None
+for value in (Interval(0.0, 1.0), median_rule_handle(), AuditConfig(n_agents=3)):
+    pickle.loads(pickle.dumps(value))
+    assert "__slotnames__" in vars(type(value)), type(value)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    exec("__import__('warnings').warn('attributed to core')", vars(core))
+assert "__warningregistry__" in vars(core)
+assert _worker._fingerprint() == before
+""")
+    assert proc.returncode == 0, proc.stderr

@@ -6,11 +6,13 @@ the tests' own shard when the worker is started with their module."""
 import json
 import os
 import select
+import shutil
 import signal
 import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -23,6 +25,7 @@ from intervalagg import (
     RuleHandle,
     _worker,
     audit,
+    axioms,
     averaging_rule_handle,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
@@ -577,6 +580,60 @@ def test_patched_package_code_is_not_left_to_the_worker(monkeypatch, two_cpus):
     assert report_text(rule, config) == clean
 
 
+def decided_here_while_patched(monkeypatch, paths, config, change):
+    """Audit the averaging rule under ``config`` with the worker answering,
+    then with ``change(context)`` applied, then with it undone: the changed
+    report is the one this process writes on its own, and once the patch
+    is undone the same worker answers again."""
+    rule = averaging_rule_handle()
+    clean, _ = paths(lambda: report_text(rule, config))
+    pid = _worker._live().pid
+    with monkeypatch.context() as patched:
+        change(patched)
+        sharded = report_text(rule, config)
+        patched.setattr(_worker, "_usable_cpus", lambda: 1)
+        assert sharded == report_text(rule, config) != clean
+    assert paths(lambda: report_text(rule, config)) == (clean, clean)
+    assert _worker._live().pid == pid
+
+
+def test_a_partial_swapped_in_the_axiom_table_is_not_left_to_the_worker(monkeypatch, paths):
+    # StrongNeutrality drawing increasing maps only, as WeakNeutrality does.
+    decide, fields, draw, default = axioms._AXIOMS["StrongNeutrality"]
+    weak = (decide, fields, partial(draw.func, strong=False), default)
+    config = AuditConfig(n_agents=4, samples=20, seed=8, axioms=("StrongNeutrality",))
+    decided_here_while_patched(
+        monkeypatch, paths, config,
+        lambda patched: patched.setitem(axioms._AXIOMS, "StrongNeutrality", weak),
+    )
+
+
+def other_seed(master, axiom, sample_index):
+    return master * 7919 + sample_index
+
+
+def test_code_replaced_in_a_function_is_not_left_to_the_worker(monkeypatch, paths):
+    config = AuditConfig(n_agents=4, samples=20, seed=8)
+    decided_here_while_patched(
+        monkeypatch, paths, config,
+        lambda patched: patched.setattr(axioms._derive_seed, "__code__", other_seed.__code__),
+    )
+
+
+def test_a_method_replaced_on_a_class_is_not_left_to_the_worker(monkeypatch, paths):
+    evaluate = RuleHandle.__call__
+
+    def shifted(handle, profile):
+        outcome = evaluate(handle, profile)
+        return type(outcome)(outcome.lo + 0.5, outcome.hi + 0.5)
+
+    config = AuditConfig(n_agents=4, samples=20, seed=8)
+    decided_here_while_patched(
+        monkeypatch, paths, config,
+        lambda patched: patched.setattr(RuleHandle, "__call__", shifted),
+    )
+
+
 def test_audits_that_cannot_shard_run_in_process(monkeypatch, two_cpus):
     config = AuditConfig(n_agents=3, samples=2, seed=1)
     ranges = [(0, 20)]
@@ -882,40 +939,75 @@ def test_usable_cpus_without_affinity(monkeypatch, count, usable):
     assert _worker._usable_cpus() == usable
 
 
-# Module-level sets iterate in an order that depends on the hash seed;
-# the fingerprint must not.
-SETS = """
-SIDES = frozenset({"lower", "upper", "both", "neither", "%s"})
-TAGS = {"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+# A child imports a copy of the package and starts the worker; the copy's
+# axioms.py is then rewritten before the worker imports it.  The worker
+# runs other code than the child and says so by its files' identities, so
+# the child decides every sample itself, and keeps its worker.
+EDITED = """
+import json, os, sys, time
+from intervalagg import AuditConfig, _worker, audit, averaging_rule_handle
+
+gate, module, old, new = sys.argv[1:]
+assert os.path.dirname(_worker.__file__) == os.path.dirname(module), _worker.__file__
+# The worker waits for the gate before it imports the package.
+_worker._SERVE = (
+    f"import os, time\\nwhile not os.path.exists({gate!r}): time.sleep(0.01)\\n"
+    + _worker._SERVE
+)
+_worker._usable_cpus = lambda: 2
+rule, config = averaging_rule_handle(), AuditConfig(n_agents=4, samples=20, seed=8)
+texts = {json.dumps(audit(rule, config).to_json_dict())}
+worker = _worker._live()
+with open(module) as source:
+    text = source.read()
+assert old in text
+with open(module, "w") as source:
+    source.write(text.replace(old, new))
+open(gate, "w").close()
+deadline = time.monotonic() + 60
+while worker.fingerprint is None:
+    assert time.monotonic() < deadline
+    time.sleep(0.02)
+    texts.add(json.dumps(audit(rule, config).to_json_dict()))
+texts.add(json.dumps(audit(rule, config).to_json_dict()))
+_worker._usable_cpus = lambda: 1
+in_process = json.dumps(audit(rule, config).to_json_dict())
+print(json.dumps([
+    sorted(texts) == [in_process],
+    None not in (worker.fingerprint, _worker._fingerprint()),
+    worker.fingerprint != _worker._fingerprint(),
+    _worker._live() is worker,
+]))
+print(in_process)
 """
-SET_FINGERPRINT = """
-from intervalagg._worker import _code_fingerprint
-import sets
-print(_code_fingerprint(("sets",), []), list(sets.SIDES), list(sets.TAGS))
-"""
+SEED_CODE = "* 1_000_003 + sample_index\n"
 
 
-def test_fingerprint_of_sets_ignores_the_hash_seed(tmp_path):
-    def fingerprints(element):
-        folder = tmp_path / element
-        folder.mkdir()
-        (folder / "sets.py").write_text(SETS % element)
-        digests, orders = set(), set()
-        for seed in ("0", "1", "2"):
-            env = src_env()
-            env["PYTHONHASHSEED"] = seed
-            env["PYTHONPATH"] = os.pathsep.join([str(folder), env["PYTHONPATH"]])
-            child = subprocess.run(
-                [sys.executable, "-c", SET_FINGERPRINT],
-                capture_output=True, text=True, timeout=60, env=env, cwd=folder,
-            )
-            assert child.returncode == 0, child.stderr
-            digest, order = child.stdout.split(" ", 1)
-            digests.add(digest)
-            orders.add(order)
-        assert len(orders) > 1  # the seeds did reorder the sets
-        return digests
+def test_a_package_edited_on_disk_is_audited_as_imported(tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(
+        ROOT / "src" / "intervalagg", copy / "intervalagg",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(copy), env["PYTHONPATH"]])
 
-    first = fingerprints("unknown")
-    changed = fingerprints("unseen")
-    assert len(first) == len(changed) == 1 and first != changed
+    def run(*argv):
+        child = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+            env=env, cwd=tmp_path,
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout.splitlines()
+
+    module = copy / "intervalagg" / "axioms.py"
+    flags, in_process = run(
+        "-c", EDITED, str(tmp_path / "gate"), str(module), SEED_CODE,
+        SEED_CODE.replace("index", "index + 1"),
+    )
+    assert json.loads(flags) == [True, True, True, True]
+    # The edit changes the report: the worker's answers would have shown.
+    edited = run("-c", "import json; from intervalagg import *; print(json.dumps(audit("
+                 "averaging_rule_handle(), AuditConfig(n_agents=4, samples=20, seed=8))"
+                 ".to_json_dict()))")
+    assert edited != [in_process]
