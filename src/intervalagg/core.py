@@ -361,12 +361,20 @@ def endpoint_distance(a: Interval, b: Interval) -> float:
     return abs(a.lo - b.lo) + abs(a.hi - b.hi)
 
 
+# The samplers write out random.py's draws, alike in Python 3.10 to 3.13,
+# so a seed samples the same on each: uniform(a, b) is a + (b - a) *
+# random(); randint and randrange are at the _randbelow use below.  What
+# they build is valid by construction and skips the checking constructors.
+
+
 def _sample_interval(rng: random.Random) -> Interval:
+    draw = rng.random
     while True:
-        a = rng.uniform(-10.0, 10.0)
-        b = rng.uniform(-10.0, 10.0)
+        # uniform(-10.0, 10.0): finite, and never -0.0, as -10.0 + 10.0 is +0.0.
+        a = -10.0 + 20.0 * draw()
+        b = -10.0 + 20.0 * draw()
         if a != b:
-            return Interval(a, b) if a < b else Interval(b, a)
+            return _tuple_new(Interval, (a, b) if a < b else (b, a))
 
 
 def sample_profile(rng: random.Random, n_agents: int) -> Profile:
@@ -376,9 +384,17 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
     profiles drawing endpoints from a small shared pool (forcing exact
     ties across agents, the likeliest quantile bug site); and
     integer-valued profiles.  The regime is chosen per profile from the
-    provided stream, so campaigns see all three.  ``n_agents`` must be an
-    int (not a bool) >= 1.
+    provided stream, so campaigns see all three.  ``rng`` must be a
+    :class:`random.Random` (a subclass such as :class:`random.SystemRandom`
+    will do) and ``n_agents`` an int (not a bool) >= 1.
+
+    The draws are exactly those of the stream's ``uniform``, ``randint``
+    and ``randrange``, so a seed gives the same profiles, and the same
+    audit reports, on every supported Python.  Each sampled interval is
+    valid by construction and built without re-checking.
     """
+    if not isinstance(rng, random.Random):
+        raise TypeError(f"rng must be a random.Random, got {rng!r}")
     _check_int("n_agents", n_agents, 1)
     return _sample_profile(rng, n_agents)
 
@@ -386,30 +402,35 @@ def sample_profile(rng: random.Random, n_agents: int) -> Profile:
 def _sample_profile(rng: random.Random, n_agents: int) -> Profile:
     # Campaigns and identification call this per sample, with a size they
     # have checked.
-    roll = rng.random()
+    draw = rng.random
+    roll = draw()
     if roll < 0.4:
-        return Profile([_sample_interval(rng) for _ in range(n_agents)])
+        return _tuple_new(Profile, [_sample_interval(rng) for _ in range(n_agents)])
+    # random.py: randrange(a, b) is a + _randbelow(b - a), randint(a, b) is
+    # randrange(a, b + 1), and randrange(k) is _randbelow(k).
+    below = rng._randbelow
+    agents = []
     if roll < 0.7:
-        pool_size = rng.randint(2, max(2, min(4, n_agents + 1)))
+        pool_size = 2 + below(max(2, min(4, n_agents + 1)) - 1)  # randint(2, ...)
         pool = set()
         while len(pool) < pool_size + 1:
-            if rng.random() < 0.5:
-                pool.add(float(rng.randint(-8, 8)))
+            if draw() < 0.5:
+                pool.add(float(below(17) - 8))  # randint(-8, 8)
             else:
-                pool.add(round(rng.uniform(-10.0, 10.0), 2))
+                # round() gives -0.0 for a small negative draw; + 0.0 makes it +0.0.
+                pool.add(round(-10.0 + 20.0 * draw(), 2) + 0.0)
         values = sorted(pool)
-        agents = []
+        top = len(values)
         for _ in range(n_agents):
-            i = rng.randrange(len(values) - 1)
-            j = rng.randrange(i + 1, len(values))
-            agents.append(Interval(values[i], values[j]))
-        return Profile(agents)
-    agents = []
+            i = below(top - 1)
+            j = i + 1 + below(top - i - 1)  # randrange(i + 1, top)
+            agents.append(_tuple_new(Interval, (values[i], values[j])))
+        return _tuple_new(Profile, agents)
     for _ in range(n_agents):
-        lo = rng.randint(-10, 9)
-        hi = rng.randint(lo + 1, 10)
-        agents.append(Interval(float(lo), float(hi)))  # the float fast path
-    return Profile(agents)
+        lo = below(20) - 10  # randint(-10, 9)
+        hi = lo + 1 + below(10 - lo)  # randint(lo + 1, 10)
+        agents.append(_tuple_new(Interval, (float(lo), float(hi))))
+    return _tuple_new(Profile, agents)
 
 
 _record(globals())

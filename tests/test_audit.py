@@ -1031,6 +1031,22 @@ class TestIdentification:
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_profile(random.Random(0), size)
 
+    @pytest.mark.parametrize("rng", [None, 5, random, object()])
+    def test_sample_profile_rng_validated(self, rng):
+        message = f"rng must be a random.Random, got {rng!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            sample_profile(rng, 3)
+
+    def test_sample_profile_rng_checked_before_any_draw(self):
+        # A wrong rng is reported even when the size is wrong too.
+        with pytest.raises(TypeError, match="rng must be a random.Random"):
+            sample_profile(None, 0)
+
+    @pytest.mark.parametrize("rng", [random.SystemRandom(), random.Random(0)])
+    def test_sample_profile_takes_any_random_instance(self, rng):
+        profile = sample_profile(rng, 3)
+        assert type(profile) is Profile and len(profile) == 3
+
     def test_staircase_profile_shape(self):
         assert staircase_profile(3) == Profile(
             (Interval(1, 2), Interval(3, 4), Interval(5, 6))
