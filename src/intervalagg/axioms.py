@@ -29,12 +29,12 @@ built-in handle's stream may be decided in parts shared with a second
 process, a sample worker (:mod:`intervalagg._worker` describes how);
 the report is the same byte for byte either way.
 
-Checks compare untransformed rule outputs exactly.  After a map or a
-translation has touched the numbers, endpoint comparisons allow 1e-9
-of floating-point slack.  The continuity axiom is decided only through
-a sampled 1-Lipschitz surrogate (sup-norm perturbations of size eps must
-move the output endpoints by at most eps plus slack); reports label it
-as a surrogate so nobody mistakes it for the topological property.
+Checks compare untransformed rule outputs exactly, and outputs after a
+map or a translation up to rounding: four ulps of the largest magnitude
+compared.  The continuity axiom is decided only through a sampled
+1-Lipschitz surrogate (sup-norm perturbations of size eps must move the
+output endpoints by at most eps plus that rounding); reports label it as
+a surrogate so nobody mistakes it for the topological property.
 
 Samples are drawn with the profile sampler of :mod:`intervalagg.core`.
 """
@@ -98,9 +98,6 @@ UNANIMITY = "Unanimity"
 # through the same tally machinery, opt-in.
 MANIPULATION = "Manipulation"
 
-# Endpoint slack after a map or translation has been applied.
-TRANSFORM_TOL = 1e-9
-
 # Fixed campaign settings: the continuity surrogate's perturbation size
 # and perturbations per sample, and the run of consecutive evaluation
 # errors after which an audit aborts.
@@ -153,8 +150,19 @@ def _permutation_from(data: Sequence[int]) -> list[int]:
     return [_check_int("permutation entry", source) for source in data]
 
 
-def _close(a: Sequence[float], b: Sequence[float]) -> bool:
-    return abs(a[0] - b[0]) <= TRANSFORM_TOL and abs(a[1] - b[1]) <= TRANSFORM_TOL
+def _within(gap: float, bound: float, *groups: Sequence[Sequence[float]]) -> bool:
+    """Whether ``gap`` is within ``bound``, 0 after a map or a shift and
+    epsilon for continuity, plus four ulps of the largest magnitude in
+    ``groups`` (profiles, their images and the outputs compared).  Each
+    side of a gap is within two ulps of exact: half as a shift or a jitter
+    rounds an endpoint (sampled maps are exact at the data), one and a half
+    as a rule rounds its output (averaging's mean, stepped up a float if its
+    two means meet).  A continuity gap has one side untransformed, and steps
+    up on both sides cancel: 2.5 ulps, with room to round gap and bound.
+    Ulps are read only past the bound.  A NaN or infinite gap fails, even
+    where an overflow made the ulp infinite too."""
+    return gap <= bound or math.isfinite(gap) and gap <= bound + 4 * math.ulp(
+        max(abs(x) for group in groups for pair in group for x in pair))
 
 
 def _same_size(profile: Profile, other: Profile) -> None:
@@ -230,7 +238,8 @@ def _neutrality_check(
     expected = apply_map_interval(mapping, output)
     mapped_profile = apply_map_profile(mapping, profile)
     actual = rule(mapped_profile)
-    if _close(expected, actual):
+    gap = max(abs(expected.lo - actual.lo), abs(expected.hi - actual.hi))
+    if _within(gap, 0.0, profile, mapped_profile, (output, expected, actual)):
         return AxiomCheck(axiom)
     return _failure(
         axiom,
@@ -248,8 +257,8 @@ def check_weak_neutrality(
     """Rule commutes with an increasing transformation of the scale.
 
     The image of the aggregate must equal the aggregate of the images
-    within 1e-9 per endpoint.  Decreasing maps are rejected; use
-    :func:`check_strong_neutrality` for those.
+    within four ulps of the largest magnitude compared, per endpoint.
+    Decreasing maps are rejected; :func:`check_strong_neutrality` takes them.
     """
     return _neutrality_check(WEAK_NEUTRALITY, rule, profile, mapping)
 
@@ -267,10 +276,10 @@ def check_strong_neutrality(
 
 
 def check_translation_equivariance(
-    rule: RuleHandle, profile: Profile, offset: float
+    rule: RuleHandle, profile: Sequence[Interval], offset: float
 ) -> AxiomCheck:
     """Shifting every judgment by ``offset`` shifts the aggregate by it."""
-    offset = float(_check_number("offset", offset))
+    profile, offset = Profile(profile), float(_check_number("offset", offset))
     try:
         shifted = profile.shift(offset)
     except ValueError as error:
@@ -282,7 +291,8 @@ def check_translation_equivariance(
     # Plain floats: a rule's output may be narrower than the float
     # spacing at the shifted scale, so its shift need not be an Interval.
     expected = [output.lo + offset, output.hi + offset]
-    if _close(expected, shifted_output):
+    gap = max(abs(expected[0] - shifted_output.lo), abs(expected[1] - shifted_output.hi))
+    if _within(gap, 0.0, profile, shifted, (output, expected, shifted_output)):
         return AxiomCheck(TRANSLATION_EQUIVARIANCE)
     return _failure(
         TRANSLATION_EQUIVARIANCE,
@@ -294,24 +304,13 @@ def check_translation_equivariance(
     )
 
 
-def _past_bound(distance: float, epsilon: float, profile: Profile, perturbed: Profile) -> bool:
-    """Whether ``distance`` exceeds the continuity bound ``epsilon + 1e-9``
-    plus two ulps of the largest endpoint magnitude of the two profiles
-    for rounding: one as the perturbation rounds each endpoint and one as
-    a rule that does not copy an endpoint, averaging say, rounds its
-    output.  The ulps are read only past the nominal bound."""
-    bound = epsilon + TRANSFORM_TOL
-    return distance > bound and distance > bound + 2 * math.ulp(
-        max(abs(x) for entry in (*profile, *perturbed) for x in entry))
-
-
 def _misfit(profile: Profile, epsilon: float, perturbed: Profile) -> Optional[str]:
     """Why ``perturbed`` is no perturbation of ``profile`` within the
     continuity bound; None if it is one."""
     if len(perturbed) != len(profile):
         return f"{len(perturbed)} agents against the profile's {len(profile)}"
     shift = max(abs(a - b) for a, b in zip(chain(*profile), chain(*perturbed)))
-    if _past_bound(shift, epsilon, profile, perturbed):
+    if not _within(shift, epsilon, profile, perturbed):
         return f"it moves an endpoint by {shift!r}, more than epsilon {epsilon!r}"
     return None
 
@@ -323,7 +322,7 @@ def _check_lipschitz(
     for perturbed in perturbations:
         moved = rule(perturbed)
         movement = max(abs(moved.lo - output.lo), abs(moved.hi - output.hi))
-        if _past_bound(movement, epsilon, profile, perturbed):
+        if not _within(movement, epsilon, profile, perturbed, (output, moved)):
             return _failure(
                 CONTINUITY_LIPSCHITZ,
                 profile=profile,
@@ -349,11 +348,9 @@ def check_continuity_lipschitz(
     ``[-delta, delta]`` where ``delta = min(epsilon, 0.49 * width)``; a
     judgment whose jittered endpoints round to ``lo >= hi`` (possible only
     far from 0) is kept unperturbed.  The aggregate endpoints must move by
-    at most ``epsilon + 1e-9``, plus two ulps of the largest endpoint
-    magnitude for rounding: the perturbation rounds once, and a rule such
-    as averaging rounds its output once more.  Order-statistic rules
-    satisfy the exact 1-Lipschitz bound, so they pass at any epsilon and
-    any magnitude.  ``epsilon == 0`` passes vacuously.  This is a
+    at most ``epsilon`` plus four ulps of the largest magnitude on the
+    instance for rounding, so order-statistic rules and averaging pass at
+    any epsilon and magnitude.  ``epsilon == 0`` passes vacuously.  This is a
     surrogate: passing it is evidence, not a proof, of the continuity
     axiom.
     """
@@ -418,7 +415,7 @@ def check_independent_endpoints(
 
 
 def check_out_betweenness(
-    rule: RuleHandle, profile: Profile, agent_index: int, misreport: Interval
+    rule: RuleHandle, profile: Sequence[Interval], agent_index: int, misreport: Interval
 ) -> AxiomCheck:
     """Truthful aggregate lies between the agent's judgment and any
     aggregate the agent could reach by misreporting.
@@ -427,6 +424,7 @@ def check_out_betweenness(
     the outcome around, but never *past* the truthful outcome from the
     deviator's point of view.
     """
+    profile = Profile(profile)
     _check_agent(profile, agent_index, "agent_index")
     deviated = profile.replace_agent(agent_index, misreport)
     output = rule(profile)

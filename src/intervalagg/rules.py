@@ -363,12 +363,12 @@ class RuleHandle(
         return self.evaluate(profile)
 
     def vary_agent(
-        self, profile: Profile, index: int
+        self, profile: Sequence[Interval], index: int
     ) -> Callable[[Interval], Interval]:
         """The rule's outcome as a function of agent ``index``'s report.
 
         ``handle.vary_agent(profile, i)(report)`` equals
-        ``handle(profile.replace_agent(i, report))``.  Order-statistic and
+        ``handle(Profile(profile).replace_agent(i, report))``.  Order-statistic and
         averaging handles precompute what the other agents contribute, so
         each report costs a clamp or one exact addition instead of a
         profile rebuild and a full evaluation.
@@ -385,6 +385,8 @@ class RuleHandle(
         to search one misreport per outcome class.  The averaging clamp
         and the full-evaluation fallback have no ``bounds``.
         """
+        if not isinstance(profile, Profile):
+            profile = Profile(profile)
         _check_agent(profile, index)
         if self.incremental is not None:
             return self.incremental(profile, index)

@@ -27,7 +27,7 @@ def test_each_submodule_all_is_its_group_in_the_package_table():
         group = [name for name, where in intervalagg._EXPORTS.items() if where == home]
         assert module.__all__ == group, home
     # Pruned from the package surface, still importable from their module.
-    from intervalagg.axioms import TRANSFORM_TOL, AxiomTally  # noqa: F401
+    from intervalagg.axioms import AxiomTally  # noqa: F401
 
 
 # Parameters that no caller set are gone: passing one is a TypeError.

@@ -371,6 +371,62 @@ class TestContinuitySurrogate:
             )
 
 
+def skewed_median_rule():
+    # Off by a relative 1e-10: far past rounding at every magnitude.
+    def evaluate(profile):
+        out = MEDIAN(profile)
+        return Interval(out.lo * (1 + 1e-10), out.hi * (1 + 1e-10))
+
+    return RuleHandle("skewed-median", evaluate)
+
+
+MAGNITUDES = [1e-6, 1.0, 1e6, 1e9, 1e12, 1e15]
+
+
+def scaled_instance(seed, scale):
+    """A seeded five-agent profile and offset, both at ``scale``."""
+    rng = random.Random(seed)
+    profile = []
+    for _ in range(5):
+        lo = scale * rng.uniform(-10, 10)
+        profile.append(Interval(lo, lo + scale * rng.uniform(0.1, 10)))
+    return Profile(profile), scale * rng.uniform(-100, 100)
+
+
+class TestVerdictsAtEveryMagnitude:
+    """The slack after a transform is the rounding of the numbers compared,
+    so the verdicts do not depend on the scale of the data."""
+
+    @pytest.mark.parametrize("scale", MAGNITUDES)
+    def test_averaging_passes_translation(self, scale):
+        rule = averaging_rule_handle()
+        failing = [
+            seed for seed in range(200)
+            if not check_translation_equivariance(rule, *scaled_instance(seed, scale)).passed
+        ]
+        assert failing == []
+
+    @pytest.mark.parametrize("scale", MAGNITUDES)
+    def test_skewed_median_fails_translation(self, scale):
+        profile, _ = scaled_instance(0, scale)
+        check = check_translation_equivariance(skewed_median_rule(), profile, 5.0 * scale)
+        assert not check.passed
+
+    def test_jump_rule_fails_continuity_at_scale_one(self):
+        profile, _ = scaled_instance(0, 1.0)
+        profile = profile.replace_agent(0, Interval(0.001, 1.0))
+        check = check_continuity_lipschitz(jump_rule(), profile, 0.01, samples=4, seed=0)
+        assert not check.passed
+
+    def test_constant_rule_whose_expected_shift_overflows_fails(self):
+        # The expected output is infinite, and so is an ulp of it.
+        rule = RuleHandle("far-constant", lambda profile: Interval(1e308, 1.7e308))
+        profile = Profile((Interval(-1.7e308, -1.6e308),))
+        check = check_translation_equivariance(rule, profile, 1.7e308)
+        assert not check.passed
+        assert check.witness["expected"] == [math.inf, math.inf]
+
+
 class TestIndependentEndpoints:
     def test_fixed_lower_endpoints_pass(self):
         other = Profile((Interval(2, 9), Interval(3, 7), Interval(1, 8)))
@@ -920,7 +976,7 @@ class TestReplayInput:
         assert calls == []
 
     # A perturbation of another size, or one that moves an endpoint past
-    # epsilon + 1e-9 and the rounding slack, is no continuity instance.
+    # epsilon and its rounding slack, is no continuity instance.
     @pytest.mark.parametrize("edit,detail", [
         (lambda perturbed: perturbed[:1], "1 agents against the profile's 3"),
         (lambda perturbed: perturbed + [[4.0, 5.0]], "4 agents against the profile's 3"),

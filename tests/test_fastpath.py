@@ -33,6 +33,8 @@ from intervalagg import (
     WeightedL1Preference,
     averaging_rule_handle,
     candidate_misreports,
+    check_out_betweenness,
+    check_translation_equivariance,
     endpoint_rule_handle,
     endpoint_rule_phantoms,
     find_manipulation,
@@ -203,6 +205,29 @@ def test_agent_index_must_be_an_int(handle, index):
     profile = Profile((Interval(0, 2), Interval(1, 3), Interval(2, 4)))
     with pytest.raises(ValueError, match=f"index must be an int, got {index!r}"):
         handle.vary_agent(profile, index)
+
+
+# A plain list of intervals is read as the profile it lists, as a call
+# reads it, by vary_agent and by the checks and the search built on it.
+@pytest.mark.parametrize("handle", [
+    *(endpoint_rule_handle(*quotas) for quotas in valid_quota_pairs(3)),
+    median_rule_handle(),
+    maximal_rule_handle(),
+    phantom_rule_handle(endpoint_rule_phantoms(2, 1, 3)),
+    averaging_rule_handle(),
+], ids=lambda handle: handle.name)
+def test_a_list_gives_what_its_profile_gives(handle):
+    judgments = [Interval(0, 2), Interval(1, 3), Interval(2, 5)]
+    profile = Profile(judgments)
+    report = Interval(-1.0, 4.5)
+    preference = WeightedL1Preference(judgments[0], 1.0, 3.0)
+    for run in (
+        lambda given: handle.vary_agent(given, 0)(report),
+        lambda given: find_manipulation(handle, given, 0, preference),
+        lambda given: check_out_betweenness(handle, given, 0, report),
+        lambda given: check_translation_equivariance(handle, given, 2.5),
+    ):
+        assert run(judgments) == run(profile)
 
 
 # Ties, duplicate endpoints and -0.0 (which Interval stores as +0.0).

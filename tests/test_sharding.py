@@ -92,15 +92,16 @@ def two_cpus(monkeypatch):
 def paths(monkeypatch, two_cpus):
     """Run a callable on the sharded path, then in-process.
 
-    Each poll for the worker's replies waits 5 ms first, so the worker
-    answers its chunks before this process can take them over; unless
-    ``answered`` is False, the sharded run must get one of its answers.
+    Each poll for the worker's replies first waits up to 5 ms for one to
+    arrive, so the worker answers its chunks before this process can take
+    them over; unless ``answered`` is False, the sharded run must get one
+    of its answers.
     """
     reply = _worker._reply
     answers = []
 
     def slow_reply(fd):
-        time.sleep(0.005)
+        select.select([fd], [], [], 0.005)
         answer = reply(fd)
         if isinstance(answer, tuple) and answer[0] == _worker._live().sequence:
             answers.append(answer[1])
