@@ -29,19 +29,21 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from functools import partial
 from typing import Optional, Union
 
 from . import _EXPORTS, _record
 from .core import (
     _FLOAT_MAX,
     _LEAST_POSITIVE,
+    NEG_INF,
+    POS_INF,
     Interval,
     Profile,
     _check_agent,
     _check_int,
     _check_number,
     _Frozen,
+    _tuple_new,
     endpoint_distance,
 )
 from .rules import RuleHandle
@@ -198,6 +200,8 @@ def candidate_misreports(profile: Profile, config: GridConfig) -> list[Interval]
 
     Near float max, midpoints are taken as half-sums and the random box
     is clipped to the finite floats, so every candidate stays finite.
+    The cloud's draws are random.py's ``uniform``, written out, so a seed
+    gives the same candidates on every supported Python.
     """
     return _candidates(profile, config, _UNBOUNDED)
 
@@ -238,18 +242,27 @@ def _off_grid(
     box_lo = max(lowest - 2.0 * span, -_FLOAT_MAX)
     box_hi = min(highest + 2.0 * span, _FLOAT_MAX)
     rng = random.Random(config.seed)
-    if math.isfinite(box_hi - box_lo):
-        uniform = rng.uniform
-    else:
-        uniform = partial(_wide_uniform, rng)
+    # uniform(box_lo, box_hi) written out as random.py computes it, alike in
+    # Python 3.10 to 3.13, so a seed draws the same cloud on each.
+    draw = rng.random
+    width = box_hi - box_lo
     others = []  # the cloud, then the extras
     made = 0
     while made < config.random_candidates:
-        a = uniform(box_lo, box_hi)
-        b = uniform(box_lo, box_hi)
+        if width < POS_INF:
+            a = box_lo + width * draw()
+            b = box_lo + width * draw()
+        else:
+            a = _wide_uniform(rng, box_lo, box_hi)
+            b = _wide_uniform(rng, box_lo, box_hi)
         if a == b:
             continue
-        others.append(Interval(a, b) if a < b else Interval(b, a))
+        a, b = (a, b) if a < b else (b, a)
+        # Finite draws are valid as they are; + 0.0 makes -0.0 +0.0.
+        others.append(
+            _tuple_new(Interval, (a + 0.0, b + 0.0))
+            if NEG_INF < a < b < POS_INF else Interval(a, b)
+        )
         made += 1
     others.extend(config.extra_candidates)
     return sorted({

@@ -60,6 +60,7 @@ from .core import (
     _check_int,
     _Frozen,
     _sample_profile,
+    _tuple_new,
 )
 
 __all__ = [name for name, home in _EXPORTS.items() if home == "rules"]
@@ -155,10 +156,10 @@ def _vary_select(
     lo_floor, lo_ceiling = _rank_bounds(lows, pool_lows, lo_rank)
     hi_floor, hi_ceiling = _rank_bounds(highs, pool_highs, hi_rank)
 
-    # Comparisons instead of min(max(...)): floor <= ceiling, so at most
-    # one bound applies, and an unclamped endpoint is passed on as it is.
-    # A report with neither endpoint clamped is its own outcome and, when
-    # it is an exact Interval, is returned without building a new one.
+    # Comparisons instead of min(max(...)): floor <= ceiling, so at most one
+    # bound applies.  A report with neither endpoint clamped is its own
+    # outcome and, if an exact Interval, is returned as it is; any other
+    # outcome is _select's, valid by the ranks, so it is built unchecked.
     def outcome(report: Interval) -> Interval:
         lo = report.lo
         hi = report.hi
@@ -172,7 +173,7 @@ def _vary_select(
             hi = hi_floor
         elif hi > hi_ceiling:
             hi = hi_ceiling
-        return Interval(lo, hi)
+        return _tuple_new(Interval, (lo + 0.0, hi + 0.0))
 
     outcome.bounds = (lo_floor, lo_ceiling, hi_floor, hi_ceiling)
     return outcome
@@ -200,8 +201,9 @@ def _mean_interval(lo_units: int, hi_units: int, n_agents: int) -> Interval:
     if lo == hi:
         # The exact means differ by less than one rounding and rounded to
         # the same float; the next float up keeps the output nonempty.
-        hi = math.nextafter(lo, POS_INF)
-    return Interval(lo, hi)
+        return Interval(lo, math.nextafter(lo, POS_INF))
+    # Rounding is monotone, so lo < hi, and finite; + 0.0 makes -0.0 +0.0.
+    return _tuple_new(Interval, (lo + 0.0, hi + 0.0))
 
 
 def _averaging(profile: Profile) -> Interval:

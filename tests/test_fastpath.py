@@ -629,3 +629,14 @@ def test_means_one_rounding_apart_give_the_next_float_up():
     assert handle(profile) == expected
     assert handle.vary_agent(profile, 0)(close) == expected
     assert handle.vary_agent(profile.replace_agent(0, Interval(0, 1)), 0)(close) == expected
+
+
+def test_a_lower_mean_rounded_to_minus_zero_is_stored_as_plus_zero():
+    # The exact lower mean is -0.5 units of 2**-1074, a tie that rounds to
+    # -0.0; the outcome, built without re-checking, must still hold +0.0.
+    profile = Profile([Interval(-5e-324, 1.0), Interval(0.0, 2.0)])
+    handle = averaging_rule_handle()
+    for outcome in (handle(profile), handle.vary_agent(profile, 1)(Interval(0.0, 2.0))):
+        assert type(outcome) is Interval
+        assert outcome == Interval(0.0, 1.5)
+        assert math.copysign(1.0, outcome.lo) == 1.0

@@ -61,6 +61,22 @@ def wide_intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
+@st.composite
+def scaled_profiles(draw):
+    """Up to five agents on a seven-point lattice, so ties are common,
+    scaled from the least subnormal up to where the box stays finite."""
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-8, 1.0, 1e8, 1e300, 3e306]))
+    agents = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda ks: ks[0] < ks[1]),
+        min_size=1, max_size=5,
+    ))
+    return Profile([Interval(lo * scale, hi * scale) for lo, hi in agents])
+
+
+def hexes(candidates):
+    return [(candidate.lo.hex(), candidate.hi.hex()) for candidate in candidates]
+
+
 def sample_interval(rng):
     a = rng.uniform(-10.0, 10.0)
     b = rng.uniform(-10.0, 10.0)
@@ -348,9 +364,9 @@ class TestCandidateGrid:
 
             draws = 0
 
-            def uniform(self, a, b):
+            def random(self):
                 self.draws += 1
-                return (a + b) / 2.0 if self.draws <= 2 else super().uniform(a, b)
+                return 0.5 if self.draws <= 2 else super().random()
 
         def tied(seed):
             rngs.append(TiedRandom(seed))
@@ -362,6 +378,43 @@ class TestCandidateGrid:
         merged = candidate_misreports(profile, GridConfig(random_candidates=3))
         assert len(set(merged) - set(grid)) == 3
         assert rngs[-1].draws == 8
+
+    # The cloud's draws are random.py's uniform written out: each endpoint
+    # must equal the reference's to the bit (== would hide a -0.0).
+    @given(
+        st.one_of(
+            scaled_profiles(),
+            st.lists(wide_intervals(), min_size=1, max_size=4).map(Profile),
+        ),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_cloud_draws_match_the_reference_to_the_bit(self, profile, seed, data):
+        ends = sorted({v for entry in profile for v in entry})
+        extras = data.draw(st.lists(
+            st.tuples(st.sampled_from(ends + [ends[0] - 0.5]), st.sampled_from(ends))
+            .filter(lambda pair: pair[0] < pair[1]).map(lambda pair: Interval(*pair)),
+            max_size=3,
+        ))
+        config = GridConfig(data.draw(st.sampled_from([0, 1, 20])), seed, extras)
+        candidates = candidate_misreports(profile, config)
+        assert all(type(candidate) is Interval for candidate in candidates)
+        assert hexes(candidates) == hexes(reference_candidates(profile, config))
+
+    # Past the reference's reach: the box's width overflows, so the cloud is
+    # drawn at half scale.  The pinned draws are those of the search before
+    # the draws were written out.
+    def test_overflowing_box_draws_as_before(self):
+        profile = Profile((Interval(-1e308, 1e308), Interval(0, 1)))
+        grid = set(candidate_misreports(profile, GridConfig(random_candidates=0)))
+        candidates = candidate_misreports(profile, GridConfig(4, seed=7))
+        assert len(candidates) == len(grid) + 4
+        assert hexes(c for c in candidates if c not in grid) == [
+            ("-0x1.c49bee0b8ed13p+1023", "0x1.e74ee6deceb40p+1017"),
+            ("-0x1.b5d34316e07bfp+1023", "0x1.351d220c5c7fap+1022"),
+            ("-0x1.6587cb4d766c8p+1023", "-0x1.68ca5e0d58b24p+1022"),
+            ("-0x1.1311b06ace67cp+1022", "0x1.25f20460639f8p+1020"),
+        ]
 
     @pytest.mark.parametrize("kwargs,error,message", [
         ({"extra_candidates": ((1.3, 2.7),)}, TypeError,
