@@ -158,8 +158,8 @@ def _import(module: str) -> types.ModuleType:
 _STATE = attrgetter("__code__", "__defaults__", "__kwdefaults__")
 
 
-def _record(namespace: dict) -> tuple:
-    """Keep and return what the module whose globals are ``namespace`` holds.
+def _record(namespace: dict) -> None:
+    """Keep what the module whose globals are ``namespace`` holds.
 
     Each submodule that decides samples calls this as the last statement
     of its import.  The record, ``namespace["__record__"]``, holds the
@@ -198,16 +198,17 @@ def _record(namespace: dict) -> tuple:
     )
     # The copy of the globals holds the record too, as the globals do.
     namespace["__record__"] = record[1]["__record__"] = record
-    return record
 
 
 def _identity(name: str) -> tuple | None:
     """The ``(st_mtime_ns, st_size)`` module ``name``'s file had when the
     module was imported, while the module still holds what :func:`_record`
-    kept of it; None once it does not, or has no file.  A module without
-    a record, one from outside the package, is recorded now."""
+    kept of it; None once it does not, or if it has no file or no record
+    (it does not call :func:`_record` at import)."""
     namespace = vars(importlib.import_module(name))
-    record = namespace.get("__record__") or _record(namespace)
+    record = namespace.get("__record__")
+    if record is None:
+        return None
     identity, copy, containers, copies, classes, dicts, functions, states = record
     unchanged = (
         (namespace == copy or _names(namespace) == _names(copy))

@@ -23,9 +23,12 @@ package code as the worker.  That code is compared by fingerprint: the
 modification time and size of the file of every module the worker runs
 (:data:`_MODULES`), as recorded at import (:func:`intervalagg._record`).
 The worker sends its own first.  This process has none while one of its
-modules no longer holds what it held at import (patched, say), and then
-decides every range itself.  Until the two agree the worker's answers
-are not used.  Any other request, one that reaches an ``extern:``
+modules has no record or no longer holds what it held at import
+(patched, say), and then decides every range itself.  The worker's
+answers are used only while the two agree.  A worker that runs other
+code than this process, its files edited before it imported them or
+re-imported here after an edit, is kept unused until this process exits.
+Any other request, one that reaches an ``extern:``
 command, a closure or a function of the caller's own, say, is decided
 in this process, as are all ranges on one CPU and empty ranges.
 
@@ -81,70 +84,53 @@ def _import_paths() -> list[str]:
 class _Worker:
     """The live worker: its pid, the write end of its request pipe and the
     read end of its reply pipe.  ``fingerprint`` is None until the worker
-    has sent it; ``spawned_for`` is this process's fingerprint when the
-    worker was started."""
+    has sent it."""
 
-    def __init__(self, pid: int, requests: int, replies: int, spawned_for: tuple) -> None:
+    def __init__(self, pid: int, requests: int, replies: int) -> None:
         import threading
 
         self.pid = pid
-        self.owner = os.getpid()
         self.requests = requests
         self.replies = replies
-        self.spawned_for = spawned_for
         self.fingerprint: Optional[tuple] = None
         self.sequence = 0
         self.lock = threading.Lock()
 
-    def close(self, kill: bool) -> None:
-        """Close this process's pipe ends, once; with ``kill``, also end
-        the worker and reap it."""
-        if self.requests < 0:
-            return
-        os.close(self.requests)
-        os.close(self.replies)
-        self.requests = self.replies = -1
-        if kill:
-            import signal
-
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped elsewhere, by a SIGCHLD handler say
-
 
 def _live() -> Optional[_Worker]:
-    worker = getattr(sys, _HOME, None)
-    return worker if worker is not None and worker.owner == os.getpid() else None
+    return getattr(sys, _HOME, None)
 
 
-def _stop(worker: Optional[_Worker] = None) -> None:
-    """End ``worker``, by default the live worker of this process, if it
-    has one."""
+def _stop(worker: Optional[_Worker] = None, kill: bool = True) -> None:
+    """Let go of ``worker`` (by default the live worker of this process, if
+    any), once: close this process's ends of its pipes and, with ``kill``,
+    end the worker and reap it.  A child forked from this process lets go
+    without ``kill``, so the worker still sees EOF when this process exits."""
     worker = worker or _live()
-    if worker is not None:
-        if getattr(sys, _HOME, None) is worker:
-            delattr(sys, _HOME)
-        worker.close(kill=True)
-
-
-def _forget() -> None:
-    """In a child forked from this process: let go of the parent's worker
-    without touching it, so it still sees EOF when the parent exits."""
-    worker = getattr(sys, _HOME, None)
-    if worker is not None:
+    if worker is None or worker.requests < 0:
+        return
+    if _live() is worker:
         delattr(sys, _HOME)
-        worker.close(kill=False)
+    os.close(worker.requests)
+    os.close(worker.replies)
+    worker.requests = worker.replies = -1
+    if kill:
+        import signal
+
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped elsewhere, by a SIGCHLD handler say
 
 
 # This process ends its worker at exit; a child forked from it lets go.
 atexit.register(_stop)
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget)
+    os.register_at_fork(after_in_child=lambda: _stop(kill=False))
 
 
-def _spawn(fingerprint: tuple) -> Optional[_Worker]:
+def _spawn() -> Optional[_Worker]:
     """Start a worker, None if that fails."""
     requests_in, requests = os.pipe()
     replies, replies_out = os.pipe()
@@ -169,7 +155,7 @@ def _spawn(fingerprint: tuple) -> Optional[_Worker]:
         os.close(replies)
         return None
     os.set_blocking(requests, False)
-    worker = _Worker(pid, requests, replies, fingerprint)
+    worker = _Worker(pid, requests, replies)
     setattr(sys, _HOME, worker)
     return worker
 
@@ -189,16 +175,12 @@ def parts(decide, args: tuple, total: int) -> Optional[Iterator]:
     if fingerprint is None:
         return None  # this process no longer runs the code it imported
     worker = _live()
+    if worker is not None and worker.fingerprint not in (None, fingerprint):
+        return None  # the worker runs other code than this process
     if worker is not None and not worker.lock.acquire(blocking=False):
         return None  # another thread is using the worker
-    if worker is not None and worker.fingerprint not in (None, fingerprint):
-        if worker.spawned_for == fingerprint:
-            worker.lock.release()
-            return None  # the package on disk is not the code this process runs
-        _stop(worker)
-        worker = None
     if worker is None:
-        worker = _spawn(fingerprint)
+        worker = _spawn()
         if worker is None:
             return None
         worker.lock.acquire()

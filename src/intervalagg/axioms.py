@@ -915,15 +915,18 @@ def _pref_from(data: Mapping) -> Preference:
 def _failure(axiom: str, **fields) -> AxiomCheck:
     """Failing verdict whose witness holds ``fields`` as plain JSON, in order.
 
-    The one witness encoder: intervals become ``[lo, hi]``, profiles
-    lists of such pairs, maps and preferences the dicts the decoders
-    below read back; any other value is stored as it is.
+    The one witness encoder: intervals become ``[lo, hi]``, profiles and
+    any list or tuple of intervals lists of such pairs, maps and
+    preferences the dicts the decoders below read back; any other value
+    is stored as it is.
     """
     witness = {"axiom": axiom}
     for name, value in fields.items():
         if isinstance(value, Interval):
             value = [value.lo, value.hi]
-        elif isinstance(value, Profile):
+        elif isinstance(value, Profile) or isinstance(value, (list, tuple)) and all(
+            isinstance(entry, Interval) for entry in value
+        ):
             value = [[entry.lo, entry.hi] for entry in value]
         elif isinstance(value, MonotoneMap):
             value = map_to_data(value)

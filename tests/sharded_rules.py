@@ -5,12 +5,14 @@ The sample worker takes only handles built from the modules it was
 started with; the tests start it with this module added, from a path
 that also holds the checkout, so these rules shard too.  Kept out of
 the test modules, whose assertions pytest rewrites: the worker imports
-this file plainly, and both processes must hold the same code.
+this file plainly, and both processes must hold the same code.  Like
+each module of the package, it records itself at the end of its import,
+so that both processes can show they hold it.
 """
 
 from functools import partial
 
-from intervalagg import Interval, RuleEvaluationError, RuleHandle, median_rule_handle
+from intervalagg import Interval, RuleEvaluationError, RuleHandle, _record, median_rule_handle
 
 MEDIAN = median_rule_handle()
 
@@ -69,3 +71,6 @@ def squares(fail_at, start, stop):
         if position == fail_at:
             raise ValueError(f"no square at {position}")
         yield position * position
+
+
+_record(globals())

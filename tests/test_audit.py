@@ -15,6 +15,7 @@ from intervalagg import (
     Profile,
     RuleEvaluationError,
     RuleHandle,
+    WeightedL1Preference,
     audit,
     averaging_rule_handle,
     check_anonymity,
@@ -33,6 +34,7 @@ from intervalagg import (
     identify_endpoint_rule,
     maximal_rule_handle,
     median_rule_handle,
+    random_increasing_map,
     replay_witness,
     sample_profile,
     staircase_profile,
@@ -882,6 +884,65 @@ def test_readme_lists_the_default_and_opt_in_axioms():
     opt_in = tuple(a for a in ALL_AXIOM_IDS if a not in DEFAULT_AUDIT_AXIOMS)
     assert tuple(re.findall(r"`(\w+)`", default_part)) == DEFAULT_AUDIT_AXIOMS
     assert tuple(re.findall(r"`(\w+)`", opt_in_part)) == opt_in
+
+
+# Each check that takes a profile, on a plain list and a failing rule,
+# with the argument after the profile: the witness must not alias the list.
+LIST_PROFILE_CASES = {
+    "Responsiveness": (
+        check_responsiveness, narrowest_rule,
+        lambda: [[Interval(0, 20), Interval(2, 5), Interval(4, 9)]],
+    ),
+    "Anonymity": (check_anonymity, dictatorial_rule, lambda: [[1, 0, 2]]),
+    "WeakNeutrality": (
+        check_weak_neutrality, averaging_rule_handle,
+        lambda: [random_increasing_map(3, [0, 1, 2, 4, 5, 9])],
+    ),
+    "StrongNeutrality": (
+        check_strong_neutrality, averaging_rule_handle,
+        lambda: [random_increasing_map(3, [0, 1, 2, 4, 5, 9])],
+    ),
+    "TranslationEquivariance": (check_translation_equivariance, clamped_rule, lambda: [200.0]),
+    "ContinuityLipschitz": (check_continuity_lipschitz, jump_rule, lambda: [0.01]),
+    "IndependentEndpoints": (
+        check_independent_endpoints, widest_rule,
+        lambda: [[Interval(0, 20), Interval(2, 5), Interval(4, 9)]],
+    ),
+    "OutBetweenness": (
+        check_out_betweenness, averaging_rule_handle, lambda: [0, Interval(-2, 1)],
+    ),
+    "LowerProperty": (
+        check_lower_property, averaging_rule_handle,
+        lambda: [[Interval(-5, 1), Interval(2, 5), Interval(4, 9)], 0],
+    ),
+    "UpperProperty": (
+        check_upper_property, averaging_rule_handle,
+        lambda: [[Interval(0, 1), Interval(2, 5), Interval(4, 20)], 2],
+    ),
+    "Manipulation": (
+        check_manipulation, averaging_rule_handle,
+        lambda: [0, WeightedL1Preference(Interval(0, 1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("axiom", LIST_PROFILE_CASES)
+def test_a_witness_of_a_list_profile_is_plain_json(axiom):
+    check, rule, rest = LIST_PROFILE_CASES[axiom]
+    profile = [Interval(0, 1), Interval(2, 5), Interval(4, 9)]
+    arguments = rest()
+    result = check(rule(), profile, *arguments)
+    assert result.axiom == axiom and not result.passed
+    witness = result.witness
+    text = json.dumps(witness)
+    assert json.loads(text) == witness
+    assert witness["profile"] == [[0, 1], [2, 5], [4, 9]]
+    # Editing the caller's lists afterwards leaves the witness as it was.
+    for value in (profile, *arguments):
+        if isinstance(value, list):
+            value.reverse()
+    assert json.dumps(witness) == text
+    assert not replay_witness(rule(), json.loads(text)).passed
 
 
 class TestReplayInput:

@@ -126,10 +126,14 @@ def paths(monkeypatch, two_cpus):
 
 @pytest.fixture
 def rule_paths(monkeypatch, paths):
-    """``paths``, with the worker started on the tests' own rules too."""
+    """``paths``, with the worker started on the tests' own rules too.  A
+    worker started on other modules is kept unused, so the worker is
+    stopped before and after."""
     monkeypatch.setattr(_worker, "_MODULES", (*_worker._MODULES, "tests.sharded_rules"))
     monkeypatch.setattr(_worker, "_import_paths", lambda: [*IMPORT_PATHS, str(ROOT)])
-    return paths
+    _worker._stop()
+    yield paths
+    _worker._stop()
 
 
 IMPORT_PATHS = _worker._import_paths()
@@ -560,6 +564,71 @@ def test_rule_redefined_in_main_between_audits(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == ["True", "True", "True", "3", "True"]
+
+
+# A module on the worker's list that does not record itself at import:
+# this process cannot show that it still runs what it imported, so the
+# audit is decided here and starts no worker.
+UNRECORDED = """
+import json
+from intervalagg import AuditConfig, _worker, audit, median_rule_handle
+
+_worker._MODULES = (*_worker._MODULES, "json")
+_worker._usable_cpus = lambda: 2
+rule, config = median_rule_handle(), AuditConfig(n_agents=3, samples=20, seed=1)
+sharded = json.dumps(audit(rule, config).to_json_dict())
+_worker._usable_cpus = lambda: 1
+in_process = json.dumps(audit(rule, config).to_json_dict())
+print(_worker._fingerprint() is None, _worker._live() is None, sharded == in_process)
+"""
+
+
+def test_a_module_without_a_record_is_not_left_to_the_worker():
+    child = subprocess.run(
+        [sys.executable, "-c", UNRECORDED],
+        capture_output=True, text=True, timeout=120, env=src_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True", "True", "True"]
+
+
+# A ready worker, and then one more module on the list here: the worker
+# runs other code than this process from then on, so it is kept alive
+# and sent nothing, and every audit is decided here.
+KEPT = """
+import json, os, time
+from intervalagg import AuditConfig, _worker, audit, median_rule_handle
+
+_worker._usable_cpus = lambda: 2
+rule, config = median_rule_handle(), AuditConfig(n_agents=4, samples=20, seed=5)
+deadline = time.monotonic() + 60
+while _worker._live() is None or _worker._live().fingerprint != _worker._fingerprint():
+    audit(rule, config)
+    assert time.monotonic() < deadline
+    time.sleep(0.02)
+worker = _worker._live()
+sequence = worker.sequence
+_worker._MODULES = (*_worker._MODULES, "tests.sharded_rules")
+texts = []
+for _ in range(10):
+    texts.append(json.dumps(audit(rule, config).to_json_dict()))
+    time.sleep(0.05)
+live = _worker._live() is worker and os.waitpid(worker.pid, os.WNOHANG) == (0, 0)
+_worker._usable_cpus = lambda: 1
+in_process = json.dumps(audit(rule, config).to_json_dict())
+print(live, worker.sequence == sequence, texts == [in_process] * 10)
+"""
+
+
+def test_a_worker_running_other_code_is_kept_unused():
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT), env["PYTHONPATH"]])
+    child = subprocess.run(
+        [sys.executable, "-c", KEPT],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["True", "True", "True"]
 
 
 def test_patched_package_code_is_not_left_to_the_worker(monkeypatch, two_cpus):
